@@ -40,11 +40,8 @@ from .qubits import (
 from .simulation import (
     AnalysisConfig,
     ChannelConfig,
-    ClickRecord,
     DoubleClickPolicy,
     MemoryConfig,
-    MemoryOutcome,
-    PulseRecord,
     RunResult,
     SiftedSample,
     SourceConfig,
@@ -52,10 +49,9 @@ from .simulation import (
     apply_memory,
     generate_pulse_train,
     measure,
-    pulse_rng,
     run_experiment,
     sample_arriving_photons,
-    sift_and_estimate,
+    sift,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -167,10 +167,9 @@ def _cmd_run(args) -> int:
 
     result = run_experiment(config, workers=args.workers)
     write_lines(outdir / "pulses.csv", pulse_csv_lines(result))
-    write_lines(
-        outdir / "histogram.csv", histogram_csv_lines(run_histogram(result, config))
-    )
-    summary = summary_text(result, config)
+    hist = run_histogram(result, config)
+    write_lines(outdir / "histogram.csv", histogram_csv_lines(hist))
+    summary = summary_text(result, config, hist)
     (outdir / "summary.txt").write_text(summary)
     sys.stdout.write(summary)
     print(f"wrote {outdir / 'pulses.csv'}, {outdir / 'histogram.csv'}, "

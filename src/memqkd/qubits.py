@@ -24,6 +24,9 @@ class Basis(Enum):
 #: Emission order used by the ordered source mode (one full cycle).
 POLARIZATION_CYCLE = (Polarization.H, Polarization.V, Polarization.D, Polarization.A)
 
+#: Basis order of the array codes: a basis code is its index here.
+BASES = (Basis.Z, Basis.X)
+
 #: Detector pair of each basis, in the order (bit-0 detector, bit-1 detector).
 BASIS_MEMBERS = {
     Basis.Z: (Polarization.H, Polarization.V),

@@ -12,13 +12,15 @@ import math
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .histogram import Histogram, bin_clicks, sbr_from_histogram
 from .keyrate import (
     KeyRateMap,
     classical_bound_check,
     fidelity_from_sbr,
 )
-from .qubits import BASIS_MEMBERS
+from .qubits import BASES, POLARIZATION_CYCLE
 from .simulation import RunResult
 
 PULSE_CSV_HEADER = (
@@ -34,24 +36,31 @@ def _num(value: float) -> str:
     return str(value)
 
 
-def pulse_csv_lines(result: RunResult) -> Iterable[str]:
-    yield PULSE_CSV_HEADER
-    for pulse, record, (sifted, error) in zip(result.pulses, result.clicks, result.flags):
-        d0, d1 = BASIS_MEMBERS[record.bob_basis]
-        yield ",".join(
-            (
-                str(pulse.index),
-                _num(pulse.emit_time_ns),
-                pulse.state.value,
-                repr(pulse.mu_effective),
-                record.bob_basis.value,
-                str(record.clicks[d0]),
-                str(record.clicks[d1]),
-                str(record.leak_clicks),
-                str(int(sifted)),
-                str(int(error)),
-            )
-        )
+def _num_column(values: np.ndarray) -> list[str]:
+    """_num over a float array, element for element."""
+    floats = values.tolist()
+    if np.all(np.isfinite(values) & (values == np.trunc(values))):
+        return list(map(str, map(int, floats)))
+    return list(map(_num, floats))
+
+
+def pulse_csv_lines(result: RunResult) -> list[str]:
+    """Header plus one row per pulse, written column by column."""
+    states = [p.value for p in POLARIZATION_CYCLE]
+    bases = [b.value for b in BASES]
+    columns = (
+        map(str, range(len(result.state))),
+        _num_column(result.emit_time_ns),
+        map(states.__getitem__, result.state.tolist()),
+        map(repr, result.mu_eff.tolist()),
+        map(bases.__getitem__, result.bob_basis.tolist()),
+        map(str, result.c0.tolist()),
+        map(str, result.c1.tolist()),
+        map(str, result.leak_clicks.tolist()),
+        map(str, result.sifted.view(np.int8).tolist()),
+        map(str, result.error.view(np.int8).tolist()),
+    )
+    return [PULSE_CSV_HEADER, *map(",".join, zip(*columns))]
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterable[str]:
@@ -83,10 +92,12 @@ def run_histogram(result: RunResult, config) -> Histogram:
     return bin_clicks(result.click_times_ns, analysis.bin_width_ns, analysis.window)
 
 
-def summary_text(result: RunResult, config) -> str:
-    """Plain-text key = value block with counts, error rates, and SBR."""
+def summary_text(result: RunResult, config, hist: Histogram) -> str:
+    """Plain-text key = value block with counts, error rates, and SBR.
+
+    hist is the run's histogram (run_histogram), binned once by the caller.
+    """
     analysis, memory = config.analysis, config.memory
-    hist = run_histogram(result, config)
     hist_sbr = sbr_from_histogram(
         hist,
         analysis.roi_center(memory),

@@ -1,19 +1,26 @@
 """Seeded Monte Carlo pipeline for the memory-assisted link.
 
-Pulse by pulse: a weak coherent pulse is emitted in one of four polarizations,
+Per pulse: a weak coherent pulse is emitted in one of four polarizations,
 crosses a turbulent free-space channel, enters a dual-rail vapor memory that
 either leaks, stores-and-retrieves, or loses each photon, and is measured in a
 randomly chosen basis by a four-detector receiver. Sifting keeps matched-basis
 pulses with at least one click inside the retrieval ROI and tallies per-basis
 error rates.
 
-Every pulse owns a random stream derived from (seed, pulse_index), so any
-partition of the pulse range across workers reproduces the single-worker run
-bit for bit.
+Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
+block may be shorter). Each block draws every layer as whole arrays from one
+stream keyed by (seed, block_index), in a fixed order that starts with the
+prepared states. Worker chunks are unions of whole blocks and the block size
+never depends on the worker count, so a run is a pure function of
+(config, seed) whatever the number of workers.
+
+Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
+basis its index in BASES (Z, X).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +30,7 @@ import numpy as np
 
 from .keyrate import SbrEstimate
 from .qubits import (
+    BASES,
     BASIS_MEMBERS,
     POLARIZATION_CYCLE,
     Basis,
@@ -32,8 +40,21 @@ from .qubits import (
     detection_probability,
 )
 
-#: Stream tag for the tie-break generator; pulse streams use tags < 2**64.
-_TIE_STREAM_TAG = 2**64
+#: Pulses per random stream. A constant of the stream layout: changing it
+#: changes every seeded output.
+BLOCK_PULSES = 2**14
+
+# Lookup tables over state codes, built from the scalar definitions in qubits.
+_BASIS_OF_STATE = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])
+_BIT_OF_STATE = np.array([bit_of(p) for p in POLARIZATION_CYCLE])
+#: _P0[state, bob_basis]: probability that a signal photon fires the bit-0
+#: detector of bob_basis.
+_P0 = np.array(
+    [
+        [detection_probability(p, b, BASIS_MEMBERS[b][0]) for b in BASES]
+        for p in POLARIZATION_CYCLE
+    ]
+)
 
 
 class SourceMode(Enum):
@@ -46,6 +67,14 @@ class DoubleClickPolicy(Enum):
 
     RANDOM = "random"
     DISCARD = "discard"
+
+
+def _require_finite(config) -> None:
+    """Reject NaN and infinite float fields; range checks cannot see NaN."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +93,7 @@ class SourceConfig:
     n_pulses: int = 10_000
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.pulse_width_ns > 0:
             raise ValueError(f"pulse_width_ns must be positive, got {self.pulse_width_ns}")
         if not self.pulse_width_ns < self.pulse_period_ns:
@@ -89,6 +119,7 @@ class ChannelConfig:
     rel_fluctuation: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.transmission <= 1.0:
             raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
         if self.rel_fluctuation < 0:
@@ -115,6 +146,7 @@ class MemoryConfig:
     noise_suppression: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("retrieval_efficiency", "leak_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -162,6 +194,7 @@ class AnalysisConfig:
     background_end_ns: float = 2000.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.bin_width_ns > 0:
             raise ValueError(f"bin_width_ns must be positive, got {self.bin_width_ns}")
         if not self.window_end_ns > self.window_start_ns:
@@ -195,31 +228,6 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    """One emitted pulse: slot, emission time, prepared state, post-channel mean."""
-
-    index: int
-    emit_time_ns: float
-    state: Polarization
-    mu_effective: float
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """Receiver outcome for one pulse.
-
-    clicks maps the two detectors of bob_basis to photon counts inside the
-    retrieval ROI; leak_clicks counts arrivals in the leakage window
-    (diagnostic only, never sifted).
-    """
-
-    pulse_index: int
-    bob_basis: Basis
-    clicks: dict[Polarization, int]
-    leak_clicks: int
-
-
-@dataclass(frozen=True)
 class SiftedSample:
     """Post-sifting tallies and error rates for both bases."""
 
@@ -231,6 +239,21 @@ class SiftedSample:
     def __post_init__(self) -> None:
         if self.n_err_z > self.n_sifted_z or self.n_err_x > self.n_sifted_x:
             raise ValueError("errors cannot exceed sifted counts")
+
+    @classmethod
+    def from_flags(
+        cls, bob_basis: np.ndarray, sifted: np.ndarray, error: np.ndarray
+    ) -> SiftedSample:
+        """Tally per-pulse (sifted, error) flags by Bob's basis."""
+        in_z = bob_basis == BASES.index(Basis.Z)
+        n_sifted_z = int(np.count_nonzero(sifted & in_z))
+        n_err_z = int(np.count_nonzero(error & in_z))
+        return cls(
+            n_sifted_z=n_sifted_z,
+            n_sifted_x=int(np.count_nonzero(sifted)) - n_sifted_z,
+            n_err_z=n_err_z,
+            n_err_x=int(np.count_nonzero(error)) - n_err_z,
+        )
 
     @property
     def qber_z(self) -> float:
@@ -247,26 +270,24 @@ class SiftedSample:
         return (self.n_err_z + self.n_err_x) / n if n else math.nan
 
 
-@dataclass(frozen=True)
-class MemoryOutcome:
-    """Per-pulse memory bookkeeping; retrieved + leaked + lost equals the input."""
-
-    retrieved: int
-    leaked: int
-    lost: int
-    background_roi: int
+def _n_blocks(n_pulses: int) -> int:
+    # An empty run is one empty block, which yields correctly typed arrays.
+    return max(1, -(-n_pulses // BLOCK_PULSES))
 
 
-def pulse_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible random stream for one pulse."""
-    return np.random.default_rng([seed, index])
+def _block_range(n_pulses: int, block: int) -> tuple[int, int]:
+    start = block * BLOCK_PULSES
+    return start, min(start + BLOCK_PULSES, n_pulses)
 
 
-def _draw_state(mode: SourceMode, index: int, rng: np.random.Generator) -> Polarization:
+def _draw_states(
+    mode: SourceMode, start: int, stop: int, rng: np.random.Generator
+) -> np.ndarray:
+    """State codes of pulses [start, stop); the first draw of a block stream."""
     # Ordered mode consumes no randomness so the cycle is exact.
     if mode is SourceMode.ORDERED:
-        return POLARIZATION_CYCLE[index % 4]
-    return POLARIZATION_CYCLE[int(rng.integers(4))]
+        return (np.arange(start, stop) % 4).astype(np.int8)
+    return rng.integers(4, size=stop - start, dtype=np.int8)
 
 
 def generate_pulse_train(
@@ -274,167 +295,127 @@ def generate_pulse_train(
 ) -> list[tuple[int, float, Polarization]]:
     """Emission schedule as (index, emit_time_ns, state) triples.
 
-    Random mode draws each state from that pulse's own stream, so the train
+    Random-mode states are the first draw of each block stream, so the train
     matches what a full pipeline run prepares for the same seed.
     """
-    train = []
-    for i in range(source.n_pulses):
-        state = _draw_state(source.mode, i, pulse_rng(seed, i))
-        train.append((i, i * source.pulse_period_ns, state))
-    return train
+    n = source.n_pulses
+    codes = np.concatenate(
+        [
+            _draw_states(source.mode, *_block_range(n, b), np.random.default_rng([seed, b]))
+            for b in range(_n_blocks(n))
+        ]
+    ).tolist()
+    times = (np.arange(n) * source.pulse_period_ns).tolist()
+    return list(zip(range(n), times, (POLARIZATION_CYCLE[k] for k in codes)))
 
 
 def sample_arriving_photons(
-    mu_alice: float, channel: ChannelConfig, rng: np.random.Generator
-) -> tuple[float, int]:
-    """Channel passage for one pulse: effective mean and arriving photon count.
+    mu_alice: float, channel: ChannelConfig, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel passage for size pulses: effective means and arriving photon counts.
 
     The turbulent gain is normal with mean 1 and std rel_fluctuation,
     truncated at 0; the photon number is Poisson at the attenuated mean.
     """
-    gain = max(0.0, rng.normal(1.0, channel.rel_fluctuation))
+    gain = np.maximum(0.0, rng.normal(1.0, channel.rel_fluctuation, size))
     mu_effective = mu_alice * channel.transmission * gain
-    return mu_effective, int(rng.poisson(mu_effective))
+    return mu_effective, rng.poisson(mu_effective)
 
 
 def apply_memory(
-    n_photons: int, state: Polarization, memory: MemoryConfig, rng: np.random.Generator
-) -> MemoryOutcome:
-    """Storage step for one pulse.
+    n_photons: np.ndarray, memory: MemoryConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Storage step: (retrieved, leaked, lost, background_roi) per pulse.
 
-    Photons split multinomially into leaked / retrieved / lost, which keeps
-    per-pulse conservation exact. Surviving photons keep their polarization:
-    both rails store or miss together, so attenuation never rotates the
-    state. Background counts in the ROI are Poisson at the suppressed mean
-    and unpolarized (routed 50/50 at measurement).
+    Each photon leaks, is retrieved, or is lost: two sequential binomials
+    (leaked first, then retrieved among the rest at the conditional
+    efficiency) give the multinomial split and keep per-pulse conservation
+    exact. Surviving photons keep their polarization: both rails store or
+    miss together, so attenuation never rotates the state. Background
+    counts in the ROI are Poisson at the suppressed mean and unpolarized
+    (routed 50/50 at measurement).
     """
-    if n_photons < 0:
-        raise ValueError(f"photon count must be nonnegative, got {n_photons}")
-    loss = 1.0 - memory.leak_fraction - memory.retrieval_efficiency
-    leaked, retrieved, lost = rng.multinomial(
-        n_photons, [memory.leak_fraction, memory.retrieval_efficiency, loss]
-    )
-    background = int(rng.poisson(memory.effective_background))
-    return MemoryOutcome(int(retrieved), int(leaked), int(lost), background)
+    leak = memory.leak_fraction
+    leaked = rng.binomial(n_photons, leak)
+    # leak == 1 forces retrieval_efficiency == 0.
+    p_retrieve = min(1.0, memory.retrieval_efficiency / (1.0 - leak)) if leak < 1.0 else 0.0
+    retrieved = rng.binomial(n_photons - leaked, p_retrieve)
+    background = rng.poisson(memory.effective_background, np.shape(n_photons))
+    return retrieved, leaked, n_photons - leaked - retrieved, background
 
 
 def measure(
-    pulse_index: int,
-    state: Polarization,
-    n_signal: int,
-    n_background: int,
+    state: np.ndarray,
+    n_signal: np.ndarray,
+    n_background: np.ndarray,
     rng: np.random.Generator,
-    leak_clicks: int = 0,
-) -> ClickRecord:
-    """Four-detector measurement of one pulse.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Four-detector measurement: (bob_basis, c0, c1) per pulse.
 
     Bob's basis is a fair coin (the 50/50 splitter); signal photons route by
     the ideal projection table, background photons 50/50 within the chosen
-    basis. Detectors are ideal and photon-number resolving within the ROI.
+    basis. c0 and c1 count the bit-0 and bit-1 detectors of bob_basis.
+    Detectors are ideal and photon-number resolving within the ROI.
     """
-    bob_basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-    d0, d1 = BASIS_MEMBERS[bob_basis]
-    p0 = detection_probability(state, bob_basis, d0)
-    if p0 == 1.0:
-        signal_d0 = n_signal
-    elif p0 == 0.0:
-        signal_d0 = 0
-    else:
-        signal_d0 = int(rng.binomial(n_signal, p0))
-    background_d0 = int(rng.binomial(n_background, 0.5))
-    clicks = {
-        d0: signal_d0 + background_d0,
-        d1: (n_signal - signal_d0) + (n_background - background_d0),
-    }
-    return ClickRecord(pulse_index, bob_basis, clicks, leak_clicks)
+    bob_basis = rng.integers(2, size=len(state), dtype=np.int8)
+    signal_d0 = rng.binomial(n_signal, _P0[state, bob_basis])
+    background_d0 = rng.binomial(n_background, 0.5)
+    c0 = signal_d0 + background_d0
+    c1 = (n_signal - signal_d0) + (n_background - background_d0)
+    return bob_basis, c0, c1
 
 
-def _classify(
-    record: ClickRecord,
-    truth_state: Polarization,
-    policy: DoubleClickPolicy,
-    tie_rng: np.random.Generator,
-) -> tuple[bool, bool]:
-    """(sifted, error) for one pulse under the given tie policy."""
-    if record.bob_basis is not basis_of(truth_state):
-        return False, False
-    d0, d1 = BASIS_MEMBERS[record.bob_basis]
-    c0, c1 = record.clicks[d0], record.clicks[d1]
-    if c0 == 0 and c1 == 0:
-        return False, False
-    if c0 == c1:
-        if policy is DoubleClickPolicy.DISCARD:
-            return False, False
-        bit = int(tie_rng.integers(2))
-    else:
-        bit = bit_of(d0 if c0 > c1 else d1)
-    return True, bit != bit_of(truth_state)
-
-
-def sift_and_estimate(
-    records: list[ClickRecord],
-    truth: list[PulseRecord],
+def sift(
+    state: np.ndarray,
+    bob_basis: np.ndarray,
+    c0: np.ndarray,
+    c1: np.ndarray,
+    rng: np.random.Generator,
     policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM,
-    tie_rng: np.random.Generator | None = None,
-) -> SiftedSample:
-    """Sift matched-basis pulses with at least one ROI click and tally errors.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pulse (sifted, error) flags.
 
-    A pulse counts as an error when the detector with the larger ROI count
-    decodes to the wrong bit; equal counts fall to the tie policy (random
-    assigns a fair bit, discard drops the pulse from the sample).
+    Matched-basis pulses with at least one ROI click are sifted. A pulse is
+    an error when the detector with the larger ROI count decodes to the
+    wrong bit; equal counts fall to the tie policy (random draws a fair bit
+    from rng, discard drops the pulse from the sample).
     """
-    sample, _ = _sift_with_flags(records, truth, policy, tie_rng)
-    return sample
-
-
-def _sift_with_flags(
-    records: list[ClickRecord],
-    truth: list[PulseRecord],
-    policy: DoubleClickPolicy,
-    tie_rng: np.random.Generator | None,
-) -> tuple[SiftedSample, list[tuple[bool, bool]]]:
-    if len(records) != len(truth):
+    if not len(state) == len(bob_basis) == len(c0) == len(c1):
         raise ValueError(
-            f"records ({len(records)}) and truth ({len(truth)}) lengths differ"
+            f"array lengths differ: state {len(state)}, bob_basis {len(bob_basis)}, "
+            f"c0 {len(c0)}, c1 {len(c1)}"
         )
-    if tie_rng is None:
-        tie_rng = np.random.default_rng(0)
-    sifted = {Basis.Z: 0, Basis.X: 0}
-    errors = {Basis.Z: 0, Basis.X: 0}
-    flags = []
-    for record, pulse in zip(records, truth):
-        if record.pulse_index != pulse.index:
-            raise ValueError(
-                f"record/truth misalignment at pulse {pulse.index} vs "
-                f"{record.pulse_index}"
-            )
-        keep, err = _classify(record, pulse.state, policy, tie_rng)
-        flags.append((keep, err))
-        if keep:
-            sifted[record.bob_basis] += 1
-            errors[record.bob_basis] += int(err)
-    sample = SiftedSample(
-        n_sifted_z=sifted[Basis.Z],
-        n_sifted_x=sifted[Basis.X],
-        n_err_z=errors[Basis.Z],
-        n_err_x=errors[Basis.X],
-    )
-    return sample, flags
+    sifted = (_BASIS_OF_STATE[state] == bob_basis) & ((c0 > 0) | (c1 > 0))
+    tie = sifted & (c0 == c1)
+    bit = (c1 > c0).astype(np.int8)
+    if policy is DoubleClickPolicy.DISCARD:
+        sifted &= ~tie
+    else:
+        bit[tie] = rng.integers(2, size=np.count_nonzero(tie), dtype=np.int8)
+    return sifted, sifted & (bit != _BIT_OF_STATE[state])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Aggregated output of one pipeline run.
+    """One pipeline run: per-pulse arrays (row i is pulse i) plus run totals.
 
-    click_times_ns holds every click (leakage, retrieved, background) as a
-    pulse-relative timestamp, ready for histogramming. flags carries the
-    per-pulse (sifted, error) decisions in pulse order.
+    state and bob_basis hold array codes (see the module docstring); c0 and
+    c1 count the bit-0 and bit-1 detectors of bob_basis inside the ROI;
+    leak_clicks counts arrivals in the leakage window (diagnostic only,
+    never sifted). click_times_ns holds every click (leakage, retrieved,
+    background) as a pulse-relative timestamp, ready for histogramming.
     """
 
     seed: int
-    pulses: list[PulseRecord]
-    clicks: list[ClickRecord]
-    flags: list[tuple[bool, bool]]
+    emit_time_ns: np.ndarray
+    state: np.ndarray
+    mu_eff: np.ndarray
+    bob_basis: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    leak_clicks: np.ndarray
+    sifted: np.ndarray
+    error: np.ndarray
     sample: SiftedSample
     sbr: SbrEstimate
     click_times_ns: np.ndarray
@@ -445,9 +426,19 @@ class RunResult:
     n_background_roi: int
 
 
-def _simulate_chunk(args) -> tuple[list[PulseRecord], list[ClickRecord], np.ndarray, tuple]:
-    """Simulate pulses [start, stop); pure function of (configs, seed, range)."""
-    source, channel, memory, analysis, seed, start, stop = args
+def _simulate_block(source, channel, memory, analysis, policy, seed, block):
+    """Simulate one block: (per-pulse columns, click times, photon totals).
+
+    A pure function of its arguments; every draw comes from the block's own
+    stream, in a fixed order.
+    """
+    start, stop = _block_range(source.n_pulses, block)
+    m = stop - start
+    rng = np.random.default_rng([seed, block])
+    state = _draw_states(source.mode, start, stop, rng)
+    mu_eff, arrived = sample_arriving_photons(source.mu_alice, channel, rng, m)
+    retrieved, leaked, lost, background_roi = apply_memory(arrived, memory, rng)
+
     roi_center = analysis.roi_center(memory)
     roi_lo = roi_center - memory.roi_width_ns / 2.0
     roi_hi = roi_center + memory.roi_width_ns / 2.0
@@ -458,48 +449,49 @@ def _simulate_chunk(args) -> tuple[list[PulseRecord], list[ClickRecord], np.ndar
     # exactly Poisson(effective_background) while the histogram sees the full
     # uniform floor.
     rate_outside = memory.effective_background * span_outside / memory.roi_width_ns
+    n_outside = rng.poisson(rate_outside, m)
 
-    pulses: list[PulseRecord] = []
-    clicks: list[ClickRecord] = []
-    times: list[np.ndarray] = []
-    arrived = retrieved = leaked = lost = background_roi = 0
+    leak_times = rng.uniform(0.0, source.pulse_width_ns, int(leaked.sum()))
+    roi_times = rng.uniform(roi_lo, roi_hi, int(retrieved.sum() + background_roi.sum()))
+    u = window_lo + rng.uniform(0.0, span_outside, int(n_outside.sum()))
+    outside_times = np.where(u < roi_lo, u, u + memory.roi_width_ns)
+    in_leak_window = (outside_times >= 0.0) & (outside_times < source.pulse_width_ns)
+    owner = np.repeat(np.arange(m), n_outside)
+    leak_clicks = leaked + np.bincount(owner[in_leak_window], minlength=m)
 
-    for i in range(start, stop):
-        rng = pulse_rng(seed, i)
-        state = _draw_state(source.mode, i, rng)
-        mu_effective, n_arrive = sample_arriving_photons(source.mu_alice, channel, rng)
-        outcome = apply_memory(n_arrive, state, memory, rng)
+    bob_basis, c0, c1 = measure(state, retrieved, background_roi, rng)
+    sifted, error = sift(state, bob_basis, c0, c1, rng, policy)
 
-        n_bg_outside = int(rng.poisson(rate_outside)) if rate_outside > 0 else 0
-        leak_times = rng.uniform(0.0, source.pulse_width_ns, outcome.leaked)
-        retrieved_times = rng.uniform(roi_lo, roi_hi, outcome.retrieved)
-        bg_roi_times = rng.uniform(roi_lo, roi_hi, outcome.background_roi)
-        u = rng.uniform(0.0, span_outside, n_bg_outside)
-        bg_outside_times = np.where(
-            window_lo + u < roi_lo, window_lo + u, window_lo + u + memory.roi_width_ns
-        )
+    columns = {
+        "state": state,
+        "mu_eff": mu_eff,
+        "bob_basis": bob_basis,
+        "c0": c0,
+        "c1": c1,
+        "leak_clicks": leak_clicks,
+        "sifted": sifted,
+        "error": error,
+    }
+    times = np.concatenate([leak_times, roi_times, outside_times])
+    totals = np.array(
+        [arrived.sum(), retrieved.sum(), leaked.sum(), lost.sum(), background_roi.sum()],
+        dtype=np.int64,
+    )
+    return columns, times, totals
 
-        in_leak_window = (bg_outside_times >= 0.0) & (
-            bg_outside_times < source.pulse_width_ns
-        )
-        leak_clicks = outcome.leaked + int(np.count_nonzero(in_leak_window))
-        record = measure(
-            i, state, outcome.retrieved, outcome.background_roi, rng, leak_clicks
-        )
 
-        pulses.append(PulseRecord(i, i * source.pulse_period_ns, state, mu_effective))
-        clicks.append(record)
-        times.append(
-            np.concatenate([leak_times, retrieved_times, bg_roi_times, bg_outside_times])
-        )
-        arrived += n_arrive
-        retrieved += outcome.retrieved
-        leaked += outcome.leaked
-        lost += outcome.lost
-        background_roi += outcome.background_roi
+def _join(parts):
+    """Concatenate consecutive (columns, times, totals) outputs in order."""
+    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in parts[0][0]}
+    times = np.concatenate([p[1] for p in parts])
+    totals = sum(p[2] for p in parts)
+    return columns, times, totals
 
-    chunk_times = np.concatenate(times) if times else np.empty(0, dtype=float)
-    return pulses, clicks, chunk_times, (arrived, retrieved, leaked, lost, background_roi)
+
+def _simulate_blocks(args):
+    """Simulate blocks [first, last) of a run; one worker's chunk."""
+    *settings, first, last = args
+    return _join([_simulate_block(*settings, block) for block in range(first, last)])
 
 
 def run_experiment(
@@ -510,9 +502,10 @@ def run_experiment(
 ) -> RunResult:
     """Run the full pipeline for a RunConfig.
 
-    Outputs are a pure function of (config, seed): each pulse draws from a
-    stream keyed by (seed, pulse_index) and the tie-break stream is keyed by
-    the seed alone, so worker count and chunking never change the result.
+    Outputs are a pure function of (config, seed): block b of BLOCK_PULSES
+    pulses draws every layer, sifting ties included, from one stream keyed
+    by (seed, b), and workers take whole blocks, so worker count and
+    chunking never change the result.
     """
     source, channel, memory, analysis = (
         config.source,
@@ -530,45 +523,29 @@ def run_experiment(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     n = source.n_pulses
-    bounds = [(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
-    chunk_args = [
-        (source, channel, memory, analysis, seed, start, stop)
-        for start, stop in bounds
-        if stop > start
-    ]
-    if len(chunk_args) <= 1:
-        outputs = [_simulate_chunk(a) for a in chunk_args]
+    n_blocks = _n_blocks(n)
+    settings = (source, channel, memory, analysis, policy, seed)
+    bounds = [(n_blocks * k // workers, n_blocks * (k + 1) // workers) for k in range(workers)]
+    chunk_args = [(*settings, first, last) for first, last in bounds if last > first]
+    if len(chunk_args) == 1:
+        outputs = [_simulate_blocks(chunk_args[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(chunk_args)) as pool:
-            outputs = list(pool.map(_simulate_chunk, chunk_args))
+            outputs = list(pool.map(_simulate_blocks, chunk_args))
+    columns, click_times, totals = _join(outputs)
 
-    pulses: list[PulseRecord] = []
-    clicks: list[ClickRecord] = []
-    time_chunks: list[np.ndarray] = []
-    totals = np.zeros(5, dtype=np.int64)
-    for chunk_pulses, chunk_clicks, chunk_times, chunk_totals in outputs:
-        pulses.extend(chunk_pulses)
-        clicks.extend(chunk_clicks)
-        time_chunks.append(chunk_times)
-        totals += np.asarray(chunk_totals, dtype=np.int64)
-
-    tie_rng = np.random.default_rng([seed, _TIE_STREAM_TAG])
-    sample, flags = _sift_with_flags(clicks, pulses, policy, tie_rng)
     arrived, retrieved, leaked, lost, background_roi = (int(t) for t in totals)
-    sbr = SbrEstimate(
-        eta=retrieved / n if n else 0.0,
-        q=background_roi / n if n else 0.0,
-    )
-    click_times = (
-        np.concatenate(time_chunks) if time_chunks else np.empty(0, dtype=float)
-    )
     return RunResult(
         seed=seed,
-        pulses=pulses,
-        clicks=clicks,
-        flags=flags,
-        sample=sample,
-        sbr=sbr,
+        emit_time_ns=np.arange(n) * source.pulse_period_ns,
+        **columns,
+        sample=SiftedSample.from_flags(
+            columns["bob_basis"], columns["sifted"], columns["error"]
+        ),
+        sbr=SbrEstimate(
+            eta=retrieved / n if n else 0.0,
+            q=background_roi / n if n else 0.0,
+        ),
         click_times_ns=click_times,
         n_arrived=arrived,
         n_retrieved=retrieved,

@@ -2,6 +2,7 @@ import pytest
 
 from memqkd import OUTPUT_DIR_ENV, serialize_config, preset_config
 from memqkd.cli import main
+from memqkd.simulation import BLOCK_PULSES
 
 
 def run_cli(*argv):
@@ -44,6 +45,24 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_run_is_byte_identical_across_worker_counts(tmp_path):
+    # 3.5 blocks: a partial last block, uneven chunks, more workers than blocks.
+    pulses = str(7 * BLOCK_PULSES // 2)
+    outputs = {}
+    for workers in (1, 2, 3, 8):
+        outdir = tmp_path / f"w{workers}"
+        assert run_cli(
+            "run", "--preset", "experiment3", "--pulses", pulses, "--seed", "4",
+            "--workers", str(workers), "--outdir", str(outdir),
+        ) == 0
+        outputs[workers] = [
+            (outdir / name).read_bytes() for name in ("pulses.csv", "summary.txt")
+        ]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+    assert outputs[8] == outputs[1]
+
+
 def test_run_config_file(tmp_path):
     config = preset_config("experiment3", n_pulses=200, seed=3)
     path = tmp_path / "run.ini"
@@ -57,6 +76,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = run_cli("run", "--config", str(path), "--outdir", str(tmp_path))
     assert code == 1
     assert "transmission" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("channel", "rel_fluctuation = nan"),
+        ("source", "mu_alice = inf"),
+        ("memory", "background_mean = inf"),
+    ],
+)
+def test_non_finite_config_is_config_error(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{line}\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "must be finite" in err
+    assert not outdir.exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

@@ -1,16 +1,35 @@
 import dataclasses
+import math
 
 import pytest
 
 from memqkd import (
+    AnalysisConfig,
+    ChannelConfig,
     ConfigError,
+    MemoryConfig,
     RunConfig,
+    SourceConfig,
     parse_config,
     preset_config,
     qber_oracle_from_sbr,
     serialize_config,
 )
 from memqkd.simulation import SourceMode
+
+#: (section, config class, field) for every float field, roi_center_ns included.
+FLOAT_FIELDS = [
+    (section, cls, field.name)
+    for section, cls in (
+        ("source", SourceConfig),
+        ("channel", ChannelConfig),
+        ("memory", MemoryConfig),
+        ("analysis", AnalysisConfig),
+    )
+    for field in dataclasses.fields(cls)
+    if field.type.startswith("float")
+]
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def test_empty_document_yields_defaults():
@@ -143,3 +162,23 @@ def test_replace_preserves_validation():
     config = RunConfig()
     with pytest.raises(ValueError):
         dataclasses.replace(config, seed=-3)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("section,cls,name", FLOAT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_non_finite_float_rejected_on_construction(section, cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("section,cls,name", FLOAT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_non_finite_float_rejected_by_parser(section, cls, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite") as info:
+        parse_config(f"[{section}]\n{name} = {value!r}\n")
+    assert info.value.line == 2
+
+
+def test_float_fields_cover_every_section():
+    assert len(FLOAT_FIELDS) == 17
+    assert ("analysis", AnalysisConfig, "roi_center_ns") in FLOAT_FIELDS

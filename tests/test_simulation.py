@@ -5,14 +5,14 @@ import pytest
 from scipy.stats import chisquare
 
 from memqkd import (
+    POLARIZATION_CYCLE,
     Basis,
     ChannelConfig,
-    ClickRecord,
     DoubleClickPolicy,
     MemoryConfig,
     Polarization,
-    PulseRecord,
     RunConfig,
+    SiftedSample,
     SourceConfig,
     SourceMode,
     apply_memory,
@@ -23,10 +23,19 @@ from memqkd import (
     qber_oracle_from_sbr,
     run_experiment,
     sample_arriving_photons,
-    sift_and_estimate,
+    sift,
 )
+from memqkd.qubits import BASES
+from memqkd.reports import pulse_csv_lines, run_histogram, summary_text
+from memqkd.simulation import BLOCK_PULSES
 
 H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
+Z, X = BASES.index(Basis.Z), BASES.index(Basis.X)
+
+
+def codes(*states):
+    """Array codes of the given polarizations."""
+    return np.array([POLARIZATION_CYCLE.index(s) for s in states])
 
 
 # --- source -----------------------------------------------------------------
@@ -63,7 +72,7 @@ def test_random_train_matches_pipeline_states():
     config = preset_config("experiment3", n_pulses=500, seed=42)
     train = generate_pulse_train(config.source, seed=42)
     result = run_experiment(config)
-    assert [s for _, _, s in train] == [p.state for p in result.pulses]
+    assert np.array_equal(codes(*(s for _, _, s in train)), result.state)
 
 
 def test_source_config_validation():
@@ -81,30 +90,24 @@ def test_source_config_validation():
 def test_arrival_counts_zero_at_zero_mu():
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.0)
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        mu_eff, count = sample_arriving_photons(0.0, channel, rng)
-        assert mu_eff == 0.0
-        assert count == 0
+    mu_eff, count = sample_arriving_photons(0.0, channel, rng, 100)
+    assert np.all(mu_eff == 0.0)
+    assert np.all(count == 0)
 
 
 def test_arrival_mean_matches_memory_input_target():
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.0)
     rng = np.random.default_rng(5)
     n = 200_000
-    total = 0
-    for _ in range(n):
-        _, count = sample_arriving_photons(1.6 / 0.59, channel, rng)
-        total += count
+    _, counts = sample_arriving_photons(1.6 / 0.59, channel, rng, n)
     three_sigma = 3 * math.sqrt(1.6 / n)
-    assert total / n == pytest.approx(1.6, abs=three_sigma)
+    assert counts.sum() / n == pytest.approx(1.6, abs=three_sigma)
 
 
 def test_turbulence_fluctuation_scale():
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.05)
     rng = np.random.default_rng(9)
-    mus = np.array(
-        [sample_arriving_photons(2.0, channel, rng)[0] for _ in range(100_000)]
-    )
+    mus, _ = sample_arriving_photons(2.0, channel, rng, 100_000)
     assert np.std(mus) / np.mean(mus) == pytest.approx(0.05, rel=0.10)
 
 
@@ -123,26 +126,46 @@ def test_channel_validation():
 def test_lossless_memory_preserves_everything():
     memory = MemoryConfig(retrieval_efficiency=1.0, leak_fraction=0.0, background_mean=0.0)
     rng = np.random.default_rng(1)
-    out = apply_memory(17, D, memory, rng)
-    assert (out.retrieved, out.leaked, out.lost, out.background_roi) == (17, 0, 0, 0)
+    out = apply_memory(np.array([17]), memory, rng)
+    assert [int(a[0]) for a in out] == [17, 0, 0, 0]
 
 
 def test_dead_memory_retrieves_nothing():
     memory = MemoryConfig(retrieval_efficiency=0.0, leak_fraction=0.4, background_mean=0.0)
     rng = np.random.default_rng(2)
-    for n in (0, 1, 5, 40):
-        out = apply_memory(n, H, memory, rng)
-        assert out.retrieved == 0
-        assert out.leaked + out.lost == n
+    n = np.array([0, 1, 5, 40])
+    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
+    assert np.all(retrieved == 0)
+    assert np.array_equal(leaked + lost, n)
+
+
+def test_all_leaking_memory_retrieves_nothing():
+    memory = MemoryConfig(retrieval_efficiency=0.0, leak_fraction=1.0, background_mean=0.0)
+    n = np.array([0, 3, 40])
+    retrieved, leaked, lost, _ = apply_memory(n, memory, np.random.default_rng(2))
+    assert np.all(retrieved == 0) and np.all(lost == 0)
+    assert np.array_equal(leaked, n)
 
 
 def test_memory_conservation_exact():
     memory = MemoryConfig(retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.2)
     rng = np.random.default_rng(3)
-    for _ in range(2000):
-        n = int(rng.poisson(3.0))
-        out = apply_memory(n, V, memory, rng)
-        assert out.retrieved + out.leaked + out.lost == n
+    n = rng.poisson(3.0, 2000)
+    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
+    assert np.array_equal(retrieved + leaked + lost, n)
+    assert np.all(lost >= 0)
+
+
+def test_memory_split_matches_multinomial_fractions():
+    # Sequential binomials must reproduce the multinomial's marginal means.
+    memory = MemoryConfig(retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.0)
+    rng = np.random.default_rng(11)
+    n = np.full(200_000, 5)
+    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
+    total = n.sum()
+    for count, p in ((retrieved, 0.12), (leaked, 0.35), (lost, 0.53)):
+        three_sigma = 3 * math.sqrt(p * (1 - p) / total)
+        assert abs(count.sum() / total - p) < three_sigma
 
 
 def test_memory_long_run_sbr():
@@ -151,13 +174,9 @@ def test_memory_long_run_sbr():
         retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.12 * 1.3 / 26.0
     )
     rng = np.random.default_rng(4)
-    retrieved = background = 0
     n_pulses = 500_000
-    for _ in range(n_pulses):
-        out = apply_memory(int(rng.poisson(1.3)), H, memory, rng)
-        retrieved += out.retrieved
-        background += out.background_roi
-    assert retrieved / background == pytest.approx(26.0, rel=0.05)
+    retrieved, _, _, background = apply_memory(rng.poisson(1.3, n_pulses), memory, rng)
+    assert retrieved.sum() / background.sum() == pytest.approx(26.0, rel=0.05)
 
 
 def test_memory_validation():
@@ -168,7 +187,7 @@ def test_memory_validation():
     with pytest.raises(ValueError):
         MemoryConfig(noise_suppression=1.5)
     with pytest.raises(ValueError):
-        apply_memory(-1, H, MemoryConfig(), np.random.default_rng(0))
+        apply_memory(np.array([-1]), MemoryConfig(), np.random.default_rng(0))
 
 
 # --- measurement ------------------------------------------------------------
@@ -176,23 +195,21 @@ def test_memory_validation():
 
 def test_measure_matched_basis_clicks_correct_detector():
     rng = np.random.default_rng(6)
-    for _ in range(200):
-        record = measure(0, H, n_signal=1, n_background=0, rng=rng)
-        if record.bob_basis is Basis.Z:
-            assert record.clicks[H] == 1
-            assert record.clicks[V] == 0
+    n = 200
+    bob_basis, c0, c1 = measure(codes(H).repeat(n), np.ones(n, int), np.zeros(n, int), rng)
+    z = bob_basis == Z
+    assert z.any()
+    assert np.all(c0[z] == 1)  # H is the bit-0 detector of Z
+    assert np.all(c1[z] == 0)
 
 
 def test_measure_conjugate_basis_splits_evenly():
     rng = np.random.default_rng(7)
-    d_clicks = a_clicks = 0
-    trials = 0
-    for _ in range(20_000):
-        record = measure(0, H, n_signal=1, n_background=0, rng=rng)
-        if record.bob_basis is Basis.X:
-            trials += 1
-            d_clicks += record.clicks[D]
-            a_clicks += record.clicks[A]
+    n = 20_000
+    bob_basis, c0, c1 = measure(codes(H).repeat(n), np.ones(n, int), np.zeros(n, int), rng)
+    x = bob_basis == X
+    trials = int(x.sum())
+    d_clicks, a_clicks = int(c0[x].sum()), int(c1[x].sum())
     assert d_clicks + a_clicks == trials
     three_sigma = 3 * math.sqrt(0.25 * trials)
     assert abs(d_clicks - trials / 2) < three_sigma
@@ -200,46 +217,36 @@ def test_measure_conjugate_basis_splits_evenly():
 
 def test_measure_background_splits_evenly():
     rng = np.random.default_rng(8)
-    first = second = total = 0
-    for _ in range(5000):
-        record = measure(0, H, n_signal=0, n_background=10, rng=rng)
-        d0, d1 = sorted(record.clicks, key=lambda p: p.value)
-        first += record.clicks[d0]
-        second += record.clicks[d1]
-        total += 10
+    n = 5000
+    _, first, second = measure(codes(H).repeat(n), np.zeros(n, int), np.full(n, 10), rng)
+    total = 10 * n
+    assert first.sum() + second.sum() == total
     three_sigma = 3 * math.sqrt(0.25 * total)
-    assert abs(first - total / 2) < three_sigma
+    assert abs(first.sum() - total / 2) < three_sigma
 
 
 def test_basis_choice_is_balanced():
     rng = np.random.default_rng(10)
     n = 50_000
-    z = sum(
-        measure(0, H, 0, 0, rng).bob_basis is Basis.Z for _ in range(n)
-    )
+    bob_basis, _, _ = measure(codes(H).repeat(n), np.zeros(n, int), np.zeros(n, int), rng)
+    z = int(np.count_nonzero(bob_basis == Z))
     assert abs(z - n / 2) < 3 * math.sqrt(0.25 * n)
 
 
 # --- sifting ----------------------------------------------------------------
 
 
-def _truth(index, state):
-    return PulseRecord(index, index * 40_000.0, state, 1.0)
-
-
-def _click(index, basis, c0, c1, leak=0):
-    from memqkd import BASIS_MEMBERS
-
-    d0, d1 = BASIS_MEMBERS[basis]
-    return ClickRecord(index, basis, {d0: c0, d1: c1}, leak)
+def _sift(states, bases, c0, c1, policy=DoubleClickPolicy.RANDOM, rng=None):
+    """SiftedSample of pulses given as parallel lists."""
+    bob_basis = np.array([BASES.index(b) for b in bases], dtype=np.int8)
+    rng = np.random.default_rng(0) if rng is None else rng
+    sifted, error = sift(codes(*states), bob_basis, np.array(c0), np.array(c1), rng, policy)
+    return SiftedSample.from_flags(bob_basis, sifted, error)
 
 
 def test_sift_arithmetic():
     # 10 matched-basis pulses, one decoded wrong -> qber 0.1
-    truth = [_truth(i, H) for i in range(10)]
-    records = [_click(i, Basis.Z, 1, 0) for i in range(9)]
-    records.append(_click(9, Basis.Z, 0, 1))
-    sample = sift_and_estimate(records, truth)
+    sample = _sift([H] * 10, [Basis.Z] * 10, [1] * 9 + [0], [0] * 9 + [1])
     assert sample.n_sifted_z == 10
     assert sample.n_err_z == 1
     assert sample.qber_z == pytest.approx(0.1)
@@ -247,49 +254,40 @@ def test_sift_arithmetic():
 
 
 def test_sift_drops_mismatched_basis_and_empty_pulses():
-    truth = [_truth(0, H), _truth(1, H), _truth(2, D)]
-    records = [
-        _click(0, Basis.X, 1, 0),  # wrong basis
-        _click(1, Basis.Z, 0, 0),  # no ROI click
-        _click(2, Basis.X, 1, 0),  # sifted, correct
-    ]
-    sample = sift_and_estimate(records, truth)
+    sample = _sift(
+        [H, H, D],
+        [
+            Basis.X,  # wrong basis
+            Basis.Z,  # no ROI click
+            Basis.X,  # sifted, correct
+        ],
+        [1, 0, 1],
+        [0, 0, 0],
+    )
     assert (sample.n_sifted_z, sample.n_sifted_x) == (0, 1)
     assert sample.n_err_x == 0
 
 
 def test_sift_majority_vote():
-    truth = [_truth(0, H)]
-    assert sift_and_estimate([_click(0, Basis.Z, 3, 1)], truth).n_err_z == 0
-    assert sift_and_estimate([_click(0, Basis.Z, 1, 3)], truth).n_err_z == 1
+    assert _sift([H], [Basis.Z], [3], [1]).n_err_z == 0
+    assert _sift([H], [Basis.Z], [1], [3]).n_err_z == 1
 
 
 def test_tie_policy_discard_drops_pulse():
-    truth = [_truth(0, H)]
-    records = [_click(0, Basis.Z, 2, 2)]
-    sample = sift_and_estimate(records, truth, policy=DoubleClickPolicy.DISCARD)
+    sample = _sift([H], [Basis.Z], [2], [2], policy=DoubleClickPolicy.DISCARD)
     assert sample.n_sifted_z == 0
 
 
 def test_tie_policy_random_is_fair():
     n = 4000
-    truth = [_truth(i, H) for i in range(n)]
-    records = [_click(i, Basis.Z, 1, 1) for i in range(n)]
-    sample = sift_and_estimate(
-        records, truth, tie_rng=np.random.default_rng(123)
-    )
+    sample = _sift([H] * n, [Basis.Z] * n, [1] * n, [1] * n, rng=np.random.default_rng(123))
     assert sample.n_sifted_z == n
     assert abs(sample.n_err_z - n / 2) < 3 * math.sqrt(0.25 * n)
 
 
 def test_sift_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        sift_and_estimate([_click(0, Basis.Z, 1, 0)], [])
-
-
-def test_sift_index_mismatch_rejected():
-    with pytest.raises(ValueError):
-        sift_and_estimate([_click(5, Basis.Z, 1, 0)], [_truth(0, H)])
+        sift(codes(), np.array([Z]), np.array([1]), np.array([0]), np.random.default_rng(0))
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -318,14 +316,20 @@ def test_photon_conservation_totals():
     assert result.n_retrieved + result.n_leaked + result.n_lost == result.n_arrived
 
 
+#: Per-pulse arrays of a RunResult, plus its click times.
+COLUMNS = (
+    "emit_time_ns", "state", "mu_eff", "bob_basis", "c0", "c1",
+    "leak_clicks", "sifted", "error", "click_times_ns",
+)  # fmt: skip
+
+
 def test_run_determinism_same_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
     b = run_experiment(config)
     assert a.sample == b.sample
-    assert a.pulses == b.pulses
-    assert a.clicks == b.clicks
-    assert np.array_equal(a.click_times_ns, b.click_times_ns)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
 def test_run_changes_with_seed():
@@ -340,16 +344,53 @@ def test_worker_partition_invariance():
     solo = run_experiment(config, workers=1)
     split = run_experiment(config, workers=3)
     assert solo.sample == split.sample
-    assert solo.pulses == split.pulses
-    assert solo.clicks == split.clicks
-    assert solo.flags == split.flags
-    assert np.array_equal(solo.click_times_ns, split.click_times_ns)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(solo, column), getattr(split, column)), column
+
+
+def _rendered(config, workers, policy):
+    """pulses.csv and summary.txt text of one run."""
+    result = run_experiment(config, workers=workers, policy=policy)
+    summary = summary_text(result, config, run_histogram(result, config))
+    return "\n".join(pulse_csv_lines(result)), summary
+
+
+@pytest.mark.parametrize(
+    "preset,policy",
+    [
+        ("experiment1", DoubleClickPolicy.RANDOM),  # ordered source
+        ("experiment3", DoubleClickPolicy.DISCARD),
+    ],
+)
+def test_outputs_identical_across_workers_and_blocks(preset, policy):
+    # 3.5 blocks over 3 workers: chunks of one and two blocks, a partial last.
+    config = preset_config(preset, n_pulses=7 * BLOCK_PULSES // 2, seed=23)
+    assert _rendered(config, 3, policy) == _rendered(config, 1, policy)
+
+
+def test_discard_policy_changes_only_ties():
+    config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=6)
+    keep = run_experiment(config)
+    drop = run_experiment(config, policy=DoubleClickPolicy.DISCARD)
+    for column in set(COLUMNS) - {"sifted", "error"}:
+        assert np.array_equal(getattr(keep, column), getattr(drop, column)), column
+    tie = keep.sifted & (keep.c0 == keep.c1)
+    assert tie.any()
+    assert np.array_equal(drop.sifted, keep.sifted & ~tie)
+
+
+def test_pulse_train_matches_run_states_across_blocks():
+    config = preset_config("experiment3", n_pulses=7 * BLOCK_PULSES // 2, seed=42)
+    train = generate_pulse_train(config.source, seed=42)
+    result = run_experiment(config, workers=2)
+    assert np.array_equal(codes(*(s for _, _, s in train)), result.state)
+    assert [t for _, t, _ in train] == result.emit_time_ns.tolist()
 
 
 def test_zero_pulse_run():
     config = preset_config("experiment3", n_pulses=0, seed=1)
     result = run_experiment(config)
-    assert result.pulses == []
+    assert all(getattr(result, column).size == 0 for column in COLUMNS)
     assert result.sample.n_sifted_z == 0
     assert result.click_times_ns.size == 0
 
@@ -357,7 +398,7 @@ def test_zero_pulse_run():
 def test_basis_balance_in_run():
     config = preset_config("experiment3", n_pulses=20_000, seed=3)
     result = run_experiment(config)
-    z = sum(r.bob_basis is Basis.Z for r in result.clicks)
+    z = int(np.count_nonzero(result.bob_basis == Z))
     assert abs(z - 10_000) < 3 * math.sqrt(0.25 * 20_000)
 
 
@@ -384,10 +425,12 @@ def test_run_qber_converges_to_oracle():
 def test_sifted_pulses_need_matched_basis():
     config = preset_config("experiment3", n_pulses=2000, seed=14)
     result = run_experiment(config)
-    for pulse, record, (sifted, _) in zip(result.pulses, result.clicks, result.flags):
-        if sifted:
-            assert record.bob_basis is basis_of(pulse.state)
-            assert sum(record.clicks.values()) >= 1
+    sifted = result.sifted
+    assert sifted.any()
+    for state, bob_basis in zip(result.state[sifted], result.bob_basis[sifted]):
+        assert BASES[bob_basis] is basis_of(POLARIZATION_CYCLE[state])
+    assert np.all(result.c0[sifted] + result.c1[sifted] >= 1)
+    assert not np.any(result.error & ~sifted)
 
 
 def test_roi_must_fit_in_window():
