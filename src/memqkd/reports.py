@@ -36,21 +36,13 @@ def _num(value: float) -> str:
     return str(value)
 
 
-def _num_column(values: np.ndarray) -> list[str]:
-    """_num over a float array, element for element."""
-    floats = values.tolist()
-    if np.all(np.isfinite(values) & (values == np.trunc(values))):
-        return list(map(str, map(int, floats)))
-    return list(map(_num, floats))
-
-
 def pulse_csv_lines(result: RunResult) -> list[str]:
     """Header plus one row per pulse, written column by column."""
     states = [p.value for p in POLARIZATION_CYCLE]
     bases = [b.value for b in BASES]
     columns = (
         map(str, range(len(result.state))),
-        _num_column(result.emit_time_ns),
+        map(_num, result.emit_time_ns.tolist()),
         map(states.__getitem__, result.state.tolist()),
         map(repr, result.mu_eff.tolist()),
         map(bases.__getitem__, result.bob_basis.tolist()),

@@ -25,6 +25,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -480,20 +481,6 @@ def _simulate_block(source, channel, memory, analysis, policy, seed, block):
     return columns, times, totals
 
 
-def _join(parts):
-    """Concatenate consecutive (columns, times, totals) outputs in order."""
-    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in parts[0][0]}
-    times = np.concatenate([p[1] for p in parts])
-    totals = sum(p[2] for p in parts)
-    return columns, times, totals
-
-
-def _simulate_blocks(args):
-    """Simulate blocks [first, last) of a run; one worker's chunk."""
-    *settings, first, last = args
-    return _join([_simulate_block(*settings, block) for block in range(first, last)])
-
-
 def run_experiment(
     config,
     seed: int | None = None,
@@ -524,15 +511,18 @@ def run_experiment(
 
     n = source.n_pulses
     n_blocks = _n_blocks(n)
-    settings = (source, channel, memory, analysis, policy, seed)
-    bounds = [(n_blocks * k // workers, n_blocks * (k + 1) // workers) for k in range(workers)]
-    chunk_args = [(*settings, first, last) for first, last in bounds if last > first]
-    if len(chunk_args) == 1:
-        outputs = [_simulate_blocks(chunk_args[0])]
+    simulate = partial(_simulate_block, source, channel, memory, analysis, policy, seed)
+    # Each worker takes one chunk of consecutive blocks; map keeps block order.
+    chunksize = -(-n_blocks // workers)
+    n_chunks = -(-n_blocks // chunksize)
+    if n_chunks == 1:
+        parts = [simulate(block) for block in range(n_blocks)]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunk_args)) as pool:
-            outputs = list(pool.map(_simulate_blocks, chunk_args))
-    columns, click_times, totals = _join(outputs)
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            parts = list(pool.map(simulate, range(n_blocks), chunksize=chunksize))
+    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in parts[0][0]}
+    click_times = np.concatenate([p[1] for p in parts])
+    totals = sum(p[2] for p in parts)
 
     arrived, retrieved, leaked, lost, background_roi = (int(t) for t in totals)
     return RunResult(

@@ -46,7 +46,7 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
 
 
 def test_run_is_byte_identical_across_worker_counts(tmp_path):
-    # 3.5 blocks: a partial last block, uneven chunks, more workers than blocks.
+    # 3.5 blocks: a partial last block, several chunks, more workers than blocks.
     pulses = str(7 * BLOCK_PULSES // 2)
     outputs = {}
     for workers in (1, 2, 3, 8):
@@ -56,7 +56,8 @@ def test_run_is_byte_identical_across_worker_counts(tmp_path):
             "--workers", str(workers), "--outdir", str(outdir),
         ) == 0
         outputs[workers] = [
-            (outdir / name).read_bytes() for name in ("pulses.csv", "summary.txt")
+            (outdir / name).read_bytes()
+            for name in ("pulses.csv", "histogram.csv", "summary.txt")
         ]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]

@@ -26,7 +26,6 @@ from memqkd import (
     sift,
 )
 from memqkd.qubits import BASES
-from memqkd.reports import pulse_csv_lines, run_histogram, summary_text
 from memqkd.simulation import BLOCK_PULSES
 
 H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
@@ -340,32 +339,23 @@ def test_run_changes_with_seed():
 
 
 def test_worker_partition_invariance():
-    config = preset_config("experiment3", n_pulses=800, seed=17)
-    solo = run_experiment(config, workers=1)
-    split = run_experiment(config, workers=3)
-    assert solo.sample == split.sample
-    for column in COLUMNS:
-        assert np.array_equal(getattr(solo, column), getattr(split, column)), column
-
-
-def _rendered(config, workers, policy):
-    """pulses.csv and summary.txt text of one run."""
-    result = run_experiment(config, workers=workers, policy=policy)
-    summary = summary_text(result, config, run_histogram(result, config))
-    return "\n".join(pulse_csv_lines(result)), summary
-
-
-@pytest.mark.parametrize(
-    "preset,policy",
-    [
+    cases = [
+        ("experiment3", DoubleClickPolicy.RANDOM),
         ("experiment1", DoubleClickPolicy.RANDOM),  # ordered source
         ("experiment3", DoubleClickPolicy.DISCARD),
-    ],
-)
-def test_outputs_identical_across_workers_and_blocks(preset, policy):
-    # 3.5 blocks over 3 workers: chunks of one and two blocks, a partial last.
-    config = preset_config(preset, n_pulses=7 * BLOCK_PULSES // 2, seed=23)
-    assert _rendered(config, 3, policy) == _rendered(config, 1, policy)
+    ]
+    for preset, policy in cases:
+        # 3.5 blocks over 3 workers: two chunks of two blocks, a partial last.
+        config = preset_config(preset, n_pulses=7 * BLOCK_PULSES // 2, seed=17)
+        solo = run_experiment(config, workers=1, policy=policy)
+        split = run_experiment(config, workers=3, policy=policy)
+        case = (preset, policy.name)
+        assert solo.sample == split.sample, case
+        for column in COLUMNS:
+            assert np.array_equal(getattr(solo, column), getattr(split, column)), (
+                case,
+                column,
+            )
 
 
 def test_discard_policy_changes_only_ties():
