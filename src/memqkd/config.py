@@ -28,6 +28,11 @@ OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
 _MAX_SEED = 2**64 - 1
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 class ConfigError(ValueError):
     """Configuration problem, with the source line when one is known."""
 
@@ -49,8 +54,22 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
+        # Cross-section checks: the ROI comes from [memory] and [analysis].
+        analysis = self.analysis
+        roi_lo, roi_hi = analysis.roi(self.memory)
+        window_lo, window_hi = analysis.window
+        if roi_lo < window_lo or roi_hi > window_hi:
+            raise ValueError(
+                f"retrieval ROI [{roi_lo}, {roi_hi}] must lie inside the record "
+                f"window [{window_lo}, {window_hi}]"
+            )
+        background_lo, background_hi = analysis.background_region
+        if roi_hi > background_lo and background_hi > roi_lo:
+            raise ValueError(
+                f"retrieval ROI [{roi_lo}, {roi_hi}] and background region "
+                f"[{background_lo}, {background_hi}] must be disjoint"
+            )
 
 
 def _parse_float(text: str) -> float:
@@ -172,17 +191,24 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[{name}] {message}", line) from None
 
     run_values = values["run"]
+    seed = run_values.get("seed", 1)
+    try:
+        _check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"[run] {exc}", lines_of.get(("run", "seed"))) from None
     try:
         return RunConfig(
             source=parts["source"],
             channel=parts["channel"],
             memory=parts["memory"],
             analysis=parts["analysis"],
-            seed=run_values.get("seed", 1),
+            seed=seed,
             output_dir=run_values.get("output_dir"),
         )
     except ValueError as exc:
-        raise ConfigError(f"[run] {exc}", lines_of.get(("run", "seed"))) from None
+        # The seed is checked above, so this is a cross-section error (ROI
+        # placement), which has no single line.
+        raise ConfigError(str(exc)) from None
 
 
 def _format_value(value) -> str:

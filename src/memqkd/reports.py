@@ -4,11 +4,22 @@ All numeric formatting is locale-independent and deterministic: integers are
 printed plainly, floats through repr (exact round-trip) in per-pulse output
 and through fixed scientific notation (13 significant digits) in the
 key-rate grids.
+
+pulses.csv is built from a table of distinct rows. The seven small-integer
+columns (state, bob_basis, c0, c1, leak_clicks, sifted, error) take few
+distinct value combinations (a few hundred in a single-photon run), so they
+are grouped with one lexsort, each distinct combination is formatted once,
+and its strings are expanded to every pulse by indexing. Per pulse, only the
+index, emit_time_ns and mu_eff are formatted, and five fields are joined.
+Rows are formatted, and every file written, in batches of _BATCH lines, so
+the temporary strings and numbers of a batch are all that is held beside the
+lines themselves.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -36,23 +47,78 @@ def _num(value: float) -> str:
     return str(value)
 
 
-def pulse_csv_lines(result: RunResult) -> list[str]:
-    """Header plus one row per pulse, written column by column."""
+#: The small-integer pulse columns, in CSV order, that distinct rows group.
+_ROW_KEYS = ("state", "bob_basis", "c0", "c1", "leak_clicks", "sifted", "error")
+
+#: Rows formatted, or lines joined and written, at a time: bounds the
+#: temporary objects held at once. Of 2**10, 2**12, 2**14 and one batch for
+#: all rows, 2**14 gave the lowest peak memory on a bright 2.5e4-pulse run.
+_BATCH = 2**14
+
+
+def _distinct_rows(result: RunResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, heads, tails): each pulse's distinct-row number and, per distinct
+    row, its state field and its "bob_basis,...,error" fields.
+
+    lexsort compares the key columns one by one, so no packed key can
+    overflow; a sorted row starts a new distinct row wherever any key
+    differs from its neighbour.
+    """
+    keys = [getattr(result, name) for name in _ROW_KEYS]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    row = np.empty(len(order), dtype=np.intp)
+    row[order] = np.cumsum(starts) - 1
+
     states = [p.value for p in POLARIZATION_CYCLE]
     bases = [b.value for b in BASES]
-    columns = (
-        map(str, range(len(result.state))),
-        map(_num, result.emit_time_ns.tolist()),
-        map(states.__getitem__, result.state.tolist()),
-        map(repr, result.mu_eff.tolist()),
-        map(bases.__getitem__, result.bob_basis.tolist()),
-        map(str, result.c0.tolist()),
-        map(str, result.c1.tolist()),
-        map(str, result.leak_clicks.tolist()),
-        map(str, result.sifted.view(np.int8).tolist()),
-        map(str, result.error.view(np.int8).tolist()),
+    state, bob_basis, c0, c1, leak, sifted, error = (
+        key[order[starts]].tolist() for key in keys
     )
-    return [PULSE_CSV_HEADER, *map(",".join, zip(*columns))]
+    heads = np.array([states[s] for s in state], dtype=object)
+    tails = np.array(
+        [
+            f"{bases[b]},{d0},{d1},{k},{int(s)},{int(e)}"
+            for b, d0, d1, k, s, e in zip(bob_basis, c0, c1, leak, sifted, error)
+        ],
+        dtype=object,
+    )
+    return row, heads, tails
+
+
+def _emit_time_fields(times: np.ndarray) -> Iterable[str]:
+    """_num of every time; int64 prints the integral ones below 2**63.
+
+    Every preset's emit times are integral, and there this is about twice as
+    fast as _num per time; on all non-integral times it is about 12% slower.
+    """
+    exact = (np.trunc(times) == times) & (np.abs(times) < 2.0**63)
+    fields = np.where(exact, times, 0).astype(np.int64).astype(object)
+    others = ~exact
+    fields[others] = list(map(_num, times[others].tolist()))
+    return map(str, fields)
+
+
+def pulse_csv_lines(result: RunResult) -> list[str]:
+    """Header plus one row per pulse, built from distinct rows (module docstring)."""
+    row, heads, tails = _distinct_rows(result)
+    lines = [PULSE_CSV_HEADER]
+    for start in range(0, len(row), _BATCH):
+        pulses = slice(start, start + _BATCH)
+        batch_row = row[pulses]
+        fields = (
+            map(str, range(start, start + len(batch_row))),
+            _emit_time_fields(result.emit_time_ns[pulses]),
+            heads[batch_row],
+            map(repr, result.mu_eff[pulses].tolist()),
+            tails[batch_row],
+        )
+        lines += map(",".join, zip(*fields))
+    return lines
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterable[str]:
@@ -75,7 +141,11 @@ def boundary_csv_lines(grid: KeyRateMap) -> Iterable[str]:
 
 
 def write_lines(path: Path, lines: Iterable[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    """Write each line followed by a newline, one bounded batch at a time."""
+    lines = iter(lines)
+    with path.open("w") as out:
+        while batch := list(islice(lines, _BATCH)):
+            out.write("\n".join(batch) + "\n")
 
 
 def run_histogram(result: RunResult, config) -> Histogram:

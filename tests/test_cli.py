@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from memqkd import OUTPUT_DIR_ENV, serialize_config, preset_config
@@ -64,6 +66,29 @@ def test_run_is_byte_identical_across_worker_counts(tmp_path):
     assert outputs[8] == outputs[1]
 
 
+#: sha256 of each output of `memqkd run --preset experiment3 --seed 2016
+#: --pulses 57344` (3.5 blocks), recorded with numpy 2.4. Any change to the
+#: stream layout, the draws or the output format changes them; such a change
+#: must say so and record the new digests.
+GOLDEN_DIGESTS = {
+    "pulses.csv": "05485b8276e0941841a982b1b0930cc4f1f1dec0275859bf5b5f1ef998e8694d",
+    "histogram.csv": "318b2329b33250c36418edf0f003d1433d0fa780bdbaf99190a30fd88ed97611",
+    "summary.txt": "55ce7ff910d7dce590ff2298aa37c274e39f9378901cc9894658f64a6aa3e9ce",
+}
+
+
+def test_run_outputs_match_golden_digests(tmp_path):
+    assert run_cli(
+        "run", "--preset", "experiment3", "--seed", "2016",
+        "--pulses", str(7 * BLOCK_PULSES // 2), "--outdir", str(tmp_path),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS
+
+
 def test_run_config_file(tmp_path):
     config = preset_config("experiment3", n_pulses=200, seed=3)
     path = tmp_path / "run.ini"
@@ -94,6 +119,24 @@ def test_non_finite_config_is_config_error(tmp_path, capsys, section, line):
     assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "must be finite" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        # ROI [1450, 1550] overlaps the background region [1200, 2000].
+        ("retrieval_delay_ns = 1500", "must be disjoint"),
+        # ROI [1940, 2040] ends past the record window [0, 2000].
+        ("retrieval_delay_ns = 1990", "inside the record window"),
+    ],
+)
+def test_misplaced_roi_is_config_error_before_any_output(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[memory]\n{line}\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 1
+    assert message in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -112,8 +112,33 @@ def test_cross_field_error_mentions_section():
         parse_config("[source]\npulse_width_ns = 50000\n")
 
 
+@pytest.mark.parametrize(
+    "memory,analysis,message",
+    [
+        (MemoryConfig(retrieval_delay_ns=1500.0), AnalysisConfig(), "must be disjoint"),
+        (MemoryConfig(), AnalysisConfig(roi_center_ns=20.0), "record window"),
+        (MemoryConfig(roi_width_ns=500.0), AnalysisConfig(), "must be disjoint"),
+        (MemoryConfig(retrieval_delay_ns=1990.0), AnalysisConfig(), "record window"),
+    ],
+)
+def test_roi_placement_checked_on_construction(memory, analysis, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(memory=memory, analysis=analysis)
+
+
+def test_roi_may_touch_background_region():
+    config = RunConfig(memory=MemoryConfig(retrieval_delay_ns=1150.0))
+    assert config.analysis.roi(config.memory) == (1100.0, config.analysis.background_start_ns)
+
+
+def test_roi_placement_error_from_parser_has_no_run_label():
+    with pytest.raises(ConfigError, match="must be disjoint") as info:
+        parse_config("[memory]\nretrieval_delay_ns = 1500\n")
+    assert "[run]" not in str(info.value) and info.value.line is None
+
+
 def test_seed_bounds():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"line 2: \[run\] seed"):
         parse_config("[run]\nseed = -1\n")
     config = parse_config(f"[run]\nseed = {2**64 - 1}\n")
     assert config.seed == 2**64 - 1

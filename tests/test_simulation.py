@@ -426,9 +426,9 @@ def test_sifted_pulses_need_matched_basis():
 def test_roi_must_fit_in_window():
     from memqkd import AnalysisConfig
 
-    config = RunConfig(
-        memory=MemoryConfig(retrieval_delay_ns=1990.0),
-        analysis=AnalysisConfig(),
-    )
+    # The config itself rejects it, before any pulse is drawn.
     with pytest.raises(ValueError, match="ROI"):
-        run_experiment(config)
+        RunConfig(
+            memory=MemoryConfig(retrieval_delay_ns=1990.0),
+            analysis=AnalysisConfig(),
+        )
