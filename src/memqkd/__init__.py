@@ -1,9 +1,16 @@
 """Monte Carlo simulator and analysis toolkit for memory-assisted free-space BB84."""
 
+import types as _types
+
 from .config import (
     OUTPUT_DIR_ENV,
+    AnalysisConfig,
+    ChannelConfig,
     ConfigError,
+    MemoryConfig,
     RunConfig,
+    SourceConfig,
+    SourceMode,
     parse_config,
     resolve_output_dir,
     serialize_config,
@@ -38,14 +45,9 @@ from .qubits import (
     detection_probability,
 )
 from .simulation import (
-    AnalysisConfig,
-    ChannelConfig,
     DoubleClickPolicy,
-    MemoryConfig,
     RunResult,
     SiftedSample,
-    SourceConfig,
-    SourceMode,
     apply_memory,
     generate_pulse_train,
     measure,
@@ -54,4 +56,9 @@ from .simulation import (
     sift,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public names, less the submodules that the imports above bind.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _types.ModuleType)
+]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -102,6 +103,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
             raise ValueError
     except ValueError:
         raise ConfigError(f"{name} must be MIN:MAX or a single number, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} bounds must be finite, got {text!r}")
     if hi < lo:
         raise ConfigError(f"{name} is inverted: {text!r}")
     return lo, hi

@@ -1,4 +1,9 @@
-"""Run configuration: strict INI-style parsing, validation, serialization.
+"""Run configuration: section dataclasses, INI-style parsing, serialization.
+
+The four sections ([source], [channel], [memory], [analysis]) are frozen
+dataclasses that hold every range check; RunConfig adds [run] (seed, output
+location) and the cross-section checks. The parser and the serializer derive
+their key tables from the dataclass fields.
 
 The document format is sectioned key = value text with full-line comments
 (# or ;). Unknown sections, unknown keys, duplicates, and out-of-range
@@ -10,17 +15,11 @@ on every field.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-
-from .simulation import (
-    AnalysisConfig,
-    ChannelConfig,
-    MemoryConfig,
-    SourceConfig,
-    SourceMode,
-)
 
 #: Environment variable consulted for the default output directory.
 OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
@@ -28,9 +27,172 @@ OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
 _MAX_SEED = 2**64 - 1
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= _MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+class SourceMode(Enum):
+    ORDERED = "ordered"
+    RANDOM = "random"
+
+
+def _require_finite(config) -> None:
+    """Reject NaN and infinite float fields; range checks cannot see NaN."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
+@dataclass(frozen=True)
+class SourceConfig:
+    """Pulsed four-state source.
+
+    Ordered mode cycles H,V,D,A (one cycle per 4 * pulse_period_ns); random
+    mode draws each state uniformly from the four. mu_alice is the mean
+    photon number per pulse leaving the source.
+    """
+
+    pulse_width_ns: float = 400.0
+    pulse_period_ns: float = 40_000.0
+    mode: SourceMode = SourceMode.RANDOM
+    mu_alice: float = 1.6 / 0.59  # 1.6 at the memory input through the default channel
+    n_pulses: int = 10_000
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if not self.pulse_width_ns > 0:
+            raise ValueError(f"pulse_width_ns must be positive, got {self.pulse_width_ns}")
+        if not self.pulse_width_ns < self.pulse_period_ns:
+            raise ValueError(
+                f"pulse_width_ns ({self.pulse_width_ns}) must be smaller than "
+                f"pulse_period_ns ({self.pulse_period_ns})"
+            )
+        if not self.mu_alice > 0:
+            raise ValueError(f"mu_alice must be positive, got {self.mu_alice}")
+        if self.n_pulses < 0:
+            raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Free-space channel: fixed transmission plus turbulent gain fluctuations.
+
+    rel_fluctuation is the shot-by-shot relative standard deviation of the
+    multiplicative gain (mean 1, truncated at 0).
+    """
+
+    transmission: float = 0.59
+    rel_fluctuation: float = 0.05
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if not 0.0 < self.transmission <= 1.0:
+            raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
+        if self.rel_fluctuation < 0:
+            raise ValueError(
+                f"rel_fluctuation must be nonnegative, got {self.rel_fluctuation}"
+            )
+
+
+@dataclass(frozen=True)
+class MemoryConfig:
+    """Phenomenological dual-rail memory.
+
+    Each arriving photon independently leaks straight through (leak_fraction),
+    is stored and retrieved into the ROI (retrieval_efficiency), or is lost.
+    background_mean is the unpolarized background count expected per ROI per
+    pulse; noise_suppression scales it down in suppressed-noise operation.
+    """
+
+    retrieval_efficiency: float = 0.12
+    leak_fraction: float = 0.35
+    background_mean: float = 0.12 * 1.6 / 3.2017  # single-photon-level calibration
+    retrieval_delay_ns: float = 1000.0
+    roi_width_ns: float = 100.0
+    noise_suppression: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        for name in ("retrieval_efficiency", "leak_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.retrieval_efficiency + self.leak_fraction > 1.0:
+            raise ValueError(
+                "retrieval_efficiency + leak_fraction must not exceed 1, got "
+                f"{self.retrieval_efficiency} + {self.leak_fraction}"
+            )
+        if self.background_mean < 0:
+            raise ValueError(
+                f"background_mean must be nonnegative, got {self.background_mean}"
+            )
+        if not 0.0 <= self.noise_suppression <= 1.0:
+            raise ValueError(
+                f"noise_suppression must lie in [0, 1], got {self.noise_suppression}"
+            )
+        if not self.retrieval_delay_ns >= 0:
+            raise ValueError(
+                f"retrieval_delay_ns must be nonnegative, got {self.retrieval_delay_ns}"
+            )
+        if not self.roi_width_ns > 0:
+            raise ValueError(f"roi_width_ns must be positive, got {self.roi_width_ns}")
+
+    @property
+    def effective_background(self) -> float:
+        """Background mean per ROI after noise suppression."""
+        return self.background_mean * self.noise_suppression
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Per-pulse record window, histogram binning, and SBR regions.
+
+    roi_center_ns defaults to the retrieval peak (memory retrieval delay)
+    when left as None. The background region feeds the histogram SBR
+    estimate and must sit inside the record window.
+    """
+
+    bin_width_ns: float = 10.0
+    window_start_ns: float = 0.0
+    window_end_ns: float = 2000.0
+    roi_center_ns: float | None = None
+    background_start_ns: float = 1200.0
+    background_end_ns: float = 2000.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if not self.bin_width_ns > 0:
+            raise ValueError(f"bin_width_ns must be positive, got {self.bin_width_ns}")
+        if not self.window_end_ns > self.window_start_ns:
+            raise ValueError(
+                f"record window must be nonempty, got "
+                f"[{self.window_start_ns}, {self.window_end_ns}]"
+            )
+        if not self.background_end_ns > self.background_start_ns:
+            raise ValueError(
+                f"background region must be nonempty, got "
+                f"[{self.background_start_ns}, {self.background_end_ns}]"
+            )
+        if (
+            self.background_start_ns < self.window_start_ns
+            or self.background_end_ns > self.window_end_ns
+        ):
+            raise ValueError("background region must lie inside the record window")
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return (self.window_start_ns, self.window_end_ns)
+
+    @property
+    def background_region(self) -> tuple[float, float]:
+        return (self.background_start_ns, self.background_end_ns)
+
+    def roi_center(self, memory: MemoryConfig) -> float:
+        return (
+            memory.retrieval_delay_ns if self.roi_center_ns is None else self.roi_center_ns
+        )
+
+    def roi(self, memory: MemoryConfig) -> tuple[float, float]:
+        """The retrieval ROI as (start, end) around roi_center."""
+        center = self.roi_center(memory)
+        return center - memory.roi_width_ns / 2.0, center + memory.roi_width_ns / 2.0
 
 
 class ConfigError(ValueError):
@@ -54,7 +216,8 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         # Cross-section checks: the ROI comes from [memory] and [analysis].
         analysis = self.analysis
         roi_lo, roi_hi = analysis.roi(self.memory)
@@ -94,48 +257,34 @@ def _parse_mode(text: str) -> SourceMode:
         raise ValueError(f"mode must be one of {choices}, got {text!r}") from None
 
 
-# section -> key -> value converter. Range and cross-field checks live in the
-# config dataclasses themselves; the parser maps their complaints to lines.
-_SCHEMA = {
-    "source": {
-        "pulse_width_ns": _parse_float,
-        "pulse_period_ns": _parse_float,
-        "mode": _parse_mode,
-        "mu_alice": _parse_float,
-        "n_pulses": _parse_int,
-    },
-    "channel": {
-        "transmission": _parse_float,
-        "rel_fluctuation": _parse_float,
-    },
-    "memory": {
-        "retrieval_efficiency": _parse_float,
-        "leak_fraction": _parse_float,
-        "background_mean": _parse_float,
-        "retrieval_delay_ns": _parse_float,
-        "roi_width_ns": _parse_float,
-        "noise_suppression": _parse_float,
-    },
-    "analysis": {
-        "bin_width_ns": _parse_float,
-        "window_start_ns": _parse_float,
-        "window_end_ns": _parse_float,
-        "roi_center_ns": _parse_float,
-        "background_start_ns": _parse_float,
-        "background_end_ns": _parse_float,
-    },
-    "run": {
-        "seed": _parse_int,
-        "output_dir": str,
-    },
+#: Field annotation -> converter from the document's value text.
+_CONVERTERS = {
+    "float": _parse_float,
+    "float | None": _parse_float,
+    "int": _parse_int,
+    "SourceMode": _parse_mode,
+    "str | None": str,
 }
 
-_SECTION_TYPES = {
-    "source": SourceConfig,
-    "channel": ChannelConfig,
-    "memory": MemoryConfig,
-    "analysis": AnalysisConfig,
+
+def _converters(fields) -> dict:
+    """key -> converter; an annotation without a converter raises KeyError."""
+    return {field.name: _CONVERTERS[field.type] for field in fields}
+
+
+#: Section name -> section dataclass: every RunConfig field whose default is
+#: a section; the other RunConfig fields are the [run] keys.
+_SECTIONS = {
+    field.name: type(field.default)
+    for field in dataclasses.fields(RunConfig)
+    if dataclasses.is_dataclass(field.default)
 }
+# section -> key -> value converter. Range and cross-field checks live in the
+# config dataclasses themselves; the parser maps their complaints to lines.
+_SCHEMA = {name: _converters(dataclasses.fields(cls)) for name, cls in _SECTIONS.items()}
+_SCHEMA["run"] = _converters(
+    field for field in dataclasses.fields(RunConfig) if field.name not in _SECTIONS
+)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -173,42 +322,30 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key}: {exc}", lineno) from None
         lines_of[(section, key)] = lineno
 
+    def key_line(name: str, message: str) -> int | None:
+        """Line of the first key of the section that the message names."""
+        key = next((key for key in values[name] if key in message), None)
+        return None if key is None else lines_of[(name, key)]
+
     parts: dict[str, object] = {}
-    for name, cls in _SECTION_TYPES.items():
+    for name, cls in _SECTIONS.items():
         try:
             parts[name] = cls(**values[name])
         except ValueError as exc:
             # Single-key range errors point at the key's line, cross-field
             # errors at the section header.
-            line = None
-            message = str(exc)
-            for key in values[name]:
-                if key in message:
-                    line = lines_of[(name, key)]
-                    break
+            line = key_line(name, str(exc))
             if line is None:
                 line = section_line.get(name)
-            raise ConfigError(f"[{name}] {message}", line) from None
-
-    run_values = values["run"]
-    seed = run_values.get("seed", 1)
+            raise ConfigError(f"[{name}] {exc}", line) from None
     try:
-        _check_seed(seed)
+        return RunConfig(**parts, **values["run"])
     except ValueError as exc:
-        raise ConfigError(f"[run] {exc}", lines_of.get(("run", "seed"))) from None
-    try:
-        return RunConfig(
-            source=parts["source"],
-            channel=parts["channel"],
-            memory=parts["memory"],
-            analysis=parts["analysis"],
-            seed=seed,
-            output_dir=run_values.get("output_dir"),
-        )
-    except ValueError as exc:
-        # The seed is checked above, so this is a cross-section error (ROI
-        # placement), which has no single line.
-        raise ConfigError(str(exc)) from None
+        line = key_line("run", str(exc))
+        if line is None:
+            # A cross-section error (ROI placement), which has no single line.
+            raise ConfigError(str(exc)) from None
+        raise ConfigError(f"[run] {exc}", line) from None
 
 
 def _format_value(value) -> str:
@@ -221,26 +358,15 @@ def _format_value(value) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Render a RunConfig as a document parse_config maps back to it exactly."""
-    sections = {
-        "source": config.source,
-        "channel": config.channel,
-        "memory": config.memory,
-        "analysis": config.analysis,
-    }
     lines: list[str] = []
-    for name, part in sections.items():
+    for name, keys in _SCHEMA.items():
+        part = config if name == "run" else getattr(config, name)
         lines.append(f"[{name}]")
-        for field in dataclasses.fields(part):
-            value = getattr(part, field.name)
-            if value is None:
-                continue
-            lines.append(f"{field.name} = {_format_value(value)}")
+        for key in keys:
+            value = getattr(part, key)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
-    lines.append("[run]")
-    lines.append(f"seed = {config.seed}")
-    if config.output_dir is not None:
-        lines.append(f"output_dir = {config.output_dir}")
-    lines.append("")
     return "\n".join(lines)
 
 

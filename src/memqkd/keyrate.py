@@ -62,14 +62,14 @@ class KeyRateInput:
     ec_inefficiency: float = DEFAULT_EC_INEFFICIENCY
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         for name, q in (("qber_x", self.qber_x), ("qber_z", self.qber_z)):
             if not 0.0 <= q <= 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5], got {q}")
-        if self.ec_inefficiency < 1.0:
+        if not 1.0 <= self.ec_inefficiency < math.inf:
             raise ValueError(
-                f"ec_inefficiency must be >= 1, got {self.ec_inefficiency}"
+                f"ec_inefficiency must be >= 1 and finite, got {self.ec_inefficiency}"
             )
 
 
@@ -100,13 +100,15 @@ def positive_rate_boundary(
     bisection converges to the unique root whenever the rate at QBER 0 is
     positive. Returns None when there is no positive region at all.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if secret_key_rate(mu, 0.0, 0.0, ec_inefficiency) <= 0.0:
         return None
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: tol is below their spacing
+            break
         if secret_key_rate(mu, mid, mid, ec_inefficiency) > 0.0:
             lo = mid
         else:

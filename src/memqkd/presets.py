@@ -8,38 +8,17 @@ signal-to-background ratios) rather than against component transmissions.
 
 from __future__ import annotations
 
-from .config import RunConfig
-from .simulation import ChannelConfig, MemoryConfig, SourceConfig, SourceMode
+import math
+
+from .config import ChannelConfig, MemoryConfig, RunConfig, SourceConfig, SourceMode
 
 #: Shared memory parameters; the split is a calibration choice, endpoint
 #: observables only pin the ratio of retrieved signal to background.
 RETRIEVAL_EFFICIENCY = 0.12
 LEAK_FRACTION = 0.35
 
-#: Memory-input means and SBR calibration targets per regime.
-MU_MEMORY_ORDERED = 1.6
-SBR_ORDERED = 6.25  # fidelity estimator reads 0.92 at this ratio
-MU_MEMORY_HIGH_PHOTON = 100.0
-MU_MEMORY_SINGLE_PHOTON = 1.6
-SBR_SINGLE_PHOTON = 3.2017  # counting oracle gives a 0.119 average error rate
-MU_MEMORY_SUPPRESSED = 1.3
-SBR_SUPPRESSED = 26.0
-MU_MEMORY_PORTABLE = 2.0
-# The histogram SBR integrates the background under the retrieval peak into
-# the signal count, reading one unit above the counting ratio; the portable
-# preset targets a histogram reading of 7.2.
-SBR_PORTABLE_COUNTING = 6.2
-
 DEFAULT_PULSES = 100_000
 DEFAULT_SEED = 1
-
-PRESET_NAMES = (
-    "experiment1",
-    "experiment2",
-    "experiment3",
-    "experiment4",
-    "experiment5",
-)
 
 
 def background_mean_for_sbr(
@@ -51,39 +30,44 @@ def background_mean_for_sbr(
 
     Inverts sbr = retrieval_efficiency * mu_memory / background_mean.
     """
-    if not target_sbr > 0:
-        raise ValueError(f"target_sbr must be positive, got {target_sbr}")
-    if not mu_memory > 0:
-        raise ValueError(f"mu_memory must be positive, got {mu_memory}")
+    if not 0 < target_sbr < math.inf:
+        raise ValueError(f"target_sbr must be positive and finite, got {target_sbr}")
+    if not 0 < mu_memory < math.inf:
+        raise ValueError(f"mu_memory must be positive and finite, got {mu_memory}")
+    if not 0.0 <= retrieval_efficiency <= 1.0:
+        raise ValueError(
+            f"retrieval_efficiency must lie in [0, 1], got {retrieval_efficiency}"
+        )
     return retrieval_efficiency * mu_memory / target_sbr
 
 
-def mu_alice_for_memory_mean(mu_memory: float, transmission: float) -> float:
-    """Source brightness that delivers mu_memory photons at the memory input."""
-    return mu_memory / transmission
+#: Background at SBR 3.2017 for 1.6 photons at the memory input, where the
+#: counting oracle gives a 0.119 average error rate.
+_SINGLE_PHOTON_BACKGROUND = background_mean_for_sbr(3.2017, 1.6)
 
+#: name -> (source mode, memory-input mean, background_mean, noise_suppression).
+#: Each background is calibrated to a target SBR at a memory-input mean.
+_PRESETS = {
+    # The fidelity estimator reads 0.92 at SBR 6.25.
+    "experiment1": (SourceMode.ORDERED, 1.6, background_mean_for_sbr(6.25, 1.6), 1.0),
+    # Same memory as the single-photon run; only the brightness changes.
+    "experiment2": (SourceMode.RANDOM, 100.0, _SINGLE_PHOTON_BACKGROUND, 1.0),
+    "experiment3": (SourceMode.RANDOM, 1.6, _SINGLE_PHOTON_BACKGROUND, 1.0),
+    # Suppression factor chosen so the effective SBR is exactly 26 at the
+    # 1.3-photon operating point.
+    "experiment4": (
+        SourceMode.RANDOM,
+        1.3,
+        _SINGLE_PHOTON_BACKGROUND,
+        background_mean_for_sbr(26.0, 1.3) / _SINGLE_PHOTON_BACKGROUND,
+    ),
+    # The histogram SBR integrates the background under the retrieval peak
+    # into the signal count, reading one unit above the counting SBR; a
+    # counting SBR of 6.2 targets a histogram reading of 7.2.
+    "experiment5": (SourceMode.RANDOM, 2.0, background_mean_for_sbr(6.2, 2.0), 1.0),
+}
 
-def _build(
-    mode: SourceMode,
-    mu_memory: float,
-    background_mean: float,
-    noise_suppression: float,
-    n_pulses: int,
-    seed: int,
-) -> RunConfig:
-    channel = ChannelConfig()
-    source = SourceConfig(
-        mode=mode,
-        mu_alice=mu_alice_for_memory_mean(mu_memory, channel.transmission),
-        n_pulses=n_pulses,
-    )
-    memory = MemoryConfig(
-        retrieval_efficiency=RETRIEVAL_EFFICIENCY,
-        leak_fraction=LEAK_FRACTION,
-        background_mean=background_mean,
-        noise_suppression=noise_suppression,
-    )
-    return RunConfig(source=source, channel=channel, memory=memory, seed=seed)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(
@@ -104,56 +88,21 @@ def preset_config(
     experiment4: noise-suppressed background, ratio 26 at 1.3 photons.
     experiment5: portable single-rail storage, histogram SBR target 7.2.
     """
-    background_single_photon = background_mean_for_sbr(
-        SBR_SINGLE_PHOTON, MU_MEMORY_SINGLE_PHOTON
+    if name not in _PRESETS:
+        raise ValueError(
+            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
+        )
+    mode, preset_mu_memory, background_mean, noise_suppression = _PRESETS[name]
+    if mu_memory is None:
+        mu_memory = preset_mu_memory
+    channel = ChannelConfig()
+    source = SourceConfig(
+        mode=mode, mu_alice=mu_memory / channel.transmission, n_pulses=n_pulses
     )
-    if name == "experiment1":
-        return _build(
-            SourceMode.ORDERED,
-            mu_memory if mu_memory is not None else MU_MEMORY_ORDERED,
-            background_mean_for_sbr(SBR_ORDERED, MU_MEMORY_ORDERED),
-            1.0,
-            n_pulses,
-            seed,
-        )
-    if name == "experiment2":
-        # Same memory as the single-photon run; only the brightness changes.
-        return _build(
-            SourceMode.RANDOM,
-            mu_memory if mu_memory is not None else MU_MEMORY_HIGH_PHOTON,
-            background_single_photon,
-            1.0,
-            n_pulses,
-            seed,
-        )
-    if name == "experiment3":
-        return _build(
-            SourceMode.RANDOM,
-            mu_memory if mu_memory is not None else MU_MEMORY_SINGLE_PHOTON,
-            background_single_photon,
-            1.0,
-            n_pulses,
-            seed,
-        )
-    if name == "experiment4":
-        # Suppression factor chosen so the effective ratio is exactly 26 at
-        # the 1.3-photon operating point.
-        suppressed = background_mean_for_sbr(SBR_SUPPRESSED, MU_MEMORY_SUPPRESSED)
-        return _build(
-            SourceMode.RANDOM,
-            mu_memory if mu_memory is not None else MU_MEMORY_SUPPRESSED,
-            background_single_photon,
-            suppressed / background_single_photon,
-            n_pulses,
-            seed,
-        )
-    if name == "experiment5":
-        return _build(
-            SourceMode.RANDOM,
-            mu_memory if mu_memory is not None else MU_MEMORY_PORTABLE,
-            background_mean_for_sbr(SBR_PORTABLE_COUNTING, MU_MEMORY_PORTABLE),
-            1.0,
-            n_pulses,
-            seed,
-        )
-    raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
+    memory = MemoryConfig(
+        retrieval_efficiency=RETRIEVAL_EFFICIENCY,
+        leak_fraction=LEAK_FRACTION,
+        background_mean=background_mean,
+        noise_suppression=noise_suppression,
+    )
+    return RunConfig(source=source, channel=channel, memory=memory, seed=seed)

@@ -20,7 +20,6 @@ basis its index in BASES (Z, X).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from functools import partial
 
 import numpy as np
 
+from .config import ChannelConfig, MemoryConfig, SourceConfig, SourceMode
 from .keyrate import SbrEstimate
 from .qubits import (
     BASES,
@@ -58,179 +58,11 @@ _P0 = np.array(
 )
 
 
-class SourceMode(Enum):
-    ORDERED = "ordered"
-    RANDOM = "random"
-
-
 class DoubleClickPolicy(Enum):
     """How a sifted pulse with equal counts on both detectors is resolved."""
 
     RANDOM = "random"
     DISCARD = "discard"
-
-
-def _require_finite(config) -> None:
-    """Reject NaN and infinite float fields; range checks cannot see NaN."""
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Pulsed four-state source.
-
-    Ordered mode cycles H,V,D,A (one cycle per 4 * pulse_period_ns); random
-    mode draws each state uniformly from the four. mu_alice is the mean
-    photon number per pulse leaving the source.
-    """
-
-    pulse_width_ns: float = 400.0
-    pulse_period_ns: float = 40_000.0
-    mode: SourceMode = SourceMode.RANDOM
-    mu_alice: float = 1.6 / 0.59  # 1.6 at the memory input through the default channel
-    n_pulses: int = 10_000
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.pulse_width_ns > 0:
-            raise ValueError(f"pulse_width_ns must be positive, got {self.pulse_width_ns}")
-        if not self.pulse_width_ns < self.pulse_period_ns:
-            raise ValueError(
-                f"pulse_width_ns ({self.pulse_width_ns}) must be smaller than "
-                f"pulse_period_ns ({self.pulse_period_ns})"
-            )
-        if not self.mu_alice > 0:
-            raise ValueError(f"mu_alice must be positive, got {self.mu_alice}")
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Free-space channel: fixed transmission plus turbulent gain fluctuations.
-
-    rel_fluctuation is the shot-by-shot relative standard deviation of the
-    multiplicative gain (mean 1, truncated at 0).
-    """
-
-    transmission: float = 0.59
-    rel_fluctuation: float = 0.05
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not 0.0 < self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
-        if self.rel_fluctuation < 0:
-            raise ValueError(
-                f"rel_fluctuation must be nonnegative, got {self.rel_fluctuation}"
-            )
-
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    """Phenomenological dual-rail memory.
-
-    Each arriving photon independently leaks straight through (leak_fraction),
-    is stored and retrieved into the ROI (retrieval_efficiency), or is lost.
-    background_mean is the unpolarized background count expected per ROI per
-    pulse; noise_suppression scales it down in suppressed-noise operation.
-    """
-
-    retrieval_efficiency: float = 0.12
-    leak_fraction: float = 0.35
-    background_mean: float = 0.12 * 1.6 / 3.2017  # single-photon-level calibration
-    retrieval_delay_ns: float = 1000.0
-    roi_width_ns: float = 100.0
-    noise_suppression: float = 1.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        for name in ("retrieval_efficiency", "leak_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.retrieval_efficiency + self.leak_fraction > 1.0:
-            raise ValueError(
-                "retrieval_efficiency + leak_fraction must not exceed 1, got "
-                f"{self.retrieval_efficiency} + {self.leak_fraction}"
-            )
-        if self.background_mean < 0:
-            raise ValueError(
-                f"background_mean must be nonnegative, got {self.background_mean}"
-            )
-        if not 0.0 <= self.noise_suppression <= 1.0:
-            raise ValueError(
-                f"noise_suppression must lie in [0, 1], got {self.noise_suppression}"
-            )
-        if not self.retrieval_delay_ns >= 0:
-            raise ValueError(
-                f"retrieval_delay_ns must be nonnegative, got {self.retrieval_delay_ns}"
-            )
-        if not self.roi_width_ns > 0:
-            raise ValueError(f"roi_width_ns must be positive, got {self.roi_width_ns}")
-
-    @property
-    def effective_background(self) -> float:
-        """Background mean per ROI after noise suppression."""
-        return self.background_mean * self.noise_suppression
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Per-pulse record window, histogram binning, and SBR regions.
-
-    roi_center_ns defaults to the retrieval peak (memory retrieval delay)
-    when left as None. The background region feeds the histogram SBR
-    estimate and must sit inside the record window.
-    """
-
-    bin_width_ns: float = 10.0
-    window_start_ns: float = 0.0
-    window_end_ns: float = 2000.0
-    roi_center_ns: float | None = None
-    background_start_ns: float = 1200.0
-    background_end_ns: float = 2000.0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if not self.bin_width_ns > 0:
-            raise ValueError(f"bin_width_ns must be positive, got {self.bin_width_ns}")
-        if not self.window_end_ns > self.window_start_ns:
-            raise ValueError(
-                f"record window must be nonempty, got "
-                f"[{self.window_start_ns}, {self.window_end_ns}]"
-            )
-        if not self.background_end_ns > self.background_start_ns:
-            raise ValueError(
-                f"background region must be nonempty, got "
-                f"[{self.background_start_ns}, {self.background_end_ns}]"
-            )
-        if (
-            self.background_start_ns < self.window_start_ns
-            or self.background_end_ns > self.window_end_ns
-        ):
-            raise ValueError("background region must lie inside the record window")
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.window_start_ns, self.window_end_ns)
-
-    @property
-    def background_region(self) -> tuple[float, float]:
-        return (self.background_start_ns, self.background_end_ns)
-
-    def roi_center(self, memory: MemoryConfig) -> float:
-        return (
-            memory.retrieval_delay_ns if self.roi_center_ns is None else self.roi_center_ns
-        )
-
-    def roi(self, memory: MemoryConfig) -> tuple[float, float]:
-        """The retrieval ROI as (start, end) around roi_center."""
-        center = self.roi_center(memory)
-        return center - memory.roi_width_ns / 2.0, center + memory.roi_width_ns / 2.0
 
 
 @dataclass(frozen=True)

@@ -264,3 +264,42 @@ def test_calibrate_fragment_parses_back(tmp_path, capsys):
 def test_calibrate_rejects_nonpositive_inputs():
     assert run_cli("calibrate", "--target-sbr", "0", "--mu", "2") == 1
     assert run_cli("calibrate", "--target-sbr", "5", "--mu", "-1") == 1
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--f", "nan"), "ec_inefficiency must be >= 1 and finite"),
+        (("--f", "inf"), "ec_inefficiency must be >= 1 and finite"),
+        (("--tol", "inf"), "tol must be positive and finite"),
+        (("--mu-range", "inf", "--resolution", "1x5"), "--mu-range bounds must be finite"),
+        (("--mu-range", "1:inf"), "--mu-range bounds must be finite"),
+        (("--qber-range", "0:nan"), "--qber-range bounds must be finite"),
+    ],
+)
+def test_sweep_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
+    outdir = tmp_path / "out"
+    # A repeated flag overrides the earlier one.
+    assert run_cli(
+        "sweep-keyrate", "--mu-range", "0.5:2", "--qber-range", "0:0.1",
+        "--resolution", "3x3", *flags, "--outdir", str(outdir),
+    ) == 1
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--retrieval-efficiency", "nan"), "retrieval_efficiency must lie in [0, 1]"),
+        (("--retrieval-efficiency", "5"), "retrieval_efficiency must lie in [0, 1]"),
+        (("--retrieval-efficiency", "-0.1"), "retrieval_efficiency must lie in [0, 1]"),
+        (("--mu", "inf"), "mu_memory must be positive and finite"),
+        (("--target-sbr", "inf"), "target_sbr must be positive and finite"),
+    ],
+)
+def test_calibrate_rejects_non_finite_or_unusable_inputs(capsys, flags, message):
+    assert run_cli("calibrate", "--target-sbr", "5", "--mu", "2", *flags) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "[memory]" not in captured.out

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import types
+from pathlib import Path
 
 import pytest
 
+import memqkd
 from memqkd import (
     AnalysisConfig,
     ChannelConfig,
@@ -15,6 +18,7 @@ from memqkd import (
     qber_oracle_from_sbr,
     serialize_config,
 )
+from memqkd.config import _converters
 from memqkd.simulation import SourceMode
 
 #: (section, config class, field) for every float field, roi_center_ns included.
@@ -207,3 +211,83 @@ def test_non_finite_float_rejected_by_parser(section, cls, name, value):
 def test_float_fields_cover_every_section():
     assert len(FLOAT_FIELDS) == 17
     assert ("analysis", AnalysisConfig, "roi_center_ns") in FLOAT_FIELDS
+
+
+def _golden_document(mode, mu_alice, n_pulses, background_mean, noise_suppression, seed):
+    return f"""\
+[source]
+pulse_width_ns = 400.0
+pulse_period_ns = 40000.0
+mode = {mode}
+mu_alice = {mu_alice}
+n_pulses = {n_pulses}
+
+[channel]
+transmission = 0.59
+rel_fluctuation = 0.05
+
+[memory]
+retrieval_efficiency = 0.12
+leak_fraction = 0.35
+background_mean = {background_mean}
+retrieval_delay_ns = 1000.0
+roi_width_ns = 100.0
+noise_suppression = {noise_suppression}
+
+[analysis]
+bin_width_ns = 10.0
+window_start_ns = 0.0
+window_end_ns = 2000.0
+background_start_ns = 1200.0
+background_end_ns = 2000.0
+
+[run]
+seed = {seed}
+"""
+
+
+#: serialize_config text of the defaults and of every preset (777 pulses,
+#: seed 5), as strings so that the file format, the key order and every
+#: preset float are pinned to the last digit.
+GOLDEN_DOCUMENTS = {
+    "defaults": ("random", "2.7118644067796613", 10000, "0.05996814192460255", "1.0", 1),
+    "experiment1": ("ordered", "2.7118644067796613", 777, "0.03072", "1.0", 5),
+    "experiment2": ("random", "169.49152542372883", 777, "0.05996814192460255", "1.0", 5),
+    "experiment3": ("random", "2.7118644067796613", 777, "0.05996814192460255", "1.0", 5),
+    "experiment4": ("random", "2.203389830508475", 777, "0.05996814192460255", "0.100053125", 5),
+    "experiment5": ("random", "3.3898305084745766", 777, "0.038709677419354833", "1.0", 5),
+    "experiment4-mu1": ("random", "1.6949152542372883", 777, "0.05996814192460255", "0.100053125", 5),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_DOCUMENTS)
+def test_serialized_config_matches_golden_text(name):
+    if name == "defaults":
+        config = RunConfig()
+    elif name == "experiment4-mu1":
+        config = preset_config("experiment4", n_pulses=777, seed=5, mu_memory=1.0)
+    else:
+        config = preset_config(name, n_pulses=777, seed=5)
+    assert serialize_config(config) == _golden_document(*GOLDEN_DOCUMENTS[name])
+
+
+def test_package_all_names_resolve_and_are_not_modules():
+    assert len(memqkd.__all__) == len(set(memqkd.__all__))
+    for name in memqkd.__all__:
+        assert not isinstance(getattr(memqkd, name), types.ModuleType), name
+    assert "simulation" not in memqkd.__all__ and "SourceConfig" in memqkd.__all__
+
+
+def test_field_annotation_without_converter_fails():
+    @dataclasses.dataclass(frozen=True)
+    class Section:
+        flag: "bool" = False
+
+    with pytest.raises(KeyError, match="bool"):
+        _converters(dataclasses.fields(Section))
+
+
+def test_readme_config_example_parses_to_the_defaults():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n")[1].split("```")[0]
+    assert parse_config(example) == RunConfig()

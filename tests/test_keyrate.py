@@ -88,6 +88,19 @@ def test_key_rate_input_validation():
         KeyRateInput(mu=1.0, qber_x=0.1, qber_z=0.1, ec_inefficiency=0.9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "name,message",
+    [("mu", "mu must be positive and finite"), ("ec_inefficiency", "must be >= 1 and finite")],
+)
+def test_key_rate_input_rejects_non_finite(name, message, value):
+    point = {"mu": 1.0, "qber_x": 0.1, "qber_z": 0.1, "ec_inefficiency": 1.05}
+    with pytest.raises(ValueError, match=message):
+        KeyRateInput(**{**point, name: value})
+    with pytest.raises(ValueError, match=message):
+        secret_key_rate(**{**point, name: value})
+
+
 def test_boundary_value_against_oracle():
     # Independent oracle: bisect H(q) = e^-mu / (f + e^-mu) directly.
     target = math.exp(-1.0) / (1.05 + math.exp(-1.0))
@@ -115,6 +128,20 @@ def test_boundary_always_exists_for_positive_mu():
 def test_boundary_rejects_bad_tol():
     with pytest.raises(ValueError):
         positive_rate_boundary(1.0, 1.05, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf], ids=repr)
+def test_boundary_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        positive_rate_boundary(1.0, 1.05, tol=tol)
+
+
+def test_boundary_tol_below_float_spacing_terminates():
+    # No float lies strictly between two adjacent ones, so the bisection
+    # stops there instead of looping forever.
+    assert positive_rate_boundary(1.0, 1.05, tol=1e-300) == pytest.approx(
+        BOUNDARY_MU1, abs=1e-15
+    )
 
 
 def test_boundary_brackets_sign_change():
