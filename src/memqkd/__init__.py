@@ -19,7 +19,6 @@ from .histogram import Histogram, bin_clicks, roi_integrate, sbr_from_histogram
 from .keyrate import (
     CLASSICAL_FIDELITY_BOUND,
     DEFAULT_EC_INEFFICIENCY,
-    KeyRateInput,
     KeyRateMap,
     SbrEstimate,
     binary_entropy,

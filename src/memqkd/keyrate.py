@@ -33,60 +33,77 @@ CLASSICAL_FIDELITY_BOUND = 0.85
 REFERENCE_OPERATING_POINTS = ((1.6, 0.119), (1.0, 0.03))
 
 
-def binary_entropy(x: float) -> float:
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError(message), naming the first value where ok is False."""
+    if not np.all(ok):
+        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
+
+
+def binary_entropy(x) -> float | np.ndarray:
     """Binary Shannon entropy of ``x`` in bits, with 0*log(0) taken as 0.
 
+    Works elementwise on arrays; a scalar argument returns a float.
     Evaluated on p = max(x, 1-x) so that binary_entropy(x) and
     binary_entropy(1 - x) are equal bit for bit, not just approximately.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must lie in [0, 1], got {x}")
-    p = max(x, 1.0 - x)
-    if p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    x = np.asarray(x, dtype=float)
+    _require((0.0 <= x) & (x <= 1.0), x, "entropy argument must lie in [0, 1]")
+    p = np.maximum(x, 1.0 - x)
+    h = np.zeros_like(p)
+    mixed = p < 1.0  # the logarithms are only taken where both terms are nonzero
+    p = p[mixed]
+    h[mixed] = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return h if h.ndim else float(h)
 
 
-@dataclass(frozen=True)
-class KeyRateInput:
-    """Operating point for the asymptotic key-rate formula.
+def secret_key_rate(
+    mu, qber_x, qber_z, ec_inefficiency=DEFAULT_EC_INEFFICIENCY
+) -> float | np.ndarray:
+    """Asymptotic secret key rate in bits per emitted pulse (may be negative).
+
+    R = mu * (exp(-mu) * (1 - H(qber_x)) - H(qber_z) * ec_inefficiency)
 
     mu is the mean photon number per pulse at the sender, qber_x / qber_z the
     per-basis error rates, and ec_inefficiency the overhead factor of the
     classical error-correction step (1 would be Shannon-limit reconciliation).
+    The arguments broadcast against each other; scalars return a float.
     """
-
-    mu: float
-    qber_x: float
-    qber_z: float
-    ec_inefficiency: float = DEFAULT_EC_INEFFICIENCY
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        for name, q in (("qber_x", self.qber_x), ("qber_z", self.qber_z)):
-            if not 0.0 <= q <= 0.5:
-                raise ValueError(f"{name} must lie in [0, 0.5], got {q}")
-        if not 1.0 <= self.ec_inefficiency < math.inf:
-            raise ValueError(
-                f"ec_inefficiency must be >= 1 and finite, got {self.ec_inefficiency}"
-            )
+    mu, qber_x, qber_z, f = (
+        np.asarray(v, dtype=float) for v in (mu, qber_x, qber_z, ec_inefficiency)
+    )
+    _require((0.0 < mu) & (mu < np.inf), mu, "mu must be positive and finite")
+    for name, q in (("qber_x", qber_x), ("qber_z", qber_z)):
+        _require((0.0 <= q) & (q <= 0.5), q, f"{name} must lie in [0, 0.5]")
+    _require((1.0 <= f) & (f < np.inf), f, "ec_inefficiency must be >= 1 and finite")
+    gain = np.exp(-mu) * (1.0 - binary_entropy(qber_x))
+    cost = binary_entropy(qber_z) * f
+    rate = mu * (gain - cost)
+    return rate if rate.ndim else float(rate)
 
 
-def secret_key_rate(
-    mu: float,
-    qber_x: float,
-    qber_z: float,
-    ec_inefficiency: float = DEFAULT_EC_INEFFICIENCY,
-) -> float:
-    """Asymptotic secret key rate in bits per emitted pulse (may be negative).
+def _zero_crossings(mu, ec_inefficiency: float, tol: float) -> np.ndarray:
+    """Shared QBER at which the rate crosses zero, per mu; NaN where the rate
+    at QBER 0 is not positive.
 
-    R = mu * (exp(-mu) * (1 - H(qber_x)) - H(qber_z) * ec_inefficiency)
+    The rate is strictly decreasing in the shared QBER on (0, 0.5), so plain
+    bisection converges to the unique root whenever the rate at QBER 0 is
+    positive. Every mu is bisected at once; each stops on its own once its
+    bracket is within tol or holds two adjacent floats (tol below their
+    spacing), so the result per mu does not depend on the other values.
     """
-    point = KeyRateInput(mu, qber_x, qber_z, ec_inefficiency)
-    gain = math.exp(-point.mu) * (1.0 - binary_entropy(point.qber_x))
-    cost = binary_entropy(point.qber_z) * point.ec_inefficiency
-    return point.mu * (gain - cost)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    mu = np.asarray(mu, dtype=float)
+    active = found = secret_key_rate(mu, 0.0, 0.0, ec_inefficiency) > 0.0
+    lo, hi = np.zeros_like(mu), np.full_like(mu, 0.5)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = active & (hi - lo > tol) & (mid != lo) & (mid != hi)
+        if not active.any():
+            return np.where(found, mid, np.nan)
+        positive = secret_key_rate(mu, mid, mid, ec_inefficiency) > 0.0
+        lo = np.where(active & positive, mid, lo)
+        hi = np.where(active & ~positive, mid, hi)
 
 
 def positive_rate_boundary(
@@ -96,24 +113,10 @@ def positive_rate_boundary(
 ) -> float | None:
     """QBER (applied to both bases) at which the key rate crosses zero.
 
-    The rate is strictly decreasing in the shared QBER on (0, 0.5), so plain
-    bisection converges to the unique root whenever the rate at QBER 0 is
-    positive. Returns None when there is no positive region at all.
+    Returns None when there is no positive region at all.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if secret_key_rate(mu, 0.0, 0.0, ec_inefficiency) <= 0.0:
-        return None
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: tol is below their spacing
-            break
-        if secret_key_rate(mu, mid, mid, ec_inefficiency) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    (q_star,) = _zero_crossings([mu], ec_inefficiency, tol).tolist()
+    return None if math.isnan(q_star) else q_star
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,6 @@ class KeyRateMap:
     boundary: tuple[tuple[float, float], ...]
 
 
-def _check_axis(name: str, axis: np.ndarray, valid: str, bad) -> None:
-    if axis.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if np.any(np.diff(axis) <= 0):
-        raise ValueError(f"{name} must be strictly increasing")
-    if bad(axis):
-        raise ValueError(f"{name} values must {valid}")
-
-
 def key_rate_map(
     mu_axis,
     qber_axis,
@@ -148,27 +142,22 @@ def key_rate_map(
 ) -> KeyRateMap:
     """Evaluate the key rate on the full grid and locate the zero boundary.
 
-    Each cell is exactly the pointwise secret_key_rate value; the boundary is
-    solved per mu by bisection to boundary_tol.
+    Each cell equals the pointwise secret_key_rate value, and each boundary
+    entry the positive_rate_boundary value at boundary_tol; secret_key_rate
+    checks the axis values.
     """
     mu_axis = np.asarray(mu_axis, dtype=float)
     qber_axis = np.asarray(qber_axis, dtype=float)
-    _check_axis("mu_axis", mu_axis, "be positive", lambda a: a[0] <= 0.0)
-    _check_axis(
-        "qber_axis", qber_axis, "lie in [0, 0.5]", lambda a: a[0] < 0.0 or a[-1] > 0.5
-    )
-
-    rates = np.empty((mu_axis.size, qber_axis.size), dtype=float)
-    for i, mu in enumerate(mu_axis):
-        for j, q in enumerate(qber_axis):
-            rates[i, j] = secret_key_rate(mu, q, q, ec_inefficiency)
-
-    boundary = []
-    for mu in mu_axis:
-        q_star = positive_rate_boundary(mu, ec_inefficiency, boundary_tol)
-        if q_star is not None:
-            boundary.append((float(mu), q_star))
-    return KeyRateMap(mu_axis, qber_axis, rates, tuple(boundary))
+    for name, axis in (("mu_axis", mu_axis), ("qber_axis", qber_axis)):
+        if axis.size == 0:
+            raise ValueError(f"{name} must not be empty")
+        if np.any(np.diff(axis) <= 0):
+            raise ValueError(f"{name} must be strictly increasing")
+    rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
+    q_star = _zero_crossings(mu_axis, ec_inefficiency, boundary_tol)
+    found = ~np.isnan(q_star)
+    boundary = tuple(zip(mu_axis[found].tolist(), q_star[found].tolist()))
+    return KeyRateMap(mu_axis, qber_axis, rates, boundary)
 
 
 @dataclass(frozen=True)

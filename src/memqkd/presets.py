@@ -34,9 +34,9 @@ def background_mean_for_sbr(
         raise ValueError(f"target_sbr must be positive and finite, got {target_sbr}")
     if not 0 < mu_memory < math.inf:
         raise ValueError(f"mu_memory must be positive and finite, got {mu_memory}")
-    if not 0.0 <= retrieval_efficiency <= 1.0:
+    if not 0.0 < retrieval_efficiency <= 1.0:  # zero retrieves no signal at all
         raise ValueError(
-            f"retrieval_efficiency must lie in [0, 1], got {retrieval_efficiency}"
+            f"retrieval_efficiency must lie in (0, 1], got {retrieval_efficiency}"
         )
     return retrieval_efficiency * mu_memory / target_sbr
 

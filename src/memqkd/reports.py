@@ -11,9 +11,9 @@ distinct value combinations (a few hundred in a single-photon run), so they
 are grouped with one lexsort, each distinct combination is formatted once,
 and its strings are expanded to every pulse by indexing. Per pulse, only the
 index, emit_time_ns and mu_eff are formatted, and five fields are joined.
-Rows are formatted, and every file written, in batches of _BATCH lines, so
-the temporary strings and numbers of a batch are all that is held beside the
-lines themselves.
+Rows are formatted lazily as write_lines consumes them, and every file is
+written in batches of _BATCH lines, so only one batch of lines and its
+temporary strings and numbers is held at once.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ def _emit_time_fields(times: np.ndarray) -> Iterable[str]:
     return map(str, fields)
 
 
-def pulse_csv_lines(result: RunResult) -> list[str]:
+def pulse_csv_lines(result: RunResult) -> Iterable[str]:
     """Header plus one row per pulse, built from distinct rows (module docstring)."""
     row, heads, tails = _distinct_rows(result)
-    lines = [PULSE_CSV_HEADER]
+    yield PULSE_CSV_HEADER
     for start in range(0, len(row), _BATCH):
         pulses = slice(start, start + _BATCH)
         batch_row = row[pulses]
@@ -117,8 +117,7 @@ def pulse_csv_lines(result: RunResult) -> list[str]:
             map(repr, result.mu_eff[pulses].tolist()),
             tails[batch_row],
         )
-        lines += map(",".join, zip(*fields))
-    return lines
+        yield from map(",".join, zip(*fields))
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterable[str]:

@@ -266,6 +266,17 @@ def test_calibrate_rejects_nonpositive_inputs():
     assert run_cli("calibrate", "--target-sbr", "5", "--mu", "-1") == 1
 
 
+def test_calibrate_rejects_zero_efficiency(tmp_path, capsys):
+    # No background level gives a finite target ratio when nothing is retrieved.
+    config = tmp_path / "zero.ini"
+    config.write_text("[memory]\nretrieval_efficiency = 0\n")
+    for flags in (("--retrieval-efficiency", "0"), ("--config", str(config))):
+        assert run_cli("calibrate", "--target-sbr", "5", "--mu", "2", *flags) == 1
+        captured = capsys.readouterr()
+        assert "retrieval_efficiency must lie in (0, 1], got 0.0" in captured.err
+        assert "[memory]" not in captured.out
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [
@@ -291,9 +302,9 @@ def test_sweep_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (("--retrieval-efficiency", "nan"), "retrieval_efficiency must lie in [0, 1]"),
-        (("--retrieval-efficiency", "5"), "retrieval_efficiency must lie in [0, 1]"),
-        (("--retrieval-efficiency", "-0.1"), "retrieval_efficiency must lie in [0, 1]"),
+        (("--retrieval-efficiency", "nan"), "retrieval_efficiency must lie in (0, 1]"),
+        (("--retrieval-efficiency", "5"), "retrieval_efficiency must lie in (0, 1]"),
+        (("--retrieval-efficiency", "-0.1"), "retrieval_efficiency must lie in (0, 1]"),
         (("--mu", "inf"), "mu_memory must be positive and finite"),
         (("--target-sbr", "inf"), "target_sbr must be positive and finite"),
     ],

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memqkd import (
-    KeyRateInput,
     SbrEstimate,
     binary_entropy,
     classical_bound_check,
@@ -79,13 +78,13 @@ def test_rate_strictly_decreasing_in_qber():
 
 def test_key_rate_input_validation():
     with pytest.raises(ValueError):
-        KeyRateInput(mu=0.0, qber_x=0.1, qber_z=0.1)
+        secret_key_rate(mu=0.0, qber_x=0.1, qber_z=0.1)
     with pytest.raises(ValueError):
-        KeyRateInput(mu=1.0, qber_x=0.6, qber_z=0.1)
+        secret_key_rate(mu=1.0, qber_x=0.6, qber_z=0.1)
     with pytest.raises(ValueError):
-        KeyRateInput(mu=1.0, qber_x=0.1, qber_z=-0.1)
+        secret_key_rate(mu=1.0, qber_x=0.1, qber_z=-0.1)
     with pytest.raises(ValueError):
-        KeyRateInput(mu=1.0, qber_x=0.1, qber_z=0.1, ec_inefficiency=0.9)
+        secret_key_rate(mu=1.0, qber_x=0.1, qber_z=0.1, ec_inefficiency=0.9)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
@@ -95,8 +94,6 @@ def test_key_rate_input_validation():
 )
 def test_key_rate_input_rejects_non_finite(name, message, value):
     point = {"mu": 1.0, "qber_x": 0.1, "qber_z": 0.1, "ec_inefficiency": 1.05}
-    with pytest.raises(ValueError, match=message):
-        KeyRateInput(**{**point, name: value})
     with pytest.raises(ValueError, match=message):
         secret_key_rate(**{**point, name: value})
 
@@ -198,6 +195,65 @@ def test_map_rejects_bad_axes():
         key_rate_map([1.0], [0.2, 0.1])
     with pytest.raises(ValueError):
         key_rate_map([1.0], [0.6])
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-300], ids=repr)
+def test_map_boundary_equals_scalar_boundary(tol):
+    # At 1e-300 every mu stops at the float spacing of its own root, so the
+    # elements stop at different iterations. exp(-800) underflows to 0: that
+    # mu has no positive region, so it has no entry.
+    mu_axis = np.concatenate([np.geomspace(1e-6, 40.0, 60), [800.0]])
+    grid = key_rate_map(mu_axis, [0.0, 0.1], 1.05, boundary_tol=tol)
+    assert positive_rate_boundary(800.0, 1.05, tol) is None
+    expected = [(mu, positive_rate_boundary(mu, 1.05, tol)) for mu in mu_axis[:-1]]
+    assert list(grid.boundary) == expected
+
+
+def test_map_matches_closed_form():
+    # Written with math, independently of the array code; the qber axis
+    # includes both end columns, where H is 0 and 1.
+    def rate(mu, q, f):
+        h = 0.0 if q == 0.0 else -q * math.log2(q) - (1 - q) * math.log2(1 - q)
+        return mu * (math.exp(-mu) * (1 - h) - h * f)
+
+    mu_axis = np.linspace(0.05, 5.0, 23)
+    qber_axis = np.linspace(0.0, 0.5, 17)
+    grid = key_rate_map(mu_axis, qber_axis, 1.2)
+    expected = [rate(mu, q, 1.2) for mu in mu_axis.tolist() for q in qber_axis.tolist()]
+    assert grid.rates.shape == (23, 17)
+    assert grid.rates.ravel().tolist() == pytest.approx(expected, rel=1e-12)
+
+
+def test_binary_entropy_arrays():
+    xs = np.linspace(0.0, 1.0, 11)
+    assert binary_entropy(xs).tolist() == [binary_entropy(x) for x in xs.tolist()]
+    assert type(binary_entropy(0.25)) is float
+    assert type(secret_key_rate(1.0, 0.03, 0.03)) is float
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.01, 1.01], ids=repr)
+def test_binary_entropy_rejects_one_bad_element(bad):
+    xs = np.full(5, 0.2)
+    xs[3] = bad
+    with pytest.raises(ValueError, match="entropy argument must lie in"):
+        binary_entropy(xs)
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [
+        ("mu", math.nan), ("mu", -1.0), ("qber_x", math.nan), ("qber_x", 0.6),
+        ("qber_z", math.nan), ("qber_z", -0.1), ("ec_inefficiency", math.nan),
+        ("ec_inefficiency", 0.9),
+    ],
+    ids=repr,
+)  # fmt: skip
+def test_secret_key_rate_rejects_one_bad_element(name, bad):
+    point = {"mu": 1.0, "qber_x": 0.1, "qber_z": 0.1, "ec_inefficiency": 1.05}
+    values = np.full(5, point[name])
+    values[3] = bad
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        secret_key_rate(**{**point, name: values})
 
 
 def test_fidelity_from_sbr():

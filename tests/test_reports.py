@@ -98,7 +98,7 @@ def test_pulse_csv_matches_row_wise_formatting(case):
     result = build()
     if exercises is not None:
         assert exercises(result)
-    assert pulse_csv_lines(result) == list(_row_wise_csv_lines(result))
+    assert list(pulse_csv_lines(result)) == list(_row_wise_csv_lines(result))
 
 
 @functools.cache
@@ -133,4 +133,4 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
         sifted=column(st.booleans(), bool),
         error=column(st.booleans(), bool),
     )
-    assert pulse_csv_lines(result) == list(_row_wise_csv_lines(result))
+    assert list(pulse_csv_lines(result)) == list(_row_wise_csv_lines(result))
