@@ -8,8 +8,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
+import re
+import shutil
 import sys
+import tempfile
+from contextlib import closing, contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +35,26 @@ from .presets import (
     preset_config,
 )
 from .reports import (
+    PULSE_CSV_HEADER,
+    block_outputs,
     boundary_csv_lines,
     histogram_csv_lines,
     keyrate_csv_lines,
-    pulse_csv_lines,
-    run_histogram,
     summary_text,
     write_lines,
 )
-from .simulation import run_experiment
+from .simulation import DoubleClickPolicy, simulate_blocks
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as configuration errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A separate value that starts with "-" and a digit, such as the
+        # range "-1:2", is a value, not an option (argparse's own pattern
+        # admits only plain negative numbers).
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -161,22 +175,58 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
+@contextmanager
+def _output_set(outdir: Path, names: tuple[str, ...]):
+    """Yield {name: path} to write a set of output files at; they replace
+    outdir/name only when the block completes, so a failure leaves none.
+
+    Each path is first checked not to be a directory. The files are staged
+    in a temporary directory in outdir, or in its nearest existing ancestor
+    when outdir does not exist yet (the same file system, so os.replace
+    moves each file whole); outdir is created only on success, and the
+    staging directory is removed whatever happens.
+    """
+    for name in names:
+        if (outdir / name).is_dir():
+            path = str(outdir / name)
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    base = next(p for p in (outdir, *outdir.parents) if p.exists())
+    stage = Path(tempfile.mkdtemp(prefix=".memqkd-", dir=base))
+    try:
+        yield {name: stage / name for name in names}
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(stage / name, outdir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     outdir = resolve_output_dir(args.outdir, config)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    result = run_experiment(config, workers=args.workers)
-    write_lines(outdir / "pulses.csv", pulse_csv_lines(result))
-    hist = run_histogram(result, config)
-    write_lines(outdir / "histogram.csv", histogram_csv_lines(hist))
-    summary = summary_text(result, config, hist)
-    (outdir / "summary.txt").write_text(summary)
+    names = ("pulses.csv", "histogram.csv", "summary.txt")
+    with _output_set(outdir, names) as paths:
+        blocks = simulate_blocks(
+            config, config.seed, args.workers, DoubleClickPolicy.RANDOM,
+            partial(block_outputs, config),
+        )  # fmt: skip
+        # Rows are written in block order; the histogram, sample and photon
+        # totals are summed over the blocks (there is always at least one).
+        with closing(blocks), paths["pulses.csv"].open("w") as out:
+            out.write(PULSE_CSV_HEADER + "\n")
+            rows, *totals = next(blocks)
+            out.write(rows)
+            for rows, *block_totals in blocks:
+                out.write(rows)
+                totals = [a + b for a, b in zip(totals, block_totals)]
+        hist, sample, photons = totals
+        write_lines(paths["histogram.csv"], histogram_csv_lines(hist))
+        summary = summary_text(config, sample, photons, hist)
+        paths["summary.txt"].write_text(summary)
     sys.stdout.write(summary)
-    print(f"wrote {outdir / 'pulses.csv'}, {outdir / 'histogram.csv'}, "
-          f"{outdir / 'summary.txt'}")
+    print(f"wrote {', '.join(str(outdir / name) for name in names)}")
     return 0
 
 
@@ -192,9 +242,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc))
 
     outdir = resolve_output_dir(args.outdir, RunConfig())
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_lines(outdir / "keyrate_map.csv", keyrate_csv_lines(grid))
-    write_lines(outdir / "keyrate_boundary.csv", boundary_csv_lines(grid))
+    names = ("keyrate_map.csv", "keyrate_boundary.csv")
+    with _output_set(outdir, names) as paths:
+        write_lines(paths["keyrate_map.csv"], keyrate_csv_lines(grid))
+        write_lines(paths["keyrate_boundary.csv"], boundary_csv_lines(grid))
 
     def report_point(mu: float, qber: float, label: str) -> None:
         rate = secret_key_rate(mu, qber, qber, args.ec_inefficiency)
@@ -206,7 +257,7 @@ def _cmd_sweep(args) -> int:
     for mu, qber in REFERENCE_OPERATING_POINTS:
         if mu_lo <= mu <= mu_hi and q_lo <= qber <= q_hi:
             report_point(mu, qber, "operating point")
-    print(f"wrote {outdir / 'keyrate_map.csv'}, {outdir / 'keyrate_boundary.csv'}")
+    print(f"wrote {', '.join(str(outdir / name) for name in names)}")
     return 0
 
 

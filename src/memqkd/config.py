@@ -26,6 +26,12 @@ OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
 
 _MAX_SEED = 2**64 - 1
 
+#: Largest RunConfig.expected_clicks_per_pulse a run accepts. Every click is
+#: a timestamp, so this bounds one 2**14-pulse block's click times to about
+#: 270 MB, and every Poisson mean drawn stays far inside numpy's range. The
+#: brightest preset (experiment2) expects about 101.
+MAX_CLICKS_PER_PULSE = 2000.0
+
 
 class SourceMode(Enum):
     ORDERED = "ordered"
@@ -233,6 +239,33 @@ class RunConfig:
                 f"retrieval ROI [{roi_lo}, {roi_hi}] and background region "
                 f"[{background_lo}, {background_hi}] must be disjoint"
             )
+        clicks = self.expected_clicks_per_pulse
+        if not clicks <= MAX_CLICKS_PER_PULSE:
+            raise ValueError(
+                f"expected clicks per pulse ({clicks:.6g}: photons arriving at the "
+                f"memory plus background over the record window) exceed the cap "
+                f"of {MAX_CLICKS_PER_PULSE:g}"
+            )
+
+    @property
+    def expected_clicks_per_pulse(self) -> float:
+        """Mean photons arriving at the memory plus mean background counts
+        over the record window, per pulse: every click is one of them.
+
+        The turbulent gain is normal (mean 1, std rel_fluctuation) truncated
+        at 0, whose mean is Phi(1/s) + s * phi(1/s) for s = rel_fluctuation.
+        """
+        s = self.channel.rel_fluctuation
+        gain = 1.0
+        if s > 0:
+            z = 1.0 / s
+            gain = 0.5 * math.erfc(-z / math.sqrt(2.0)) + s * math.exp(
+                -0.5 * z * z
+            ) / math.sqrt(2.0 * math.pi)
+        window_lo, window_hi = self.analysis.window
+        memory = self.memory
+        background = memory.effective_background * (window_hi - window_lo) / memory.roi_width_ns
+        return self.source.mu_alice * self.channel.transmission * gain + background
 
 
 def _parse_float(text: str) -> float:
@@ -343,7 +376,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         line = key_line("run", str(exc))
         if line is None:
-            # A cross-section error (ROI placement), which has no single line.
+            # A cross-section error (ROI placement, click load), which has
+            # no single line.
             raise ConfigError(str(exc)) from None
         raise ConfigError(f"[run] {exc}", line) from None
 

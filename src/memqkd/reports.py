@@ -5,15 +5,19 @@ printed plainly, floats through repr (exact round-trip) in per-pulse output
 and through fixed scientific notation (13 significant digits) in the
 key-rate grids.
 
-pulses.csv is built from a table of distinct rows. The seven small-integer
-columns (state, bob_basis, c0, c1, leak_clicks, sifted, error) take few
-distinct value combinations (a few hundred in a single-photon run), so they
-are grouped with one lexsort, each distinct combination is formatted once,
-and its strings are expanded to every pulse by indexing. Per pulse, only the
-index, emit_time_ns and mu_eff are formatted, and five fields are joined.
-Rows are formatted lazily as write_lines consumes them, and every file is
-written in batches of _BATCH lines, so only one batch of lines and its
-temporary strings and numbers is held at once.
+A run's outputs are reduced block by block (block_outputs, the reducer that
+memqkd run hands to simulation.simulate_blocks): each block becomes its
+pulses.csv rows, its click histogram and its tallies, so no per-pulse array
+or click time outlives its block.
+
+pulses.csv rows are built from a table of distinct rows. The seven
+small-integer columns (state, bob_basis, c0, c1, leak_clicks, sifted, error)
+take few distinct value combinations (a few hundred in a single-photon
+block), so they are grouped with one lexsort, each distinct combination is
+formatted once, and its strings are expanded to every pulse by indexing.
+Per pulse, only the index, emit_time_ns and mu_eff are formatted, and five
+fields are joined. write_lines writes the other files in batches of _BATCH
+lines, so only one batch of lines is held at once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .keyrate import (
     fidelity_from_sbr,
 )
 from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import RunResult
+from .simulation import PhotonTotals, SiftedSample
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -50,21 +54,20 @@ def _num(value: float) -> str:
 #: The small-integer pulse columns, in CSV order, that distinct rows group.
 _ROW_KEYS = ("state", "bob_basis", "c0", "c1", "leak_clicks", "sifted", "error")
 
-#: Rows formatted, or lines joined and written, at a time: bounds the
-#: temporary objects held at once. Of 2**10, 2**12, 2**14 and one batch for
-#: all rows, 2**14 gave the lowest peak memory on a bright 2.5e4-pulse run.
+#: Lines joined and written at a time by write_lines: bounds the temporary
+#: strings held at once.
 _BATCH = 2**14
 
 
-def _distinct_rows(result: RunResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_rows(columns: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, heads, tails): each pulse's distinct-row number and, per distinct
-    row, its state field and its "bob_basis,...,error" fields.
+    row, its state field and its "bob_basis,...,error" fields and newline.
 
     lexsort compares the key columns one by one, so no packed key can
     overflow; a sorted row starts a new distinct row wherever any key
     differs from its neighbour.
     """
-    keys = [getattr(result, name) for name in _ROW_KEYS]
+    keys = [columns[name] for name in _ROW_KEYS]
     order = np.lexsort(keys[::-1])
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
@@ -82,7 +85,7 @@ def _distinct_rows(result: RunResult) -> tuple[np.ndarray, np.ndarray, np.ndarra
     heads = np.array([states[s] for s in state], dtype=object)
     tails = np.array(
         [
-            f"{bases[b]},{d0},{d1},{k},{int(s)},{int(e)}"
+            f"{bases[b]},{d0},{d1},{k},{int(s)},{int(e)}\n"
             for b, d0, d1, k, s, e in zip(bob_basis, c0, c1, leak, sifted, error)
         ],
         dtype=object,
@@ -103,21 +106,40 @@ def _emit_time_fields(times: np.ndarray) -> Iterable[str]:
     return map(str, fields)
 
 
-def pulse_csv_lines(result: RunResult) -> Iterable[str]:
-    """Header plus one row per pulse, built from distinct rows (module docstring)."""
-    row, heads, tails = _distinct_rows(result)
-    yield PULSE_CSV_HEADER
-    for start in range(0, len(row), _BATCH):
-        pulses = slice(start, start + _BATCH)
-        batch_row = row[pulses]
-        fields = (
-            map(str, range(start, start + len(batch_row))),
-            _emit_time_fields(result.emit_time_ns[pulses]),
-            heads[batch_row],
-            map(repr, result.mu_eff[pulses].tolist()),
-            tails[batch_row],
-        )
-        yield from map(",".join, zip(*fields))
+def pulse_csv_rows(start: int, columns: dict, pulse_period_ns: float) -> str:
+    """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
+
+    columns maps the per-pulse column names of RunResult to equal-length
+    arrays; pulse i is emitted at i * pulse_period_ns. Built from distinct
+    rows (module docstring).
+    """
+    row, heads, tails = _distinct_rows(columns)
+    stop = start + len(row)
+    fields = (
+        map(str, range(start, stop)),
+        _emit_time_fields(np.arange(start, stop) * pulse_period_ns),
+        heads[row],
+        map(repr, columns["mu_eff"].tolist()),
+        tails[row],
+    )
+    return "".join(map(",".join, zip(*fields)))
+
+
+def block_outputs(
+    config, start: int, columns: dict, click_times: np.ndarray, photons: PhotonTotals
+) -> tuple[str, Histogram, SiftedSample, PhotonTotals]:
+    """Reduce one block of a run to (pulses.csv rows, histogram, sample, photons).
+
+    Each of the last three adds exactly across blocks, so a run's outputs
+    are the rows in block order and the sums of the rest.
+    """
+    analysis = config.analysis
+    return (
+        pulse_csv_rows(start, columns, config.source.pulse_period_ns),
+        bin_clicks(click_times, analysis.bin_width_ns, analysis.window),
+        SiftedSample.from_flags(columns["bob_basis"], columns["sifted"], columns["error"]),
+        photons,
+    )
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterable[str]:
@@ -147,16 +169,12 @@ def write_lines(path: Path, lines: Iterable[str]) -> None:
             out.write("\n".join(batch) + "\n")
 
 
-def run_histogram(result: RunResult, config) -> Histogram:
-    """Time-of-arrival histogram of every click, per the analysis settings."""
-    analysis = config.analysis
-    return bin_clicks(result.click_times_ns, analysis.bin_width_ns, analysis.window)
-
-
-def summary_text(result: RunResult, config, hist: Histogram) -> str:
+def summary_text(
+    config, sample: SiftedSample, photons: PhotonTotals, hist: Histogram
+) -> str:
     """Plain-text key = value block with counts, error rates, and SBR.
 
-    hist is the run's histogram (run_histogram), binned once by the caller.
+    sample, photons and hist are the run's totals, summed over its blocks.
     """
     analysis, memory = config.analysis, config.memory
     hist_sbr = sbr_from_histogram(
@@ -165,19 +183,20 @@ def summary_text(result: RunResult, config, hist: Histogram) -> str:
         memory.roi_width_ns,
         analysis.background_region,
     )
-    sample = result.sample
+    n_pulses = config.source.n_pulses
+    counting = photons.counting_sbr(n_pulses)
 
     def rate(value: float) -> str:
         return "n/a" if math.isnan(value) else repr(value)
 
     lines = [
-        f"seed = {result.seed}",
-        f"pulses = {config.source.n_pulses}",
-        f"photons_arrived = {result.n_arrived}",
-        f"photons_retrieved = {result.n_retrieved}",
-        f"photons_leaked = {result.n_leaked}",
-        f"photons_lost = {result.n_lost}",
-        f"background_roi_counts = {result.n_background_roi}",
+        f"seed = {config.seed}",
+        f"pulses = {n_pulses}",
+        f"photons_arrived = {photons.arrived}",
+        f"photons_retrieved = {photons.retrieved}",
+        f"photons_leaked = {photons.leaked}",
+        f"photons_lost = {photons.lost}",
+        f"background_roi_counts = {photons.background_roi}",
         f"sifted_z = {sample.n_sifted_z}",
         f"sifted_x = {sample.n_sifted_x}",
         f"errors_z = {sample.n_err_z}",
@@ -185,12 +204,11 @@ def summary_text(result: RunResult, config, hist: Histogram) -> str:
         f"qber_z = {rate(sample.qber_z)}",
         f"qber_x = {rate(sample.qber_x)}",
         f"qber_mean = {rate(sample.qber_mean)}",
-        f"sbr_counting = {rate(result.sbr.sbr)}",
+        f"sbr_counting = {rate(counting.sbr)}",
         f"sbr_histogram = {rate(hist_sbr.sbr)}",
     ]
     # Fidelity uses the counting ratio: its eta and q are exactly the
     # retrieved-signal and background quantities the estimator is defined on.
-    counting = result.sbr
     if counting.sbr > 0.5 and not counting.is_infinite:
         fidelity = fidelity_from_sbr(counting.sbr)
         verdict = "pass" if classical_bound_check(fidelity) else "fail"

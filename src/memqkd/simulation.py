@@ -10,9 +10,15 @@ error rates.
 Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
 block may be shorter). Each block draws every layer as whole arrays from one
 stream keyed by (seed, block_index), in a fixed order that starts with the
-prepared states. Worker chunks are unions of whole blocks and the block size
-never depends on the worker count, so a run is a pure function of
-(config, seed) whatever the number of workers.
+prepared states. Workers take whole blocks and the block size never depends
+on the worker count, so a run is a pure function of (config, seed) whatever
+the number of workers.
+
+simulate_blocks streams a run: it hands each block's arrays to a
+caller-supplied reducer where the block is simulated (in a pool worker when
+there are several) and yields the reduced blocks in block order, with at
+most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
+run_experiment keeps every block and joins them.
 
 Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
 basis its index in BASES (Z, X).
@@ -20,11 +26,15 @@ basis its index in BASES (Z, X).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,6 +54,11 @@ from .qubits import (
 #: Pulses per random stream. A constant of the stream layout: changing it
 #: changes every seeded output.
 BLOCK_PULSES = 2**14
+
+#: Blocks each pool worker may have submitted and not yet consumed: one
+#: being simulated and one queued, so a worker never waits on the consumer
+#: while memory stays bounded whatever the run length.
+_IN_FLIGHT_PER_WORKER = 2
 
 # Lookup tables over state codes, built from the scalar definitions in qubits.
 _BASIS_OF_STATE = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])
@@ -78,6 +93,14 @@ class SiftedSample:
         if self.n_err_z > self.n_sifted_z or self.n_err_x > self.n_sifted_x:
             raise ValueError("errors cannot exceed sifted counts")
 
+    def __add__(self, other: SiftedSample) -> SiftedSample:
+        """Tallies of two disjoint samples, such as two blocks of one run."""
+        if not isinstance(other, SiftedSample):
+            return NotImplemented
+        return SiftedSample(
+            *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
+        )
+
     @classmethod
     def from_flags(
         cls, bob_basis: np.ndarray, sifted: np.ndarray, error: np.ndarray
@@ -106,6 +129,30 @@ class SiftedSample:
         """Pooled error rate over both bases."""
         n = self.n_sifted_z + self.n_sifted_x
         return (self.n_err_z + self.n_err_x) / n if n else math.nan
+
+
+@dataclass(frozen=True)
+class PhotonTotals:
+    """Photons per stage over a block or a run; blocks add exactly."""
+
+    arrived: int
+    retrieved: int
+    leaked: int
+    lost: int
+    background_roi: int
+
+    def __add__(self, other: PhotonTotals) -> PhotonTotals:
+        if not isinstance(other, PhotonTotals):
+            return NotImplemented
+        return PhotonTotals(
+            *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
+        )
+
+    def counting_sbr(self, n_pulses: int) -> SbrEstimate:
+        """Retrieved signal over ROI background, both per pulse."""
+        if not n_pulses:
+            return SbrEstimate(eta=0.0, q=0.0)
+        return SbrEstimate(eta=self.retrieved / n_pulses, q=self.background_roi / n_pulses)
 
 
 def _n_blocks(n_pulses: int) -> int:
@@ -242,10 +289,10 @@ class RunResult:
     leak_clicks counts arrivals in the leakage window (diagnostic only,
     never sifted). click_times_ns holds every click (leakage, retrieved,
     background) as a pulse-relative timestamp, ready for histogramming.
+    Pulse i is emitted at i * pulse_period_ns.
     """
 
     seed: int
-    emit_time_ns: np.ndarray
     state: np.ndarray
     mu_eff: np.ndarray
     bob_basis: np.ndarray
@@ -264,12 +311,18 @@ class RunResult:
     n_background_roi: int
 
 
-def _simulate_block(source, channel, memory, analysis, policy, seed, block):
-    """Simulate one block: (per-pulse columns, click times, photon totals).
+def _simulate_block(config, policy, seed, reduce, block):
+    """Simulate one block and return reduce(start, columns, click_times, photons).
 
     A pure function of its arguments; every draw comes from the block's own
     stream, in a fixed order.
     """
+    source, channel, memory, analysis = (
+        config.source,
+        config.channel,
+        config.memory,
+        config.analysis,
+    )
     start, stop = _block_range(source.n_pulses, block)
     m = stop - start
     rng = np.random.default_rng([seed, block])
@@ -309,11 +362,56 @@ def _simulate_block(source, channel, memory, analysis, policy, seed, block):
         "error": error,
     }
     times = np.concatenate([leak_times, roi_times, outside_times])
-    totals = np.array(
-        [arrived.sum(), retrieved.sum(), leaked.sum(), lost.sum(), background_roi.sum()],
-        dtype=np.int64,
+    photons = PhotonTotals(
+        *(int(n.sum()) for n in (arrived, retrieved, leaked, lost, background_roi))
     )
-    return columns, times, totals
+    return reduce(start, columns, times, photons)
+
+
+def simulate_blocks(
+    config,
+    seed: int,
+    workers: int,
+    policy: DoubleClickPolicy,
+    reduce: Callable,
+) -> Iterator:
+    """Yield reduce(start, columns, click_times, photons) per block, in block order.
+
+    start is the block's first pulse index; columns maps each per-pulse
+    RunResult column name to the block's array; click_times holds the
+    block's click timestamps and photons its PhotonTotals.
+
+    reduce runs where its block is simulated: in this process for one
+    worker (or one block), otherwise in one of min(workers, blocks) pool
+    processes, so it and its result must pickle. At most
+    _IN_FLIGHT_PER_WORKER blocks per process are submitted and not yet
+    consumed; the next block is submitted as each one is consumed. Every
+    block is a pure function of (config, seed, block), so the yielded
+    sequence never depends on workers.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n_blocks = _n_blocks(config.source.n_pulses)
+    simulate = partial(_simulate_block, config, policy, seed, reduce)
+    processes = min(workers, n_blocks)
+    if processes == 1:
+        yield from map(simulate, range(n_blocks))
+        return
+    blocks = iter(range(n_blocks))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        in_flight = deque(
+            pool.submit(simulate, b)
+            for b in islice(blocks, _IN_FLIGHT_PER_WORKER * processes)
+        )
+        while in_flight:
+            done = in_flight.popleft().result()
+            in_flight.extend(pool.submit(simulate, b) for b in islice(blocks, 1))
+            yield done
+
+
+def _whole_block(start, columns, click_times, photons):
+    """The identity reducer: keeps every array of the block."""
+    return start, columns, click_times, photons
 
 
 def run_experiment(
@@ -326,51 +424,27 @@ def run_experiment(
 
     Outputs are a pure function of (config, seed): block b of BLOCK_PULSES
     pulses draws every layer, sifting ties included, from one stream keyed
-    by (seed, b), and workers take whole blocks, so worker count and
-    chunking never change the result.
+    by (seed, b), and workers take whole blocks, so the worker count never
+    changes the result. Holds every block; simulate_blocks streams them.
     """
-    source, channel, memory, analysis = (
-        config.source,
-        config.channel,
-        config.memory,
-        config.analysis,
-    )
     if seed is None:
         seed = config.seed
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    n = source.n_pulses
-    n_blocks = _n_blocks(n)
-    simulate = partial(_simulate_block, source, channel, memory, analysis, policy, seed)
-    # Each worker takes one chunk of consecutive blocks; map keeps block order.
-    chunksize = -(-n_blocks // workers)
-    n_chunks = -(-n_blocks // chunksize)
-    if n_chunks == 1:
-        parts = [simulate(block) for block in range(n_blocks)]
-    else:
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            parts = list(pool.map(simulate, range(n_blocks), chunksize=chunksize))
-    columns = {name: np.concatenate([p[0][name] for p in parts]) for name in parts[0][0]}
-    click_times = np.concatenate([p[1] for p in parts])
-    totals = sum(p[2] for p in parts)
-
-    arrived, retrieved, leaked, lost, background_roi = (int(t) for t in totals)
+    _, columns, click_times, photons = zip(
+        *simulate_blocks(config, seed, workers, policy, _whole_block)
+    )
+    columns = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
+    totals = sum(photons[1:], photons[0])
     return RunResult(
         seed=seed,
-        emit_time_ns=np.arange(n) * source.pulse_period_ns,
         **columns,
         sample=SiftedSample.from_flags(
             columns["bob_basis"], columns["sifted"], columns["error"]
         ),
-        sbr=SbrEstimate(
-            eta=retrieved / n if n else 0.0,
-            q=background_roi / n if n else 0.0,
-        ),
-        click_times_ns=click_times,
-        n_arrived=arrived,
-        n_retrieved=retrieved,
-        n_leaked=leaked,
-        n_lost=lost,
-        n_background_roi=background_roi,
+        sbr=totals.counting_sbr(config.source.n_pulses),
+        click_times_ns=np.concatenate(click_times),
+        n_arrived=totals.arrived,
+        n_retrieved=totals.retrieved,
+        n_leaked=totals.leaked,
+        n_lost=totals.lost,
+        n_background_roi=totals.background_roi,
     )

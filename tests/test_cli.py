@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from memqkd import OUTPUT_DIR_ENV, serialize_config, preset_config
+from memqkd import OUTPUT_DIR_ENV, reports, serialize_config, preset_config
 from memqkd.cli import main
 from memqkd.simulation import BLOCK_PULSES
 
@@ -48,8 +48,9 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
 
 
 def test_run_is_byte_identical_across_worker_counts(tmp_path):
-    # 3.5 blocks: a partial last block, several chunks, more workers than blocks.
-    pulses = str(7 * BLOCK_PULSES // 2)
+    # 5.5 blocks: a partial last block, more blocks than the four that two
+    # workers keep in flight (so the window refills), more workers than blocks.
+    pulses = str(11 * BLOCK_PULSES // 2)
     outputs = {}
     for workers in (1, 2, 3, 8):
         outdir = tmp_path / f"w{workers}"
@@ -138,6 +139,58 @@ def test_misplaced_roi_is_config_error_before_any_output(tmp_path, capsys, line,
     assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 1
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_click_load_above_the_cap_is_config_error_before_any_output(tmp_path, capsys):
+    # numpy's Poisson draw used to fail on this mean after outdir was made.
+    path = tmp_path / "bright.ini"
+    path.write_text("[source]\nmu_alice = 1e300\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--pulses", "100", "--outdir", str(outdir)) == 1
+    assert "exceed the cap of 2000" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):
+    (tmp_path / "histogram.csv").mkdir()
+    code = run_cli(
+        "run", "--preset", "experiment3", "--pulses", "100", "--outdir", str(tmp_path),
+    )  # fmt: skip
+    assert code == 2
+    assert "histogram.csv" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["histogram.csv"]
+    assert not any((tmp_path / "histogram.csv").iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing):
+    calls = []
+    real_bin_clicks = reports.bin_clicks
+
+    def failing_bin_clicks(*args):
+        calls.append(1)
+        if len(calls) == 4:
+            raise ValueError("injected failure in block 3")
+        return real_bin_clicks(*args)
+
+    monkeypatch.setattr(reports, "bin_clicks", failing_bin_clicks)
+    outdir = tmp_path / "out"
+    if existing:
+        outdir.mkdir()
+        (outdir / "summary.txt").write_text("an earlier run\n")
+    code = run_cli(
+        "run", "--preset", "experiment3", "--pulses", str(7 * BLOCK_PULSES // 2),
+        "--outdir", str(outdir),
+    )  # fmt: skip
+    assert code == 2
+    assert len(calls) == 4
+    if existing:
+        # The earlier output set is left as it was, with no temporary directory.
+        assert [p.name for p in outdir.iterdir()] == ["summary.txt"]
+        assert (outdir / "summary.txt").read_text() == "an earlier run\n"
+    else:
+        assert not outdir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -275,6 +328,25 @@ def test_calibrate_rejects_zero_efficiency(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "retrieval_efficiency must lie in (0, 1], got 0.0" in captured.err
         assert "[memory]" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--mu-range", "-1:2"), "mu must be positive and finite, got -1.0"),
+        (("--mu-range", "-1:-2"), "--mu-range is inverted: '-1:-2'"),
+        (("--qber-range", "-.2:0.4"), "qber_x must lie in [0, 0.5], got -0.2"),
+    ],
+)
+def test_sweep_range_may_start_with_a_minus_sign(tmp_path, capsys, flags, message):
+    # argparse used to read "-1:2" as an unknown option, not as the range.
+    outdir = tmp_path / "out"
+    assert run_cli(
+        "sweep-keyrate", "--mu-range", "0.5:2", "--qber-range", "0:0.1", *flags,
+        "--outdir", str(outdir),
+    ) == 1  # fmt: skip
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(

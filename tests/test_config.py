@@ -14,11 +14,13 @@ from memqkd import (
     RunConfig,
     SourceConfig,
     parse_config,
+    PRESET_NAMES,
     preset_config,
     qber_oracle_from_sbr,
+    run_experiment,
     serialize_config,
 )
-from memqkd.config import _converters
+from memqkd.config import MAX_CLICKS_PER_PULSE, _converters
 from memqkd.simulation import SourceMode
 
 #: (section, config class, field) for every float field, roi_center_ns included.
@@ -291,3 +293,43 @@ def test_readme_config_example_parses_to_the_defaults():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = readme.split("```ini\n")[1].split("```")[0]
     assert parse_config(example) == RunConfig()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_sit_far_below_the_click_cap(name):
+    assert preset_config(name).expected_clicks_per_pulse <= MAX_CLICKS_PER_PULSE / 10
+
+
+@pytest.mark.parametrize(
+    "preset,rel_fluctuation",
+    [("experiment2", 0.05), ("experiment3", 3.0)],  # 3.0 truncates a third of the gains
+)
+def test_expected_clicks_match_a_run(preset, rel_fluctuation):
+    config = preset_config(preset, n_pulses=40_000, seed=13)
+    config = dataclasses.replace(
+        config, channel=dataclasses.replace(config.channel, rel_fluctuation=rel_fluctuation)
+    )
+    result = run_experiment(config)
+    # Arrivals plus every background click (each click is leaked, retrieved
+    # or background).
+    background = result.click_times_ns.size - result.n_leaked - result.n_retrieved
+    per_pulse = (result.n_arrived + background) / 40_000
+    assert per_pulse == pytest.approx(config.expected_clicks_per_pulse, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "section,line",
+    [
+        ("source", "mu_alice = 1e300"),
+        ("memory", "background_mean = 1e300"),
+        ("channel", "rel_fluctuation = 1e306"),
+    ],
+)
+def test_click_load_above_the_cap_is_rejected(section, line):
+    with pytest.raises(ConfigError, match="exceed the cap of 2000") as info:
+        parse_config(f"[{section}]\n{line}\n")
+    assert info.value.line is None  # a cross-section limit has no single line
+    key, value = line.split(" = ")
+    cls = {"source": SourceConfig, "memory": MemoryConfig, "channel": ChannelConfig}[section]
+    with pytest.raises(ValueError, match="expected clicks per pulse"):
+        RunConfig(**{section: cls(**{key: float(value)})})

@@ -1,7 +1,9 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import chisquare
 
 from memqkd import (
@@ -26,7 +28,8 @@ from memqkd import (
     sift,
 )
 from memqkd.qubits import BASES
-from memqkd.simulation import BLOCK_PULSES
+from memqkd import simulation
+from memqkd.simulation import BLOCK_PULSES, simulate_blocks
 
 H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
 Z, X = BASES.index(Basis.Z), BASES.index(Basis.X)
@@ -317,7 +320,7 @@ def test_photon_conservation_totals():
 
 #: Per-pulse arrays of a RunResult, plus its click times.
 COLUMNS = (
-    "emit_time_ns", "state", "mu_eff", "bob_basis", "c0", "c1",
+    "state", "mu_eff", "bob_basis", "c0", "c1",
     "leak_clicks", "sifted", "error", "click_times_ns",
 )  # fmt: skip
 
@@ -374,7 +377,8 @@ def test_pulse_train_matches_run_states_across_blocks():
     train = generate_pulse_train(config.source, seed=42)
     result = run_experiment(config, workers=2)
     assert np.array_equal(codes(*(s for _, _, s in train)), result.state)
-    assert [t for _, t, _ in train] == result.emit_time_ns.tolist()
+    period = config.source.pulse_period_ns
+    assert [t for _, t, _ in train] == [i * period for i in range(len(result.state))]
 
 
 def test_zero_pulse_run():
@@ -432,3 +436,106 @@ def test_roi_must_fit_in_window():
             memory=MemoryConfig(retrieval_delay_ns=1990.0),
             analysis=AnalysisConfig(),
         )
+
+
+# --- block stream -------------------------------------------------------------
+
+
+def test_run_experiment_joins_the_identity_reduced_blocks():
+    config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=23)
+    blocks = list(
+        simulate_blocks(config, 23, 1, DoubleClickPolicy.RANDOM, lambda *block: block)
+    )
+    assert [start for start, *_ in blocks] == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
+    result = run_experiment(config, workers=2)
+    for column in set(COLUMNS) - {"click_times_ns"}:
+        joined = np.concatenate([columns[column] for _, columns, _, _ in blocks])
+        assert np.array_equal(getattr(result, column), joined), column
+    joined = np.concatenate([times for _, _, times, _ in blocks])
+    assert np.array_equal(result.click_times_ns, joined)
+    photons = [p for *_, p in blocks]
+    totals = sum(photons[1:], photons[0])
+    assert (totals.arrived, totals.retrieved, totals.leaked, totals.lost) == (
+        result.n_arrived, result.n_retrieved, result.n_leaked, result.n_lost,
+    )  # fmt: skip
+    assert totals.background_roi == result.n_background_roi
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that runs each block when submitted
+    and records how many blocks are submitted and not yet consumed."""
+
+    def __init__(self, max_workers, log):
+        self.log = log
+        log["processes"] = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, block):
+        future = Future()
+        future.set_result(fn(block))
+        self.log["submitted"] = self.log.get("submitted", 0) + 1
+        return future
+
+
+@pytest.mark.parametrize("workers,n_blocks", [(2, 11), (3, 4), (8, 3)])
+def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
+    log = {}
+    monkeypatch.setattr(
+        simulation, "ProcessPoolExecutor", lambda max_workers: _InlinePool(max_workers, log)
+    )
+    config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
+    starts = []
+    for start in simulate_blocks(
+        config, 2, workers, DoubleClickPolicy.RANDOM, lambda start, *_: start
+    ):
+        starts.append(start)
+        # Two blocks per process are in flight: one is submitted as each is
+        # consumed, until none are left.
+        in_flight = log["submitted"] - len(starts)
+        assert in_flight == min(2 * log["processes"], n_blocks - len(starts))
+    assert log["processes"] == min(workers, n_blocks)
+    assert starts == [b * BLOCK_PULSES for b in range(n_blocks)]
+
+
+def test_stream_rejects_zero_workers():
+    config = preset_config("experiment3", n_pulses=10, seed=2)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        next(simulate_blocks(config, 2, 0, DoubleClickPolicy.RANDOM, lambda *block: block))
+
+
+_COUNTS = st.integers(0, 2**70)
+
+
+@st.composite
+def _samples(draw):
+    """Any valid SiftedSample: errors never exceed the sifted count."""
+    n_sifted_z, n_sifted_x = draw(_COUNTS), draw(_COUNTS)
+    return SiftedSample(
+        n_sifted_z, n_sifted_x, draw(st.integers(0, n_sifted_z)), draw(st.integers(0, n_sifted_x))
+    )
+
+
+@given(st.lists(_samples(), min_size=1, max_size=6))
+def test_sifted_sample_sum_is_exact(samples):
+    total = sum(samples[1:], samples[0])
+    for field in ("n_sifted_z", "n_sifted_x", "n_err_z", "n_err_x"):
+        assert getattr(total, field) == sum(getattr(s, field) for s in samples)
+
+
+def test_block_samples_sum_to_the_run_sample():
+    config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
+    samples = list(
+        simulate_blocks(
+            config, 29, 1, DoubleClickPolicy.DISCARD,
+            lambda start, c, *_: SiftedSample.from_flags(c["bob_basis"], c["sifted"], c["error"]),
+        )
+    )  # fmt: skip
+    assert len(samples) == 3
+    assert sum(samples[1:], samples[0]) == run_experiment(
+        config, policy=DoubleClickPolicy.DISCARD
+    ).sample
