@@ -161,17 +161,14 @@ def _load_run_config(args) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
         config = parse_config(text)
-    if args.pulses is not None:
-        if args.pulses < 0:
-            raise ConfigError(f"--pulses must be nonnegative, got {args.pulses}")
-        config = dataclasses.replace(
-            config, source=dataclasses.replace(config.source, n_pulses=args.pulses)
-        )
-    if args.seed is not None:
-        try:
+    try:
+        if args.pulses is not None:
+            source = dataclasses.replace(config.source, n_pulses=args.pulses)
+            config = dataclasses.replace(config, source=source)
+        if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     return config
 
 
@@ -214,8 +211,8 @@ def _cmd_run(args) -> int:
         )  # fmt: skip
         # Rows are written in block order; the histogram, sample and photon
         # totals are summed over the blocks (there is always at least one).
-        with closing(blocks), paths["pulses.csv"].open("w") as out:
-            out.write(PULSE_CSV_HEADER + "\n")
+        with closing(blocks), paths["pulses.csv"].open("wb") as out:
+            out.write(PULSE_CSV_HEADER.encode() + b"\n")
             rows, *totals = next(blocks)
             out.write(rows)
             for rows, *block_totals in blocks:

@@ -32,18 +32,23 @@ _MAX_SEED = 2**64 - 1
 #: brightest preset (experiment2) expects about 101.
 MAX_CLICKS_PER_PULSE = 2000.0
 
+#: Most histogram bins (record window over bin width) a run accepts, per block.
+MAX_BINS = 10**6
+
 
 class SourceMode(Enum):
     ORDERED = "ordered"
     RANDOM = "random"
 
 
-def _require_finite(config) -> None:
-    """Reject NaN and infinite float fields; range checks cannot see NaN."""
+def _check_floats(config) -> None:
+    """Reject NaN and infinite float fields; store -0.0 as 0.0 (numpy rejects it)."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
+            object.__setattr__(config, field.name, value + 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class SourceConfig:
     n_pulses: int = 10_000
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_floats(self)
         if not self.pulse_width_ns > 0:
             raise ValueError(f"pulse_width_ns must be positive, got {self.pulse_width_ns}")
         if not self.pulse_width_ns < self.pulse_period_ns:
@@ -72,8 +77,11 @@ class SourceConfig:
             )
         if not self.mu_alice > 0:
             raise ValueError(f"mu_alice must be positive, got {self.mu_alice}")
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
+        # Pulse indices are int64 and emit times float64 (pulses.csv).
+        if not 0 <= self.n_pulses <= 2**63:
+            raise ValueError(f"n_pulses must lie in [0, 2**63], got {self.n_pulses}")
+        if not math.isfinite((self.n_pulses - 1) * self.pulse_period_ns):
+            raise ValueError("the last emit time (n_pulses - 1) * pulse_period_ns overflows")
 
 
 @dataclass(frozen=True)
@@ -88,12 +96,14 @@ class ChannelConfig:
     rel_fluctuation: float = 0.05
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_floats(self)
         if not 0.0 < self.transmission <= 1.0:
             raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
-        if self.rel_fluctuation < 0:
+        # numpy's standard normal draws z stay below 14 in magnitude, so every
+        # gain draw 1 + rel_fluctuation * z is finite.
+        if not 0.0 <= self.rel_fluctuation <= 1e307:
             raise ValueError(
-                f"rel_fluctuation must be nonnegative, got {self.rel_fluctuation}"
+                f"rel_fluctuation must lie in [0, 1e307], got {self.rel_fluctuation}"
             )
 
 
@@ -115,7 +125,7 @@ class MemoryConfig:
     noise_suppression: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_floats(self)
         for name in ("retrieval_efficiency", "leak_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -163,7 +173,7 @@ class AnalysisConfig:
     background_end_ns: float = 2000.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_floats(self)
         if not self.bin_width_ns > 0:
             raise ValueError(f"bin_width_ns must be positive, got {self.bin_width_ns}")
         if not self.window_end_ns > self.window_start_ns:
@@ -171,6 +181,8 @@ class AnalysisConfig:
                 f"record window must be nonempty, got "
                 f"[{self.window_start_ns}, {self.window_end_ns}]"
             )
+        if not (self.window_end_ns - self.window_start_ns) / self.bin_width_ns <= MAX_BINS:
+            raise ValueError(f"the record window holds over {MAX_BINS} bins of bin_width_ns")
         if not self.background_end_ns > self.background_start_ns:
             raise ValueError(
                 f"background region must be nonempty, got "

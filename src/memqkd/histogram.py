@@ -89,7 +89,9 @@ def bin_clicks(
     inside = (ts >= t_start) & (ts < t_end)
     idx = np.floor((ts[inside] - t_start) / bin_width).astype(np.int64)
     counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    return Histogram(bin_width, t_start, t_end, counts, int(ts.size - inside.sum()))
+    # The quotient of a time just below t_end can round up to n_bins.
+    counts[n_bins - 1] += counts[n_bins:].sum()
+    return Histogram(bin_width, t_start, t_end, counts[:n_bins], int(ts.size - inside.sum()))
 
 
 def _window_counts(h: Histogram, lo: float, hi: float) -> float:

@@ -1,8 +1,21 @@
+import dataclasses
 import hashlib
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memqkd import OUTPUT_DIR_ENV, reports, serialize_config, preset_config
+from memqkd import (
+    OUTPUT_DIR_ENV,
+    ConfigError,
+    RunConfig,
+    parse_config,
+    preset_config,
+    reports,
+    serialize_config,
+)
 from memqkd.cli import main
 from memqkd.simulation import BLOCK_PULSES
 
@@ -148,6 +161,24 @@ def test_click_load_above_the_cap_is_config_error_before_any_output(tmp_path, ca
     outdir = tmp_path / "out"
     assert run_cli("run", "--config", str(path), "--pulses", "100", "--outdir", str(outdir)) == 1
     assert "exceed the cap of 2000" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "text,pulses",
+    [
+        # 2 * 1e308 overflows: the third pulse's emit time is not finite.
+        ("[source]\npulse_period_ns = 1e308\nn_pulses = 3\n", "3"),
+        # A one-pulse config is valid; --pulses 3 makes it overflow.
+        ("[source]\npulse_period_ns = 1e308\nn_pulses = 1\n", "3"),
+    ],
+)
+def test_overflowing_emit_time_is_config_error_before_any_output(tmp_path, capsys, text, pulses):
+    path = tmp_path / "far.ini"
+    path.write_text(text)
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--pulses", pulses, "--outdir", str(outdir)) == 1
+    assert "last emit time" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -386,3 +417,59 @@ def test_calibrate_rejects_non_finite_or_unusable_inputs(capsys, flags, message)
     captured = capsys.readouterr()
     assert message in captured.err
     assert "[memory]" not in captured.out
+
+
+#: Float values at the edges of every range: non-finite, signed zero,
+#: subnormal, huge.
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e300,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]  # fmt: skip
+#: ROI centres (and retrieval delays) at the edges of the default ROI
+#: placement: touching the record window or the background region, and one
+#: ulp past either.
+EDGE_ROI_CENTRES = [
+    50.0, math.nextafter(50.0, 0.0), 1150.0, math.nextafter(1150.0, math.inf), 1950.0, 0.0,
+]  # fmt: skip
+#: (section, field name, default) of every float field of a run config.
+FLOAT_KEYS = [
+    (section, field.name, getattr(getattr(RunConfig(), section), field.name))
+    for section in ("source", "channel", "memory", "analysis")
+    for field in dataclasses.fields(getattr(RunConfig(), section))
+    if field.type.startswith("float")
+]
+
+
+def _float_value(name, default):
+    near = 1000.0 if default is None else default
+    values = [near, near / 2, 2 * near, -near, math.nextafter(near, math.inf)]
+    if name in ("roi_center_ns", "retrieval_delay_ns"):
+        values += EDGE_ROI_CENTRES
+    return st.sampled_from(values) | st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_every_parsed_config_runs_or_is_a_config_error(data):
+    # A few float fields take values near their default, at a range edge or
+    # anywhere; the run is tiny. Parsing either succeeds, and then the run
+    # must too, or raises ConfigError, and then the run exits 1. Any other
+    # exception, or a numpy warning (an error under pytest), fails.
+    keys = data.draw(st.sets(st.sampled_from(FLOAT_KEYS), max_size=4), label="keys")
+    sections = {"source": [f"n_pulses = {data.draw(st.integers(0, 3), label='n')}"]}
+    for section, name, default in sorted(keys):
+        value = data.draw(_float_value(name, default), label=name)
+        sections.setdefault(section, []).append(f"{name} = {value!r}")
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+        for name, lines in sections.items()
+    )
+    try:
+        parse_config(text)
+        expected = 0
+    except ConfigError:
+        expected = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--outdir", str(Path(tmp) / "out")]) == expected

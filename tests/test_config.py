@@ -3,6 +3,7 @@ import math
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memqkd
@@ -20,7 +21,7 @@ from memqkd import (
     run_experiment,
     serialize_config,
 )
-from memqkd.config import MAX_CLICKS_PER_PULSE, _converters
+from memqkd.config import MAX_BINS, MAX_CLICKS_PER_PULSE, _converters
 from memqkd.simulation import SourceMode
 
 #: (section, config class, field) for every float field, roi_center_ns included.
@@ -333,3 +334,47 @@ def test_click_load_above_the_cap_is_rejected(section, line):
     cls = {"source": SourceConfig, "memory": MemoryConfig, "channel": ChannelConfig}[section]
     with pytest.raises(ValueError, match="expected clicks per pulse"):
         RunConfig(**{section: cls(**{key: float(value)})})
+
+
+def test_last_emit_time_must_be_finite():
+    assert SourceConfig(pulse_period_ns=1e308, n_pulses=2).n_pulses == 2
+    with pytest.raises(ValueError, match="last emit time"):
+        SourceConfig(pulse_period_ns=1e308, n_pulses=3)
+    # Pulse indices are int64: 2**63 pulses are numbered up to 2**63 - 1.
+    assert SourceConfig(n_pulses=2**63).n_pulses == 2**63
+    with pytest.raises(ValueError, match=r"n_pulses must lie in \[0, 2\*\*63\]"):
+        SourceConfig(n_pulses=2**63 + 1)
+    with pytest.raises(ValueError, match="n_pulses must lie in"):
+        SourceConfig(n_pulses=-1)
+
+
+def test_histogram_bin_count_is_capped():
+    assert AnalysisConfig(bin_width_ns=2000.0 / MAX_BINS).bin_width_ns > 0
+    with pytest.raises(ConfigError, match="bins of bin_width_ns") as info:
+        parse_config("[analysis]\nbin_width_ns = 1e-3\n")
+    assert info.value.line == 2
+    with pytest.raises(ValueError, match="bins of bin_width_ns"):
+        AnalysisConfig(window_start_ns=-1e308, window_end_ns=1e308, background_start_ns=0.0)
+
+
+def test_largest_rel_fluctuation_draws_finite_gains():
+    # A gain draw of 1 + 1e308 * z overflowed to inf, and numpy's Poisson
+    # draw then failed mid-run.
+    with pytest.raises(ConfigError, match=r"rel_fluctuation must lie in \[0, 1e307\]"):
+        parse_config("[channel]\nrel_fluctuation = 1e308\n")
+    config = RunConfig(
+        source=SourceConfig(mu_alice=5e-324, n_pulses=20_000),
+        channel=ChannelConfig(rel_fluctuation=1e307),
+    )
+    assert np.isfinite(run_experiment(config).mu_eff).all()
+
+
+def test_negative_zero_is_stored_as_zero():
+    # numpy rejects a normal scale or a Poisson mean of -0.0 ("scale < 0").
+    config = parse_config(
+        "[source]\nn_pulses = 100\n[channel]\nrel_fluctuation = -0.0\n"
+        "[memory]\nbackground_mean = -0.0\n"
+    )
+    assert math.copysign(1.0, config.channel.rel_fluctuation) == 1.0
+    assert math.copysign(1.0, config.memory.background_mean) == 1.0
+    assert run_experiment(config).n_background_roi == 0

@@ -30,6 +30,15 @@ def test_bin_width_validation():
         bin_clicks([1.0], bin_width=10.0, window=(5.0, 5.0))
 
 
+def test_time_just_below_window_end_stays_in_the_last_bin():
+    # nextafter(7, 0) / 0.7 rounds up to 10.0, one past the last of the
+    # ceil(7 / 0.7) = 10 bins.
+    h = bin_clicks([np.nextafter(7.0, 0.0)], 0.7, (0.0, 7.0))
+    assert h.n_bins == 10
+    assert h.counts.tolist() == [0] * 9 + [1]
+    assert (h + bin_clicks([1.0], 0.7, (0.0, 7.0))).counts.tolist() == [0, 1] + [0] * 7 + [1]
+
+
 def test_count_conservation():
     rng = np.random.default_rng(3)
     ts = rng.uniform(-100.0, 2100.0, 20_000)

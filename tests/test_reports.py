@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from memqkd import POLARIZATION_CYCLE, bin_clicks, preset_config, run_experiment
 from memqkd.qubits import BASES
-from memqkd.reports import _emit_time_fields, _num, block_outputs, pulse_csv_rows
+from memqkd.reports import _emit_time_field, _int_field, _num, block_outputs, pulse_csv_rows
 from memqkd.simulation import BLOCK_PULSES, DoubleClickPolicy, SourceMode, simulate_blocks
 
 #: The per-pulse columns of a RunResult that pulses.csv prints.
@@ -40,8 +40,17 @@ def _row_wise_rows(start, columns, period):
 
 def _lines(text):
     # Compared as lists: pytest's report for two unequal multi-megabyte
-    # strings is a line diff that takes minutes.
+    # strings is a line diff that takes minutes. pulse_csv_rows returns
+    # ASCII bytes.
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
     return text.split("\n")
+
+
+def _slots(matrix):
+    """Each row of a NUL-padded slot matrix, NULs dropped, as text."""
+    assert matrix.dtype == np.uint8
+    return [row[row != 0].tobytes().decode("ascii") for row in matrix]
 
 
 #: One full block and a partial one.
@@ -143,7 +152,7 @@ def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
     rows, hists, samples, photons = zip(*blocks)
     result = run_experiment(config, policy=policy)
     period = config.source.pulse_period_ns
-    assert _lines("".join(rows)) == _lines(_row_wise_rows(0, _columns(result), period))
+    assert _lines(b"".join(rows)) == _lines(_row_wise_rows(0, _columns(result), period))
     analysis = config.analysis
     assert sum(hists[1:], hists[0]) == bin_clicks(
         result.click_times_ns, analysis.bin_width_ns, analysis.window
@@ -170,7 +179,24 @@ _INT64 = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
 @given(arrays(np.float64, st.integers(0, 40), elements=_FLOATS))
 def test_emit_time_fields_match_num_on_any_times(times):
     # Non-integral, past 2**63, nan and inf: every time prints as _num does.
-    assert list(_emit_time_fields(times)) == [_num(t) for t in times.tolist()]
+    assert _slots(_emit_time_field(times)) == [_num(t) for t in times.tolist()]
+
+
+#: Every digit count and sign of an int64: 10**k - 1, 10**k and their
+#: negatives, 0 and both extremes.
+_DIGIT_EDGES = sorted(
+    {0, -(2**63), 2**63 - 1}
+    | {v for k in range(19) for v in (10**k - 1, 10**k, 1 - 10**k, -(10**k))}
+)
+
+
+def test_int_field_matches_str_at_every_digit_count():
+    values = np.array(_DIGIT_EDGES, dtype=np.int64)
+    assert _slots(_int_field(values)) == [str(v) for v in _DIGIT_EDGES]
+    # One value per call: the slot width follows the largest magnitude.
+    assert [_slots(_int_field(np.array([v])))[0] for v in _DIGIT_EDGES] == list(
+        map(str, _DIGIT_EDGES)
+    )
 
 
 @settings(deadline=None)
@@ -185,7 +211,7 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
     )
     # Emit times past the float range overflow to inf with a numpy
     # RuntimeWarning: a matter of the config's magnitudes, not of formatting;
-    # _emit_time_fields is checked on inf above.
+    # _emit_time_field is checked on inf above.
     assume(math.isfinite((start + n) * period))
 
     def column(elements, dtype):
