@@ -48,7 +48,6 @@ from .simulation import (
     RunResult,
     SiftedSample,
     apply_memory,
-    generate_pulse_train,
     measure,
     run_experiment,
     sample_arriving_photons,

@@ -206,9 +206,8 @@ def _cmd_run(args) -> int:
     names = ("pulses.csv", "histogram.csv", "summary.txt")
     with _output_set(outdir, names) as paths:
         blocks = simulate_blocks(
-            config, config.seed, args.workers, DoubleClickPolicy.RANDOM,
-            partial(block_outputs, config),
-        )  # fmt: skip
+            config, args.workers, DoubleClickPolicy.RANDOM, partial(block_outputs, config)
+        )
         # Rows are written in block order; the histogram, sample and photon
         # totals are summed over the blocks (there is always at least one).
         with closing(blocks), paths["pulses.csv"].open("wb") as out:

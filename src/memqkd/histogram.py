@@ -9,9 +9,6 @@ import numpy as np
 
 from .keyrate import SbrEstimate
 
-DEFAULT_BIN_WIDTH_NS = 10.0
-DEFAULT_WINDOW_NS = (0.0, 2000.0)
-
 
 @dataclass(eq=False)
 class Histogram:
@@ -67,11 +64,7 @@ class Histogram:
         )
 
 
-def bin_clicks(
-    timestamps,
-    bin_width: float = DEFAULT_BIN_WIDTH_NS,
-    window: tuple[float, float] = DEFAULT_WINDOW_NS,
-) -> Histogram:
+def bin_clicks(timestamps, bin_width: float, window: tuple[float, float]) -> Histogram:
     """Bin pulse-relative click times into a Histogram.
 
     Every timestamp in [t_start, t_end) increments exactly one bin;
@@ -95,7 +88,11 @@ def bin_clicks(
 
 
 def _window_counts(h: Histogram, lo: float, hi: float) -> float:
-    """Prorated counts in [lo, hi]: full bins plus overlap fractions of partial bins."""
+    """Prorated counts in [lo, hi]: full bins plus overlap fractions of partial bins.
+
+    Weighting each count by its bin's fraction (not its overlap in ns) keeps
+    the sum below the total count, so no time scale can overflow it.
+    """
     if lo < h.t_start or hi > h.t_end:
         raise ValueError(
             f"region [{lo}, {hi}] extends outside the histogram window "
@@ -105,9 +102,8 @@ def _window_counts(h: Histogram, lo: float, hi: float) -> float:
         return 0.0
     starts = h.bin_starts
     ends = starts + h.bin_width
-    overlap = np.minimum(ends, hi) - np.maximum(starts, lo)
-    overlap = np.clip(overlap, 0.0, h.bin_width)
-    return float(np.dot(h.counts, overlap) / h.bin_width)
+    overlap = np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, h.bin_width)
+    return float(np.dot(h.counts, overlap / h.bin_width))
 
 
 def roi_integrate(h: Histogram, center: float, width: float) -> int:
@@ -146,6 +142,6 @@ def sbr_from_histogram(
     if roi_hi > bg_lo and bg_hi > roi_lo:
         raise ValueError("signal ROI and background region must be disjoint")
     eta = roi_integrate(h, signal_center, roi_width)
-    background = _window_counts(h, bg_lo, bg_hi)
-    q = background * roi_width / (bg_hi - bg_lo)
+    # The length ratio first: background * roi_width alone can overflow.
+    q = _window_counts(h, bg_lo, bg_hi) * (roi_width / (bg_hi - bg_lo))
     return SbrEstimate(eta=float(eta), q=q)

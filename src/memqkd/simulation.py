@@ -9,10 +9,10 @@ error rates.
 
 Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
 block may be shorter). Each block draws every layer as whole arrays from one
-stream keyed by (seed, block_index), in a fixed order that starts with the
-prepared states. Workers take whole blocks and the block size never depends
-on the worker count, so a run is a pure function of (config, seed) whatever
-the number of workers.
+stream keyed by (config.seed, block_index), in a fixed order that starts
+with the prepared states. Workers take whole blocks and the block size never
+depends on the worker count, so a run is a pure function of its config
+whatever the number of workers.
 
 simulate_blocks streams a run: it hands each block's arrays to a
 caller-supplied reducer where the block is simulated (in a pool worker when
@@ -38,14 +38,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import ChannelConfig, MemoryConfig, SourceConfig, SourceMode
+from .config import ChannelConfig, MemoryConfig, SourceMode
 from .keyrate import SbrEstimate
 from .qubits import (
     BASES,
     BASIS_MEMBERS,
     POLARIZATION_CYCLE,
     Basis,
-    Polarization,
     basis_of,
     bit_of,
     detection_probability,
@@ -175,25 +174,6 @@ def _draw_states(
     return rng.integers(4, size=stop - start, dtype=np.int8)
 
 
-def generate_pulse_train(
-    source: SourceConfig, seed: int
-) -> list[tuple[int, float, Polarization]]:
-    """Emission schedule as (index, emit_time_ns, state) triples.
-
-    Random-mode states are the first draw of each block stream, so the train
-    matches what a full pipeline run prepares for the same seed.
-    """
-    n = source.n_pulses
-    codes = np.concatenate(
-        [
-            _draw_states(source.mode, *_block_range(n, b), np.random.default_rng([seed, b]))
-            for b in range(_n_blocks(n))
-        ]
-    ).tolist()
-    times = (np.arange(n) * source.pulse_period_ns).tolist()
-    return list(zip(range(n), times, (POLARIZATION_CYCLE[k] for k in codes)))
-
-
 def sample_arriving_photons(
     mu_alice: float, channel: ChannelConfig, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +269,10 @@ class RunResult:
     leak_clicks counts arrivals in the leakage window (diagnostic only,
     never sifted). click_times_ns holds every click (leakage, retrieved,
     background) as a pulse-relative timestamp, ready for histogramming.
-    Pulse i is emitted at i * pulse_period_ns.
+    Pulse i is emitted at i * pulse_period_ns. The counting SBR is
+    photons.counting_sbr(n_pulses).
     """
 
-    seed: int
     state: np.ndarray
     mu_eff: np.ndarray
     bob_basis: np.ndarray
@@ -301,17 +281,12 @@ class RunResult:
     leak_clicks: np.ndarray
     sifted: np.ndarray
     error: np.ndarray
-    sample: SiftedSample
-    sbr: SbrEstimate
     click_times_ns: np.ndarray
-    n_arrived: int
-    n_retrieved: int
-    n_leaked: int
-    n_lost: int
-    n_background_roi: int
+    sample: SiftedSample
+    photons: PhotonTotals
 
 
-def _simulate_block(config, policy, seed, reduce, block):
+def _simulate_block(config, policy, reduce, block):
     """Simulate one block and return reduce(start, columns, click_times, photons).
 
     A pure function of its arguments; every draw comes from the block's own
@@ -325,7 +300,7 @@ def _simulate_block(config, policy, seed, reduce, block):
     )
     start, stop = _block_range(source.n_pulses, block)
     m = stop - start
-    rng = np.random.default_rng([seed, block])
+    rng = np.random.default_rng([config.seed, block])
     state = _draw_states(source.mode, start, stop, rng)
     mu_eff, arrived = sample_arriving_photons(source.mu_alice, channel, rng, m)
     retrieved, leaked, lost, background_roi = apply_memory(arrived, memory, rng)
@@ -370,7 +345,6 @@ def _simulate_block(config, policy, seed, reduce, block):
 
 def simulate_blocks(
     config,
-    seed: int,
     workers: int,
     policy: DoubleClickPolicy,
     reduce: Callable,
@@ -386,13 +360,13 @@ def simulate_blocks(
     processes, so it and its result must pickle. At most
     _IN_FLIGHT_PER_WORKER blocks per process are submitted and not yet
     consumed; the next block is submitted as each one is consumed. Every
-    block is a pure function of (config, seed, block), so the yielded
-    sequence never depends on workers.
+    block is a pure function of (config, block), so the yielded sequence
+    never depends on workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_blocks = _n_blocks(config.source.n_pulses)
-    simulate = partial(_simulate_block, config, policy, seed, reduce)
+    simulate = partial(_simulate_block, config, policy, reduce)
     processes = min(workers, n_blocks)
     if processes == 1:
         yield from map(simulate, range(n_blocks))
@@ -416,35 +390,26 @@ def _whole_block(start, columns, click_times, photons):
 
 def run_experiment(
     config,
-    seed: int | None = None,
     workers: int = 1,
     policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM,
 ) -> RunResult:
     """Run the full pipeline for a RunConfig (which checks the ROI placement).
 
-    Outputs are a pure function of (config, seed): block b of BLOCK_PULSES
-    pulses draws every layer, sifting ties included, from one stream keyed
-    by (seed, b), and workers take whole blocks, so the worker count never
-    changes the result. Holds every block; simulate_blocks streams them.
+    Outputs are a pure function of config: block b of BLOCK_PULSES pulses
+    draws every layer, sifting ties included, from one stream keyed by
+    (config.seed, b), and workers take whole blocks, so the worker count
+    never changes the result. Holds every block; simulate_blocks streams
+    them.
     """
-    if seed is None:
-        seed = config.seed
     _, columns, click_times, photons = zip(
-        *simulate_blocks(config, seed, workers, policy, _whole_block)
+        *simulate_blocks(config, workers, policy, _whole_block)
     )
     columns = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
-    totals = sum(photons[1:], photons[0])
     return RunResult(
-        seed=seed,
         **columns,
+        click_times_ns=np.concatenate(click_times),
         sample=SiftedSample.from_flags(
             columns["bob_basis"], columns["sifted"], columns["error"]
         ),
-        sbr=totals.counting_sbr(config.source.n_pulses),
-        click_times_ns=np.concatenate(click_times),
-        n_arrived=totals.arrived,
-        n_retrieved=totals.retrieved,
-        n_leaked=totals.leaked,
-        n_lost=totals.lost,
-        n_background_roi=totals.background_roi,
+        photons=sum(photons[1:], photons[0]),
     )

@@ -4,12 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every verdict line.
 All tolerances are fixed here, none are calibrated after the fact.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.stats import chisquare
 
 from memqkd import (
+    AnalysisConfig,
     ChannelConfig,
     MemoryConfig,
     RunConfig,
@@ -18,7 +20,6 @@ from memqkd import (
     bin_clicks,
     classical_bound_check,
     fidelity_from_sbr,
-    generate_pulse_train,
     positive_rate_boundary,
     preset_config,
     qber_oracle_from_sbr,
@@ -137,7 +138,7 @@ def test_criterion_05_noise_suppressed_rescaled_run():
     qber = result.sample.qber_mean
     rescaled_sbr = 26.0 / 1.3
     fidelity = fidelity_from_sbr(rescaled_sbr)
-    fidelity_measured = fidelity_from_sbr(result.sbr.sbr)
+    fidelity_measured = fidelity_from_sbr(result.photons.counting_sbr(100_000).sbr)
     ok = (
         0.015 <= qber <= 0.035
         and abs(fidelity - 0.975) <= 0.01
@@ -220,40 +221,47 @@ def test_criterion_08_worker_determinism(tmp_path):
     )
 
 
-def test_criterion_09_source_statistics():
-    random_train = generate_pulse_train(
-        SourceConfig(mode=SourceMode.RANDOM, n_pulses=100_000), seed=9
+def test_criterion_09_source_statistics(tmp_path):
+    random_run = run_experiment(
+        RunConfig(source=SourceConfig(mode=SourceMode.RANDOM, n_pulses=100_000), seed=9)
     )
-    counts = {state: 0 for state in POLARIZATION_CYCLE}
-    for _, _, state in random_train:
-        counts[state] += 1
-    result = chisquare(list(counts.values()))
+    counts = np.bincount(random_run.state, minlength=4).tolist()
+    result = chisquare(counts)
     uniform_ok = result.pvalue > 0.01
 
-    ordered = generate_pulse_train(
-        SourceConfig(mode=SourceMode.ORDERED, n_pulses=12), seed=9
+    code = cli_main(
+        [
+            "run", "--preset", "experiment1", "--pulses", "12", "--seed", "9",
+            "--outdir", str(tmp_path),
+        ]
     )
-    cycle_ok = all(
-        state is POLARIZATION_CYCLE[i % 4] and t == i * 40_000.0
-        for i, t, state in ordered
+    with (tmp_path / "pulses.csv").open(newline="") as f:
+        ordered = list(csv.DictReader(f))
+    cycle_ok = code == 0 and len(ordered) == 12 and all(
+        row["index"] == str(i)
+        and row["state"] == POLARIZATION_CYCLE[i % 4].value
+        and float(row["emit_time_ns"]) == i * 40_000.0
+        for i, row in enumerate(ordered)
     )
     _verdict(
         9,
         "random source passes uniformity, ordered source cycles exactly",
         uniform_ok and cycle_ok,
-        f"chi2 p={result.pvalue:.4f}, counts={list(counts.values())}",
+        f"chi2 p={result.pvalue:.4f}, counts={counts}",
     )
 
 
 def test_criterion_10_histogram_conservation_and_sbr_recovery():
     # Shard/merge equality on real pipeline timestamps.
-    run4 = run_experiment(preset_config("experiment4", n_pulses=100_000, seed=10))
+    config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
+    run4 = run_experiment(config4)
     times = run4.click_times_ns
-    whole = bin_clicks(times)
+    layout = (config4.analysis.bin_width_ns, config4.analysis.window)
+    whole = bin_clicks(times, *layout)
     shards = np.array_split(times, 9)
-    merged = bin_clicks(shards[0])
+    merged = bin_clicks(shards[0], *layout)
     for shard in shards[1:]:
-        merged = merged + bin_clicks(shard)
+        merged = merged + bin_clicks(shard, *layout)
     sharding_ok = merged == whole
 
     # Synthetic recovery: known ratio 5 with >= 1e4 counts in each region.
@@ -266,8 +274,12 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
             rng.uniform(1200.0, 2000.0, n_background),
         ]
     )
+    analysis = AnalysisConfig()
     estimate = sbr_from_histogram(
-        bin_clicks(synthetic), 1000.0, 100.0, (1200.0, 2000.0)
+        bin_clicks(synthetic, analysis.bin_width_ns, analysis.window),
+        1000.0,
+        100.0,
+        (1200.0, 2000.0),
     )
     true_ratio = 5.0
     sigma = true_ratio * math.sqrt(1.0 / 50_000 + 1.0 / 80_000)
@@ -286,7 +298,6 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
             config.analysis.background_region,
         ).sbr
 
-    config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
     sbr4 = preset_histogram_sbr(run4, config4)
     config5 = preset_config("experiment5", n_pulses=100_000, seed=10)
     sbr5 = preset_histogram_sbr(run_experiment(config5), config5)

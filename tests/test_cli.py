@@ -182,6 +182,39 @@ def test_overflowing_emit_time_is_config_error_before_any_output(tmp_path, capsy
     assert not outdir.exists()
 
 
+def _huge_times_config(scale):
+    """A 1000-pulse config with every time field multiplied by scale."""
+    return f"""[source]
+n_pulses = 1000
+pulse_width_ns = {400.0 * scale!r}
+pulse_period_ns = {40_000.0 * scale!r}
+[memory]
+background_mean = 100.0
+retrieval_delay_ns = {5e305 * scale!r}
+roi_width_ns = {1e305 * scale!r}
+[analysis]
+bin_width_ns = {1e301 * scale!r}
+window_end_ns = {1e306 * scale!r}
+background_start_ns = {6e305 * scale!r}
+background_end_ns = {1e306 * scale!r}
+"""
+
+
+def test_histogram_sbr_does_not_depend_on_the_time_scale(tmp_path):
+    # Scaling every time by a power of two bins every click alike; near the
+    # top of the float range the background rescale once overflowed to a
+    # silent sbr_histogram = 0.0.
+    summaries = []
+    for scale in (1.0, 2.0**-1000):
+        path = tmp_path / "huge.ini"
+        path.write_text(_huge_times_config(scale))
+        outdir = tmp_path / repr(scale)
+        assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 0
+        summaries.append((outdir / "summary.txt").read_text())
+    assert summaries[0] == summaries[1]
+    assert "sbr_histogram = 1.00" in summaries[0]
+
+
 def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):
     (tmp_path / "histogram.csv").mkdir()
     code = run_cli(

@@ -25,7 +25,7 @@ def test_boundary_inclusion():
 
 def test_bin_width_validation():
     with pytest.raises(ValueError):
-        bin_clicks([1.0], bin_width=0.0)
+        bin_clicks([1.0], bin_width=0.0, window=(0.0, 2000.0))
     with pytest.raises(ValueError):
         bin_clicks([1.0], bin_width=10.0, window=(5.0, 5.0))
 
@@ -143,6 +143,22 @@ def test_sbr_zero_background_flagged_infinite():
     assert estimate.sbr == math.inf
 
 
+def test_sbr_does_not_overflow_near_the_top_of_the_float_range():
+    # counts x bin_width exceeds the float range, yet scaling every length
+    # by a power of two must not change the estimate.
+    counts = np.full(200, 10**9)
+    small = Histogram(10.0, 0.0, 2000.0, counts)
+    scale = 2.0**1000
+    big = Histogram(10.0 * scale, 0.0, 2000.0 * scale, counts)
+    assert float(counts[0]) * big.bin_width == math.inf
+    expected = sbr_from_histogram(small, 1000.0, 100.0, (1200.0, 2000.0))
+    assert expected.sbr == 1.0
+    estimate = sbr_from_histogram(
+        big, 1000.0 * scale, 100.0 * scale, (1200.0 * scale, 2000.0 * scale)
+    )
+    assert estimate == expected
+
+
 def test_sbr_rejects_overlapping_regions():
     h = bin_clicks([], 10.0, (0.0, 2000.0))
     with pytest.raises(ValueError):
@@ -174,4 +190,4 @@ def test_roi_count_matches_pipeline_tally():
     result = run_experiment(config)
     h = bin_clicks(result.click_times_ns, 10.0, (0.0, 2000.0))
     roi_count = roi_integrate(h, 1000.0, 100.0)
-    assert roi_count == result.n_retrieved + result.n_background_roi
+    assert roi_count == result.photons.retrieved + result.photons.background_roi

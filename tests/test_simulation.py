@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import Future
 
@@ -19,7 +20,6 @@ from memqkd import (
     SourceMode,
     apply_memory,
     basis_of,
-    generate_pulse_train,
     measure,
     preset_config,
     qber_oracle_from_sbr,
@@ -45,36 +45,17 @@ def codes(*states):
 
 def test_ordered_train_cycles_exactly():
     source = SourceConfig(mode=SourceMode.ORDERED, n_pulses=10)
-    train = generate_pulse_train(source, seed=0)
-    states = [s for _, _, s in train]
-    assert states == [H, V, D, A, H, V, D, A, H, V]
-    times = [t for _, t, _ in train]
-    assert times[:4] == [0.0, 40_000.0, 80_000.0, 120_000.0]
+    result = run_experiment(RunConfig(source=source, seed=0))
+    assert np.array_equal(result.state, codes(H, V, D, A, H, V, D, A, H, V))
     # one full cycle spans 4 periods = 160 us
     assert 4 * source.pulse_period_ns == 160_000.0
 
 
-def test_empty_train():
-    source = SourceConfig(mode=SourceMode.RANDOM, n_pulses=0)
-    assert generate_pulse_train(source, seed=1) == []
-
-
 def test_random_train_uniformity():
     source = SourceConfig(mode=SourceMode.RANDOM, n_pulses=100_000)
-    train = generate_pulse_train(source, seed=7)
-    counts = [0, 0, 0, 0]
-    order = {H: 0, V: 1, D: 2, A: 3}
-    for _, _, state in train:
-        counts[order[state]] += 1
+    counts = np.bincount(run_experiment(RunConfig(source=source, seed=7)).state, minlength=4)
     result = chisquare(counts)
     assert result.pvalue > 0.01
-
-
-def test_random_train_matches_pipeline_states():
-    config = preset_config("experiment3", n_pulses=500, seed=42)
-    train = generate_pulse_train(config.source, seed=42)
-    result = run_experiment(config)
-    assert np.array_equal(codes(*(s for _, _, s in train)), result.state)
 
 
 def test_source_config_validation():
@@ -315,7 +296,8 @@ def test_noise_free_run_has_zero_qber():
 def test_photon_conservation_totals():
     config = preset_config("experiment3", n_pulses=3000, seed=5)
     result = run_experiment(config)
-    assert result.n_retrieved + result.n_leaked + result.n_lost == result.n_arrived
+    photons = result.photons
+    assert photons.retrieved + photons.leaked + photons.lost == photons.arrived
 
 
 #: Per-pulse arrays of a RunResult, plus its click times.
@@ -337,7 +319,7 @@ def test_run_determinism_same_seed():
 def test_run_changes_with_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
-    b = run_experiment(config, seed=32)
+    b = run_experiment(dataclasses.replace(config, seed=32))
     assert a.sample != b.sample
 
 
@@ -372,15 +354,6 @@ def test_discard_policy_changes_only_ties():
     assert np.array_equal(drop.sifted, keep.sifted & ~tie)
 
 
-def test_pulse_train_matches_run_states_across_blocks():
-    config = preset_config("experiment3", n_pulses=7 * BLOCK_PULSES // 2, seed=42)
-    train = generate_pulse_train(config.source, seed=42)
-    result = run_experiment(config, workers=2)
-    assert np.array_equal(codes(*(s for _, _, s in train)), result.state)
-    period = config.source.pulse_period_ns
-    assert [t for _, t, _ in train] == [i * period for i in range(len(result.state))]
-
-
 def test_zero_pulse_run():
     config = preset_config("experiment3", n_pulses=0, seed=1)
     result = run_experiment(config)
@@ -403,7 +376,7 @@ def test_run_sbr_estimator_consistency():
     expected = (
         memory.retrieval_efficiency * 1.6 / memory.effective_background
     )
-    assert result.sbr.sbr == pytest.approx(expected, rel=0.05)
+    assert result.photons.counting_sbr(100_000).sbr == pytest.approx(expected, rel=0.05)
 
 
 def test_run_qber_converges_to_oracle():
@@ -444,7 +417,7 @@ def test_roi_must_fit_in_window():
 def test_run_experiment_joins_the_identity_reduced_blocks():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=23)
     blocks = list(
-        simulate_blocks(config, 23, 1, DoubleClickPolicy.RANDOM, lambda *block: block)
+        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda *block: block)
     )
     assert [start for start, *_ in blocks] == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
     result = run_experiment(config, workers=2)
@@ -454,11 +427,7 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
     joined = np.concatenate([times for _, _, times, _ in blocks])
     assert np.array_equal(result.click_times_ns, joined)
     photons = [p for *_, p in blocks]
-    totals = sum(photons[1:], photons[0])
-    assert (totals.arrived, totals.retrieved, totals.leaked, totals.lost) == (
-        result.n_arrived, result.n_retrieved, result.n_leaked, result.n_lost,
-    )  # fmt: skip
-    assert totals.background_roi == result.n_background_roi
+    assert sum(photons[1:], photons[0]) == result.photons
 
 
 class _InlinePool:
@@ -491,7 +460,7 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
     for start in simulate_blocks(
-        config, 2, workers, DoubleClickPolicy.RANDOM, lambda start, *_: start
+        config, workers, DoubleClickPolicy.RANDOM, lambda start, *_: start
     ):
         starts.append(start)
         # Two blocks per process are in flight: one is submitted as each is
@@ -505,7 +474,7 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
 def test_stream_rejects_zero_workers():
     config = preset_config("experiment3", n_pulses=10, seed=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        next(simulate_blocks(config, 2, 0, DoubleClickPolicy.RANDOM, lambda *block: block))
+        next(simulate_blocks(config, 0, DoubleClickPolicy.RANDOM, lambda *block: block))
 
 
 _COUNTS = st.integers(0, 2**70)
@@ -531,7 +500,7 @@ def test_block_samples_sum_to_the_run_sample():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
     samples = list(
         simulate_blocks(
-            config, 29, 1, DoubleClickPolicy.DISCARD,
+            config, 1, DoubleClickPolicy.DISCARD,
             lambda start, c, *_: SiftedSample.from_flags(c["bob_basis"], c["sifted"], c["error"]),
         )
     )  # fmt: skip
