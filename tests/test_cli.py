@@ -16,6 +16,7 @@ from memqkd import (
     reports,
     serialize_config,
 )
+from memqkd import cli
 from memqkd.cli import main
 from memqkd.simulation import BLOCK_PULSES
 
@@ -101,6 +102,22 @@ def test_run_outputs_match_golden_digests(tmp_path):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+#: sha256 of pulses.csv from `memqkd run --preset experiment2 --seed 2016
+#: --pulses 40960` (2.5 blocks), recorded with numpy 2.4. mu_eff is about
+#: 100 there, so its values have a three-digit integer part, and some have
+#: 15 or fewer significant digits.
+EXPERIMENT2_PULSES_DIGEST = "56e0e9b82f07376e03157b02cb700c49615084ab5fad39b98f75da3c99693f77"
+
+
+def test_bright_run_pulses_csv_matches_golden_digest(tmp_path):
+    assert run_cli(
+        "run", "--preset", "experiment2", "--seed", "2016",
+        "--pulses", str(5 * BLOCK_PULSES // 2), "--outdir", str(tmp_path),
+    ) == 0  # fmt: skip
+    digest = hashlib.sha256((tmp_path / "pulses.csv").read_bytes()).hexdigest()
+    assert digest == EXPERIMENT2_PULSES_DIGEST
 
 
 def test_run_config_file(tmp_path):
@@ -274,6 +291,24 @@ def test_runtime_error_exit_code(tmp_path):
         "--outdir", str(blocker / "sub"),
     )
     assert code == 2
+
+
+def test_out_of_memory_is_runtime_error_without_output(tmp_path, monkeypatch, capsys):
+    # A grid too large to allocate: numpy raises MemoryError (its subclass
+    # _ArrayMemoryError) from inside key_rate_map.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "key_rate_map", out_of_memory)
+    code = run_cli(
+        "sweep-keyrate", "--mu-range", "0.1:2", "--qber-range", "0:0.1",
+        "--resolution", "100000x100000", "--outdir", str(tmp_path / "out"),
+    )  # fmt: skip
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: Unable to allocate 74.5 GiB for an array"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from memqkd import POLARIZATION_CYCLE, bin_clicks, preset_config, run_experiment
+from memqkd import POLARIZATION_CYCLE, bin_clicks, preset_config, reports, run_experiment
 from memqkd.qubits import BASES
-from memqkd.reports import _emit_time_field, _int_field, _num, block_outputs, pulse_csv_rows
+from memqkd.reports import (
+    _emit_time_field,
+    _float_field,
+    _int_field,
+    _num,
+    block_outputs,
+    pulse_csv_rows,
+)
 from memqkd.simulation import BLOCK_PULSES, DoubleClickPolicy, SourceMode, simulate_blocks
 
 #: The per-pulse columns of a RunResult that pulses.csv prints.
@@ -191,6 +198,65 @@ def test_int_field_matches_str_at_every_digit_count():
     assert [_slots(_int_field(np.array([v])))[0] for v in _DIGIT_EDGES] == list(
         map(str, _DIGIT_EDGES)
     )
+
+
+def _float_field_text(values):
+    """_float_field of values, one line per value; _float_field prints repr."""
+    field = _float_field(values, repr)
+    matrix = np.hstack([field, np.full((len(values), 1), ord("\n"), np.uint8)])
+    return matrix[matrix != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _assert_float_field_is_repr(values):
+    # Block-sized pieces keep the slot matrices small; only the differing
+    # lines are compared, as a report of a million-line diff takes minutes.
+    for piece in np.array_split(values, -(-len(values) // BLOCK_PULSES)):
+        got, expected = _float_field_text(piece), list(map(repr, piece.tolist()))
+        assert len(got) == len(expected)
+        assert [(g, e) for g, e in zip(got, expected) if g != e][:10] == []
+
+
+def _float_edges():
+    """Both neighbours of every 10**k and 2**q from 1e-6 to 1e17, zeros,
+    subnormals, inf, nan and decimals of 1 to 17 significant digits."""
+    rng = np.random.default_rng(2016)
+    anchors = [float(f"1e{k}") for k in range(-6, 18)] + [2.0**q for q in range(-20, 57)]
+    edges = [np.nextafter(a, to) for a in anchors for to in (0.0, np.inf)] + anchors
+    edges += [0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0), np.inf, np.nan]
+    for digits in range(1, 18):
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 300)
+        exponents = rng.integers(-8, 18, 300) - digits + 1
+        edges += [float(f"{m}e{x}") for m, x in zip(mantissas.tolist(), exponents.tolist())]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
+def test_float_field_is_repr_on_random_bit_patterns_and_edges():
+    rng = np.random.default_rng(9)
+    # Bit patterns of positional values, 1e-4 <= x < 1e16, which the digit
+    # search decides, and fewer of every float: 98% of those lie outside and
+    # go to repr itself, at a few microseconds each.
+    low, high = np.array([1e-4, 1e16]).view(np.int64)
+    positional = rng.integers(low, high, 10**6).view(np.float64)
+    every_float = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    _assert_float_field_is_repr(np.concatenate([every_float, positional, _float_edges()]))
+
+
+@pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
+def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
+    # A slide back to one repr per pulse would still print the same bytes;
+    # count the module's repr calls while one block's rows are built.
+    config = _config(preset, BLOCK_PULSES)
+    columns = _columns(run_experiment(config))
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(reports, "repr", counting_repr, raising=False)
+    pulse_csv_rows(0, columns, config.source.pulse_period_ns)
+    assert len(calls) <= 0.05 * BLOCK_PULSES
 
 
 @settings(deadline=None)
