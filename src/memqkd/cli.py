@@ -21,19 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, resolve_output_dir
+from .config import ConfigError, MemoryConfig, RunConfig, parse_config, resolve_output_dir
 from .keyrate import (
     DEFAULT_EC_INEFFICIENCY,
     REFERENCE_OPERATING_POINTS,
     key_rate_map,
     secret_key_rate,
 )
-from .presets import (
-    PRESET_NAMES,
-    RETRIEVAL_EFFICIENCY,
-    background_mean_for_sbr,
-    preset_config,
-)
+from .presets import PRESET_NAMES, background_mean_for_sbr, preset_config
 from .reports import (
     PULSE_CSV_HEADER,
     block_outputs,
@@ -94,14 +89,15 @@ def _build_parser() -> _Parser:
     )
     cal.add_argument("--target-sbr", type=float, required=True)
     cal.add_argument("--mu", type=float, required=True, help="mean at the memory input")
-    cal.add_argument(
+    efficiency = cal.add_mutually_exclusive_group()
+    efficiency.add_argument(
         "--retrieval-efficiency",
         type=float,
-        default=None,
-        help=f"override the assumed retrieval efficiency (default {RETRIEVAL_EFFICIENCY})",
+        default=MemoryConfig.retrieval_efficiency,
+        help="override the assumed retrieval efficiency (default %(default)s)",
     )
-    cal.add_argument(
-        "--config", type=Path, default=None, help="take retrieval efficiency from a config"
+    efficiency.add_argument(
+        "--config", type=Path, help="take retrieval efficiency from a config"
     )
     return parser
 
@@ -152,15 +148,19 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _read_config(path: Path) -> RunConfig:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    return parse_config(text)
+
+
 def _load_run_config(args) -> RunConfig:
     if args.preset is not None:
         config = preset_config(args.preset)
     else:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        config = parse_config(text)
+        config = _read_config(args.config)
     try:
         if args.pulses is not None:
             source = dataclasses.replace(config.source, n_pulses=args.pulses)
@@ -258,18 +258,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.config is not None and args.retrieval_efficiency is not None:
-        raise ConfigError("--config and --retrieval-efficiency are mutually exclusive")
+    efficiency = args.retrieval_efficiency
     if args.config is not None:
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        efficiency = parse_config(text).memory.retrieval_efficiency
-    elif args.retrieval_efficiency is not None:
-        efficiency = args.retrieval_efficiency
-    else:
-        efficiency = RETRIEVAL_EFFICIENCY
+        efficiency = _read_config(args.config).memory.retrieval_efficiency
     try:
         background = background_mean_for_sbr(args.target_sbr, args.mu, efficiency)
     except ValueError as exc:

@@ -115,11 +115,14 @@ class MemoryConfig:
     is stored and retrieved into the ROI (retrieval_efficiency), or is lost.
     background_mean is the unpolarized background count expected per ROI per
     pulse; noise_suppression scales it down in suppressed-noise operation.
+    Retrieved photons arrive uniformly inside the ROI, roi_width_ns wide and
+    centred on retrieval_delay_ns.
     """
 
     retrieval_efficiency: float = 0.12
     leak_fraction: float = 0.35
-    background_mean: float = 0.12 * 1.6 / 3.2017  # single-photon-level calibration
+    # SBR 3.2017 at 1.6 photons, where the counting oracle's error rate is 0.119.
+    background_mean: float = 0.12 * 1.6 / 3.2017
     retrieval_delay_ns: float = 1000.0
     roi_width_ns: float = 100.0
     noise_suppression: float = 1.0
@@ -155,20 +158,24 @@ class MemoryConfig:
         """Background mean per ROI after noise suppression."""
         return self.background_mean * self.noise_suppression
 
+    @property
+    def roi(self) -> tuple[float, float]:
+        """The retrieval ROI as (start, end) around retrieval_delay_ns."""
+        half = self.roi_width_ns / 2.0
+        return self.retrieval_delay_ns - half, self.retrieval_delay_ns + half
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Per-pulse record window, histogram binning, and SBR regions.
+    """Per-pulse record window, histogram binning, and the background region.
 
-    roi_center_ns defaults to the retrieval peak (memory retrieval delay)
-    when left as None. The background region feeds the histogram SBR
-    estimate and must sit inside the record window.
+    The background region feeds the histogram SBR estimate and must sit
+    inside the record window; the signal ROI is MemoryConfig.roi.
     """
 
     bin_width_ns: float = 10.0
     window_start_ns: float = 0.0
     window_end_ns: float = 2000.0
-    roi_center_ns: float | None = None
     background_start_ns: float = 1200.0
     background_end_ns: float = 2000.0
 
@@ -202,16 +209,6 @@ class AnalysisConfig:
     def background_region(self) -> tuple[float, float]:
         return (self.background_start_ns, self.background_end_ns)
 
-    def roi_center(self, memory: MemoryConfig) -> float:
-        return (
-            memory.retrieval_delay_ns if self.roi_center_ns is None else self.roi_center_ns
-        )
-
-    def roi(self, memory: MemoryConfig) -> tuple[float, float]:
-        """The retrieval ROI as (start, end) around roi_center."""
-        center = self.roi_center(memory)
-        return center - memory.roi_width_ns / 2.0, center + memory.roi_width_ns / 2.0
-
 
 class ConfigError(ValueError):
     """Configuration problem, with the source line when one is known."""
@@ -236,9 +233,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        # Cross-section checks: the ROI comes from [memory] and [analysis].
+        # Cross-section checks: the [memory] ROI against the [analysis] regions.
         analysis = self.analysis
-        roi_lo, roi_hi = analysis.roi(self.memory)
+        roi_lo, roi_hi = self.memory.roi
         window_lo, window_hi = analysis.window
         if roi_lo < window_lo or roi_hi > window_hi:
             raise ValueError(
@@ -305,7 +302,6 @@ def _parse_mode(text: str) -> SourceMode:
 #: Field annotation -> converter from the document's value text.
 _CONVERTERS = {
     "float": _parse_float,
-    "float | None": _parse_float,
     "int": _parse_int,
     "SourceMode": _parse_mode,
     "str | None": str,
@@ -377,8 +373,9 @@ def parse_config(text: str) -> RunConfig:
         try:
             parts[name] = cls(**values[name])
         except ValueError as exc:
-            # Single-key range errors point at the key's line, cross-field
-            # errors at the section header.
+            # An error points at the line of the first key set in the
+            # section that its message names (so [source] pulse_width_ns =
+            # 50000 reports that key's line), else at the section header.
             line = key_line(name, str(exc))
             if line is None:
                 line = section_line.get(name)

@@ -6,9 +6,9 @@ and through fixed scientific notation (13 significant digits) in the
 key-rate grids.
 
 A run's outputs are reduced block by block (block_outputs, the reducer that
-memqkd run hands to simulation.simulate_blocks): each block becomes its
-pulses.csv rows, its click histogram and its tallies, so no per-pulse array
-or click time outlives its block.
+memqkd run hands to simulation.simulate_blocks): each block, the RunResult
+of its pulses, becomes its pulses.csv rows, its click histogram and its
+tallies, so no per-pulse array or click time outlives its block.
 
 pulses.csv rows are laid out as one (pulses, width) byte matrix per block:
 each field is a column slot padded with NUL bytes, the slots are joined by
@@ -35,7 +35,7 @@ import numpy as np
 from .histogram import Histogram, bin_clicks, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
 from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import PhotonTotals, SiftedSample
+from .simulation import PhotonTotals, RunResult, SiftedSample
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -215,25 +215,24 @@ def _emit_time_field(times: np.ndarray) -> np.ndarray:
     return np.hstack([ints, others])
 
 
-def pulse_csv_rows(start: int, columns: dict, pulse_period_ns: float) -> bytes:
+def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> bytes:
     """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
 
-    columns maps the per-pulse column names of RunResult to equal-length
-    arrays; pulse i is emitted at i * pulse_period_ns. Built as one byte
-    matrix (module docstring).
+    block holds the pulses' per-pulse arrays; pulse i is emitted at
+    i * pulse_period_ns. Built as one byte matrix (module docstring).
     """
-    index = np.arange(start, start + len(columns["state"]))
+    index = np.arange(start, start + len(block.state))
     fields = (
         _int_field(index),
         _emit_time_field(index * pulse_period_ns),
-        _STATE_CODES[columns["state"]][:, None],
-        _float_field(columns["mu_eff"], repr),
-        _BASIS_CODES[columns["bob_basis"]][:, None],
-        _int_field(columns["c0"]),
-        _int_field(columns["c1"]),
-        _int_field(columns["leak_clicks"]),
-        _FLAG_CODES[columns["sifted"].astype(np.intp)][:, None],
-        _FLAG_CODES[columns["error"].astype(np.intp)][:, None],
+        _STATE_CODES[block.state][:, None],
+        _float_field(block.mu_eff, repr),
+        _BASIS_CODES[block.bob_basis][:, None],
+        _int_field(block.c0),
+        _int_field(block.c1),
+        _int_field(block.leak_clicks),
+        _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
+        _FLAG_CODES[block.error.astype(np.intp)][:, None],
     )
     comma, newline = (np.full((len(index), 1), ord(c), np.uint8) for c in ",\n")
     matrix = np.hstack([slot for field in fields for slot in (field, comma)][:-1] + [newline])
@@ -241,7 +240,7 @@ def pulse_csv_rows(start: int, columns: dict, pulse_period_ns: float) -> bytes:
 
 
 def block_outputs(
-    config, start: int, columns: dict, click_times: np.ndarray, photons: PhotonTotals
+    config, start: int, block: RunResult
 ) -> tuple[bytes, Histogram, SiftedSample, PhotonTotals]:
     """Reduce one block of a run to (pulses.csv rows, histogram, sample, photons).
 
@@ -250,10 +249,10 @@ def block_outputs(
     """
     analysis = config.analysis
     return (
-        pulse_csv_rows(start, columns, config.source.pulse_period_ns),
-        bin_clicks(click_times, analysis.bin_width_ns, analysis.window),
-        SiftedSample.from_flags(columns["bob_basis"], columns["sifted"], columns["error"]),
-        photons,
+        pulse_csv_rows(start, block, config.source.pulse_period_ns),
+        bin_clicks(block.click_times_ns, analysis.bin_width_ns, analysis.window),
+        block.sample,
+        block.photons,
     )
 
 
@@ -291,12 +290,12 @@ def summary_text(
 
     sample, photons and hist are the run's totals, summed over its blocks.
     """
-    analysis, memory = config.analysis, config.memory
+    memory = config.memory
     hist_sbr = sbr_from_histogram(
         hist,
-        analysis.roi_center(memory),
+        memory.retrieval_delay_ns,
         memory.roi_width_ns,
-        analysis.background_region,
+        config.analysis.background_region,
     )
     n_pulses = config.source.n_pulses
     counting = photons.counting_sbr(n_pulses)

@@ -14,11 +14,12 @@ with the prepared states. Workers take whole blocks and the block size never
 depends on the worker count, so a run is a pure function of its config
 whatever the number of workers.
 
-simulate_blocks streams a run: it hands each block's arrays to a
-caller-supplied reducer where the block is simulated (in a pool worker when
-there are several) and yields the reduced blocks in block order, with at
-most _IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
-run_experiment keeps every block and joins them.
+Each block is a RunResult of its own pulses. simulate_blocks streams a
+run: it hands each block to a caller-supplied reducer where the block is
+simulated (in a pool worker when there are several) and yields the reduced
+blocks in block order, with at most _IN_FLIGHT_PER_WORKER blocks per worker
+submitted and not yet consumed. run_experiment keeps every block and joins
+them.
 
 Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
 basis its index in BASES (Z, X).
@@ -262,15 +263,15 @@ def sift(
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """One pipeline run: per-pulse arrays (row i is pulse i) plus run totals.
+    """A run, or one block of it: per-pulse arrays plus totals.
 
-    state and bob_basis hold array codes (see the module docstring); c0 and
-    c1 count the bit-0 and bit-1 detectors of bob_basis inside the ROI;
-    leak_clicks counts arrivals in the leakage window (diagnostic only,
-    never sifted). click_times_ns holds every click (leakage, retrieved,
-    background) as a pulse-relative timestamp, ready for histogramming.
-    Pulse i is emitted at i * pulse_period_ns. The counting SBR is
-    photons.counting_sbr(n_pulses).
+    Row i is the i-th pulse of the run or block. state and bob_basis hold
+    array codes (see the module docstring); c0 and c1 count the bit-0 and
+    bit-1 detectors of bob_basis inside the ROI; leak_clicks counts arrivals
+    in the leakage window (diagnostic only, never sifted). click_times_ns
+    holds every click (leakage, retrieved, background) as a pulse-relative
+    timestamp, ready for histogramming. Pulse i of the run is emitted at
+    i * pulse_period_ns. The counting SBR is photons.counting_sbr(n_pulses).
     """
 
     state: np.ndarray
@@ -287,17 +288,12 @@ class RunResult:
 
 
 def _simulate_block(config, policy, reduce, block):
-    """Simulate one block and return reduce(start, columns, click_times, photons).
+    """Simulate one block and return reduce(start, the RunResult of its pulses).
 
     A pure function of its arguments; every draw comes from the block's own
     stream, in a fixed order.
     """
-    source, channel, memory, analysis = (
-        config.source,
-        config.channel,
-        config.memory,
-        config.analysis,
-    )
+    source, channel, memory = config.source, config.channel, config.memory
     start, stop = _block_range(source.n_pulses, block)
     m = stop - start
     rng = np.random.default_rng([config.seed, block])
@@ -305,8 +301,8 @@ def _simulate_block(config, policy, reduce, block):
     mu_eff, arrived = sample_arriving_photons(source.mu_alice, channel, rng, m)
     retrieved, leaked, lost, background_roi = apply_memory(arrived, memory, rng)
 
-    roi_lo, roi_hi = analysis.roi(memory)
-    window_lo, window_hi = analysis.window
+    roi_lo, roi_hi = memory.roi
+    window_lo, window_hi = config.analysis.window
     span_outside = (window_hi - window_lo) - memory.roi_width_ns
     # Background is a homogeneous process over the record window; drawing the
     # ROI share inside apply_memory and the remainder here keeps the ROI count
@@ -326,21 +322,22 @@ def _simulate_block(config, policy, reduce, block):
     bob_basis, c0, c1 = measure(state, retrieved, background_roi, rng)
     sifted, error = sift(state, bob_basis, c0, c1, rng, policy)
 
-    columns = {
-        "state": state,
-        "mu_eff": mu_eff,
-        "bob_basis": bob_basis,
-        "c0": c0,
-        "c1": c1,
-        "leak_clicks": leak_clicks,
-        "sifted": sifted,
-        "error": error,
-    }
-    times = np.concatenate([leak_times, roi_times, outside_times])
-    photons = PhotonTotals(
-        *(int(n.sum()) for n in (arrived, retrieved, leaked, lost, background_roi))
+    result = RunResult(
+        state=state,
+        mu_eff=mu_eff,
+        bob_basis=bob_basis,
+        c0=c0,
+        c1=c1,
+        leak_clicks=leak_clicks,
+        sifted=sifted,
+        error=error,
+        click_times_ns=np.concatenate([leak_times, roi_times, outside_times]),
+        sample=SiftedSample.from_flags(bob_basis, sifted, error),
+        photons=PhotonTotals(
+            *(int(n.sum()) for n in (arrived, retrieved, leaked, lost, background_roi))
+        ),
     )
-    return reduce(start, columns, times, photons)
+    return reduce(start, result)
 
 
 def simulate_blocks(
@@ -349,11 +346,10 @@ def simulate_blocks(
     policy: DoubleClickPolicy,
     reduce: Callable,
 ) -> Iterator:
-    """Yield reduce(start, columns, click_times, photons) per block, in block order.
+    """Yield reduce(start, block) per block, in block order.
 
-    start is the block's first pulse index; columns maps each per-pulse
-    RunResult column name to the block's array; click_times holds the
-    block's click timestamps and photons its PhotonTotals.
+    start is the block's first pulse index and block the RunResult of the
+    block's pulses.
 
     reduce runs where its block is simulated: in this process for one
     worker (or one block), otherwise in one of min(workers, blocks) pool
@@ -383,9 +379,9 @@ def simulate_blocks(
             yield done
 
 
-def _whole_block(start, columns, click_times, photons):
-    """The identity reducer: keeps every array of the block."""
-    return start, columns, click_times, photons
+def _whole_block(start, block):
+    """The identity reducer: keeps the whole block."""
+    return block
 
 
 def run_experiment(
@@ -401,15 +397,14 @@ def run_experiment(
     never changes the result. Holds every block; simulate_blocks streams
     them.
     """
-    _, columns, click_times, photons = zip(
-        *simulate_blocks(config, workers, policy, _whole_block)
-    )
-    columns = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
-    return RunResult(
-        **columns,
-        click_times_ns=np.concatenate(click_times),
-        sample=SiftedSample.from_flags(
-            columns["bob_basis"], columns["sifted"], columns["error"]
-        ),
-        photons=sum(photons[1:], photons[0]),
-    )
+    blocks = list(simulate_blocks(config, workers, policy, _whole_block))
+
+    def joined(name):
+        # Arrays concatenate in block order; sample and photons add exactly.
+        parts = [getattr(block, name) for block in blocks]
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return sum(parts[1:], parts[0])
+
+    names = (field.name for field in dataclasses.fields(RunResult))
+    return RunResult(**{name: joined(name) for name in names})

@@ -293,7 +293,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
         )
         return sbr_from_histogram(
             hist,
-            config.analysis.roi_center(config.memory),
+            config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,
         ).sbr

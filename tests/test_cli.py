@@ -278,6 +278,42 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "absent.ini")) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+@pytest.mark.parametrize("target", ["absent.ini", "a-directory"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, command, target):
+    (tmp_path / "a-directory").mkdir()
+    outdir = tmp_path / "out"
+    if command == "run":
+        flags = ("--outdir", str(outdir))
+    else:
+        flags = ("--target-sbr", "5", "--mu", "2")
+    assert run_cli(command, "--config", str(tmp_path / target), *flags) == 1
+    captured = capsys.readouterr()
+    assert "cannot read config file" in captured.err
+    assert "[memory]" not in captured.out
+    assert not outdir.exists()
+
+
+def test_calibrate_config_and_efficiency_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(RunConfig()))
+    flags = ("--config", str(path), "--retrieval-efficiency", "0.1")
+    assert run_cli("calibrate", "--target-sbr", "5", "--mu", "2", *flags) == 1
+    captured = capsys.readouterr()
+    assert "--config" in captured.err and "--retrieval-efficiency" in captured.err
+    assert "[memory]" not in captured.out
+
+
+def test_roi_centre_is_not_an_analysis_key(tmp_path, capsys):
+    # The ROI is centred on [memory] retrieval_delay_ns alone.
+    path = tmp_path / "roi.ini"
+    path.write_text("[analysis]\nroi_center_ns = 900\n")
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 1
+    assert "line 2: unknown key 'roi_center_ns' in [analysis]" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_bad_flag_is_config_error(capsys):
     assert run_cli("run", "--preset", "experiment9") == 1
     assert "configuration error" in capsys.readouterr().err
@@ -493,7 +529,7 @@ EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e300,
     1.7976931348623157e308, -1.7976931348623157e308,
 ]  # fmt: skip
-#: ROI centres (and retrieval delays) at the edges of the default ROI
+#: Retrieval delays (ROI centres) at the edges of the default ROI
 #: placement: touching the record window or the background region, and one
 #: ulp past either.
 EDGE_ROI_CENTRES = [
@@ -509,9 +545,8 @@ FLOAT_KEYS = [
 
 
 def _float_value(name, default):
-    near = 1000.0 if default is None else default
-    values = [near, near / 2, 2 * near, -near, math.nextafter(near, math.inf)]
-    if name in ("roi_center_ns", "retrieval_delay_ns"):
+    values = [default, default / 2, 2 * default, -default, math.nextafter(default, math.inf)]
+    if name == "retrieval_delay_ns":
         values += EDGE_ROI_CENTRES
     return st.sampled_from(values) | st.sampled_from(EDGE_FLOATS) | st.floats()
 

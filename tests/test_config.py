@@ -24,7 +24,7 @@ from memqkd import (
 from memqkd.config import MAX_BINS, MAX_CLICKS_PER_PULSE, _converters
 from memqkd.simulation import SourceMode
 
-#: (section, config class, field) for every float field, roi_center_ns included.
+#: (section, config class, field) for every float field.
 FLOAT_FIELDS = [
     (section, cls, field.name)
     for section, cls in (
@@ -123,7 +123,7 @@ def test_cross_field_error_mentions_section():
     "memory,analysis,message",
     [
         (MemoryConfig(retrieval_delay_ns=1500.0), AnalysisConfig(), "must be disjoint"),
-        (MemoryConfig(), AnalysisConfig(roi_center_ns=20.0), "record window"),
+        (MemoryConfig(retrieval_delay_ns=20.0), AnalysisConfig(), "record window"),
         (MemoryConfig(roi_width_ns=500.0), AnalysisConfig(), "must be disjoint"),
         (MemoryConfig(retrieval_delay_ns=1990.0), AnalysisConfig(), "record window"),
     ],
@@ -135,7 +135,7 @@ def test_roi_placement_checked_on_construction(memory, analysis, message):
 
 def test_roi_may_touch_background_region():
     config = RunConfig(memory=MemoryConfig(retrieval_delay_ns=1150.0))
-    assert config.analysis.roi(config.memory) == (1100.0, config.analysis.background_start_ns)
+    assert config.memory.roi == (1100.0, config.analysis.background_start_ns)
 
 
 def test_roi_placement_error_from_parser_has_no_run_label():
@@ -162,12 +162,17 @@ def test_roundtrip_presets():
         assert parse_config(serialize_config(config)) == config
 
 
+def test_defaults_are_the_experiment3_calibration():
+    # Presets start from the defaults, so the defaults must stay experiment3.
+    assert preset_config("experiment3", n_pulses=RunConfig().source.n_pulses) == RunConfig()
+
+
 def test_roundtrip_awkward_floats_and_optionals():
-    from memqkd import AnalysisConfig, SourceConfig
+    from memqkd import SourceConfig
 
     config = RunConfig(
         source=SourceConfig(mu_alice=1.6 / 0.59, mode=SourceMode.ORDERED),
-        analysis=AnalysisConfig(roi_center_ns=987.654321),
+        memory=MemoryConfig(retrieval_delay_ns=987.654321),
         seed=2**63,
         output_dir="runs/out",
     )
@@ -212,8 +217,7 @@ def test_non_finite_float_rejected_by_parser(section, cls, name, value):
 
 
 def test_float_fields_cover_every_section():
-    assert len(FLOAT_FIELDS) == 17
-    assert ("analysis", AnalysisConfig, "roi_center_ns") in FLOAT_FIELDS
+    assert len(FLOAT_FIELDS) == 16
 
 
 def _golden_document(mode, mu_alice, n_pulses, background_mean, noise_suppression, seed):

@@ -19,29 +19,25 @@ from memqkd.reports import (
 )
 from memqkd.simulation import BLOCK_PULSES, DoubleClickPolicy, SourceMode, simulate_blocks
 
-#: The per-pulse columns of a RunResult that pulses.csv prints.
-COLUMN_NAMES = ("state", "mu_eff", "bob_basis", "c0", "c1", "leak_clicks", "sifted", "error")
-
-
-def _row_wise_rows(start, columns, period):
+def _row_wise_rows(start, block, period):
     """Reference: pulses.csv rows formatted one row and one field at a time."""
     return "".join(
         ",".join(
             (
                 str(start + i),
                 _num((start + i) * period),
-                POLARIZATION_CYCLE[columns["state"][i]].value,
-                repr(float(columns["mu_eff"][i])),
-                BASES[columns["bob_basis"][i]].value,
-                str(int(columns["c0"][i])),
-                str(int(columns["c1"][i])),
-                str(int(columns["leak_clicks"][i])),
-                str(int(columns["sifted"][i])),
-                str(int(columns["error"][i])),
+                POLARIZATION_CYCLE[block.state[i]].value,
+                repr(float(block.mu_eff[i])),
+                BASES[block.bob_basis[i]].value,
+                str(int(block.c0[i])),
+                str(int(block.c1[i])),
+                str(int(block.leak_clicks[i])),
+                str(int(block.sifted[i])),
+                str(int(block.error[i])),
             )
         )
         + "\n"
-        for i in range(len(columns["state"]))
+        for i in range(len(block.state))
     )
 
 
@@ -69,14 +65,10 @@ def _config(preset="experiment3", n_pulses=PULSES, **source):
     return dataclasses.replace(config, source=dataclasses.replace(config.source, **source))
 
 
-def _columns(result):
-    return {name: getattr(result, name) for name in COLUMN_NAMES}
-
-
 def _run(preset="experiment3", n_pulses=PULSES, policy=DoubleClickPolicy.RANDOM, **source):
-    """(columns, pulse period) of a run."""
+    """(result, pulse period) of a run."""
     config = _config(preset, n_pulses, **source)
-    return _columns(run_experiment(config, policy=policy)), config.source.pulse_period_ns
+    return run_experiment(config, policy=policy), config.source.pulse_period_ns
 
 
 def _zero_mu_run():
@@ -86,32 +78,33 @@ def _zero_mu_run():
     config = dataclasses.replace(
         config, channel=dataclasses.replace(config.channel, rel_fluctuation=3.0)
     )
-    return _columns(run_experiment(config)), config.source.pulse_period_ns
+    return run_experiment(config), config.source.pulse_period_ns
 
 
 def _huge_clicks_run():
-    columns, period = _run(n_pulses=500)
-    columns.update(
-        c0=columns["c0"] + 2**40,
-        c1=columns["c1"] + 2**62,
-        leak_clicks=columns["leak_clicks"] - 2**62,
+    result, period = _run(n_pulses=500)
+    result = dataclasses.replace(
+        result,
+        c0=result.c0 + 2**40,
+        c1=result.c1 + 2**62,
+        leak_clicks=result.leak_clicks - 2**62,
     )
-    return columns, period
+    return result, period
 
 
-def _times(columns, period):
-    return (np.arange(len(columns["state"])) * period).tolist()
+def _times(result, period):
+    return (np.arange(len(result.state)) * period).tolist()
 
 
-#: name -> (columns builder, check that the case exercises what it is named for)
+#: name -> (result builder, check that the case exercises what it is named for)
 CASES = {
     "integral-period": (lambda: _run(pulse_period_ns=40_000.0), None),
     "non-integral-period": (
         lambda: _run(pulse_period_ns=1234.5678),
         lambda c, p: any(not t.is_integer() for t in _times(c, p)),
     ),
-    "empty": (lambda: _run(n_pulses=0), lambda c, p: len(c["state"]) == 0),
-    "one-pulse": (lambda: _run(n_pulses=1), lambda c, p: len(c["state"]) == 1),
+    "empty": (lambda: _run(n_pulses=0), lambda c, p: len(c.state) == 0),
+    "one-pulse": (lambda: _run(n_pulses=1), lambda c, p: len(c.state) == 1),
     # Integral and non-integral emit times alternate.
     "half-ns-period": (
         lambda: _run(pulse_period_ns=0.5, pulse_width_ns=0.25),
@@ -122,13 +115,13 @@ CASES = {
         lambda: _run(n_pulses=1000, pulse_period_ns=1e16),
         lambda c, p: max(_times(c, p)) >= 2.0**63 > min(_times(c, p)),
     ),
-    "zero-mu": (_zero_mu_run, lambda c, p: (c["mu_eff"] == 0.0).any() and (c["mu_eff"] > 0).any()),
-    "bright": (lambda: _run("experiment2"), lambda c, p: c["c0"].max() >= 10),
-    "huge-clicks": (_huge_clicks_run, lambda c, p: c["c1"].min() >= 2**62),
+    "zero-mu": (_zero_mu_run, lambda c, p: (c.mu_eff == 0.0).any() and (c.mu_eff > 0).any()),
+    "bright": (lambda: _run("experiment2"), lambda c, p: c.c0.max() >= 10),
+    "huge-clicks": (_huge_clicks_run, lambda c, p: c.c1.min() >= 2**62),
     "ordered": (lambda: _run(mode=SourceMode.ORDERED), None),
     "discard": (
         lambda: _run(policy=DoubleClickPolicy.DISCARD),
-        lambda c, p: c["sifted"].any(),
+        lambda c, p: c.sifted.any(),
     ),
 }
 
@@ -136,11 +129,11 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_pulse_csv_matches_row_wise_formatting(case):
     build, exercises = CASES[case]
-    columns, period = build()
+    result, period = build()
     if exercises is not None:
-        assert exercises(columns, period)
-    expected = _row_wise_rows(0, columns, period)
-    assert _lines(pulse_csv_rows(0, columns, period)) == _lines(expected)
+        assert exercises(result, period)
+    expected = _row_wise_rows(0, result, period)
+    assert _lines(pulse_csv_rows(0, result, period)) == _lines(expected)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +152,7 @@ def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
     rows, hists, samples, photons = zip(*blocks)
     result = run_experiment(config, policy=policy)
     period = config.source.pulse_period_ns
-    assert _lines(b"".join(rows)) == _lines(_row_wise_rows(0, _columns(result), period))
+    assert _lines(b"".join(rows)) == _lines(_row_wise_rows(0, result, period))
     analysis = config.analysis
     assert sum(hists[1:], hists[0]) == bin_clicks(
         result.click_times_ns, analysis.bin_width_ns, analysis.window
@@ -247,7 +240,7 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
     # A slide back to one repr per pulse would still print the same bytes;
     # count the module's repr calls while one block's rows are built.
     config = _config(preset, BLOCK_PULSES)
-    columns = _columns(run_experiment(config))
+    result = run_experiment(config)
     calls = []
 
     def counting_repr(value):
@@ -255,8 +248,12 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(reports, "repr", counting_repr, raising=False)
-    pulse_csv_rows(0, columns, config.source.pulse_period_ns)
+    pulse_csv_rows(0, result, config.source.pulse_period_ns)
     assert len(calls) <= 0.05 * BLOCK_PULSES
+
+
+#: A real 0-pulse result, whose per-pulse arrays the test below replaces.
+EMPTY_RESULT = run_experiment(_config(n_pulses=0))
 
 
 @settings(deadline=None)
@@ -277,15 +274,16 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
     def column(elements, dtype):
         return data.draw(arrays(dtype, n, elements=elements))
 
-    columns = {
-        "state": column(st.integers(0, 3), np.int8),
-        "mu_eff": column(_FLOATS, np.float64),
-        "bob_basis": column(st.integers(0, 1), np.int8),
-        "c0": column(_INT64, np.int64),
-        "c1": column(_INT64, np.int64),
-        "leak_clicks": column(_INT64, np.int64),
-        "sifted": column(st.booleans(), bool),
-        "error": column(st.booleans(), bool),
-    }
-    expected = _row_wise_rows(start, columns, period)
-    assert _lines(pulse_csv_rows(start, columns, period)) == _lines(expected)
+    block = dataclasses.replace(
+        EMPTY_RESULT,
+        state=column(st.integers(0, 3), np.int8),
+        mu_eff=column(_FLOATS, np.float64),
+        bob_basis=column(st.integers(0, 1), np.int8),
+        c0=column(_INT64, np.int64),
+        c1=column(_INT64, np.int64),
+        leak_clicks=column(_INT64, np.int64),
+        sifted=column(st.booleans(), bool),
+        error=column(st.booleans(), bool),
+    )
+    expected = _row_wise_rows(start, block, period)
+    assert _lines(pulse_csv_rows(start, block, period)) == _lines(expected)

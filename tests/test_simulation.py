@@ -15,6 +15,7 @@ from memqkd import (
     MemoryConfig,
     Polarization,
     RunConfig,
+    RunResult,
     SiftedSample,
     SourceConfig,
     SourceMode,
@@ -416,18 +417,18 @@ def test_roi_must_fit_in_window():
 
 def test_run_experiment_joins_the_identity_reduced_blocks():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=23)
-    blocks = list(
-        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda *block: block)
+    starts, blocks = zip(
+        *simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: (start, block))
     )
-    assert [start for start, *_ in blocks] == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
+    assert starts == (0, BLOCK_PULSES, 2 * BLOCK_PULSES)
     result = run_experiment(config, workers=2)
-    for column in set(COLUMNS) - {"click_times_ns"}:
-        joined = np.concatenate([columns[column] for _, columns, _, _ in blocks])
-        assert np.array_equal(getattr(result, column), joined), column
-    joined = np.concatenate([times for _, _, times, _ in blocks])
-    assert np.array_equal(result.click_times_ns, joined)
-    photons = [p for *_, p in blocks]
-    assert sum(photons[1:], photons[0]) == result.photons
+    for field in dataclasses.fields(RunResult):
+        parts = [getattr(block, field.name) for block in blocks]
+        if field.name in ("sample", "photons"):
+            assert sum(parts[1:], parts[0]) == getattr(result, field.name), field.name
+        else:
+            joined = np.concatenate(parts)
+            assert np.array_equal(getattr(result, field.name), joined), field.name
 
 
 class _InlinePool:
@@ -460,7 +461,7 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
     for start in simulate_blocks(
-        config, workers, DoubleClickPolicy.RANDOM, lambda start, *_: start
+        config, workers, DoubleClickPolicy.RANDOM, lambda start, block: start
     ):
         starts.append(start)
         # Two blocks per process are in flight: one is submitted as each is
@@ -474,7 +475,7 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
 def test_stream_rejects_zero_workers():
     config = preset_config("experiment3", n_pulses=10, seed=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        next(simulate_blocks(config, 0, DoubleClickPolicy.RANDOM, lambda *block: block))
+        next(simulate_blocks(config, 0, DoubleClickPolicy.RANDOM, lambda start, block: block))
 
 
 _COUNTS = st.integers(0, 2**70)
@@ -499,11 +500,8 @@ def test_sifted_sample_sum_is_exact(samples):
 def test_block_samples_sum_to_the_run_sample():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
     samples = list(
-        simulate_blocks(
-            config, 1, DoubleClickPolicy.DISCARD,
-            lambda start, c, *_: SiftedSample.from_flags(c["bob_basis"], c["sifted"], c["error"]),
-        )
-    )  # fmt: skip
+        simulate_blocks(config, 1, DoubleClickPolicy.DISCARD, lambda start, block: block.sample)
+    )
     assert len(samples) == 3
     assert sum(samples[1:], samples[0]) == run_experiment(
         config, policy=DoubleClickPolicy.DISCARD
