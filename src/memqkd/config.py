@@ -26,10 +26,10 @@ OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
 
 _MAX_SEED = 2**64 - 1
 
-#: Largest RunConfig.expected_clicks_per_pulse a run accepts. Every click is
-#: a timestamp, so this bounds one 2**14-pulse block's click times to about
-#: 270 MB, and every Poisson mean drawn stays far inside numpy's range. The
-#: brightest preset (experiment2) expects about 101.
+#: Largest RunConfig.expected_clicks_per_pulse a run accepts. It bounds every
+#: Poisson mean a block draws and every multinomial total it spreads over the
+#: histogram bins (at most about 2000 * 2**14 clicks), far inside numpy's
+#: range. The brightest preset (experiment2) expects about 101.
 MAX_CLICKS_PER_PULSE = 2000.0
 
 #: Most histogram bins (record window over bin width) a run accepts, per block.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,30 @@ class Histogram:
     @property
     def bin_starts(self) -> np.ndarray:
         return self.t_start + self.bin_width * np.arange(self.n_bins)
+
+    @classmethod
+    def empty(cls, bin_width: float, window: tuple[float, float]) -> Histogram:
+        """No counts, in bins of bin_width from window[0] that cover the window."""
+        if not bin_width > 0:
+            raise ValueError(f"bin_width must be positive, got {bin_width}")
+        t_start, t_end = float(window[0]), float(window[1])
+        if not t_end > t_start:
+            raise ValueError(f"window must be nonempty, got {window}")
+        n_bins = math.ceil((t_end - t_start) / bin_width)
+        return cls(bin_width, t_start, t_end, np.zeros(n_bins, np.int64))
+
+    def overlaps(self, lo: float, hi: float) -> np.ndarray:
+        """Length of [lo, hi) inside each bin, the last bin cut at t_end."""
+        starts = self.bin_starts
+        ends = np.minimum(starts + self.bin_width, self.t_end)
+        return np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, self.bin_width)
+
+    def bin_index(self, times: np.ndarray) -> np.ndarray:
+        """The bin of each time, or -1 for a time outside [t_start, t_end)."""
+        inside = (times >= self.t_start) & (times < self.t_end)
+        # The quotient of a time just below t_end can round up to n_bins.
+        index = np.minimum(np.floor((times - self.t_start) / self.bin_width), self.n_bins - 1)
+        return np.where(inside, index, -1).astype(np.int64)
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -72,19 +97,30 @@ def bin_clicks(timestamps, bin_width: float, window: tuple[float, float]) -> His
     sharding a timestamp list and merging the per-shard histograms equals a
     single pass exactly.
     """
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    t_start, t_end = float(window[0]), float(window[1])
-    if not t_end > t_start:
-        raise ValueError(f"window must be nonempty, got {window}")
-    ts = np.asarray(timestamps, dtype=float)
-    n_bins = math.ceil((t_end - t_start) / bin_width)
-    inside = (ts >= t_start) & (ts < t_end)
-    idx = np.floor((ts[inside] - t_start) / bin_width).astype(np.int64)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    # The quotient of a time just below t_end can round up to n_bins.
-    counts[n_bins - 1] += counts[n_bins:].sum()
-    return Histogram(bin_width, t_start, t_end, counts[:n_bins], int(ts.size - inside.sum()))
+    h = Histogram.empty(bin_width, window)
+    index = h.bin_index(np.asarray(timestamps, dtype=float))
+    inside = index[index >= 0]
+    counts = np.bincount(inside, minlength=h.n_bins).astype(np.int64)
+    return dataclasses.replace(h, counts=counts, n_dropped=index.size - inside.size)
+
+
+def click_times(h: Histogram, rng: np.random.Generator) -> np.ndarray:
+    """Click times that bin_clicks bins back into h's counts exactly.
+
+    Each bin's counts are drawn uniform over the bin (the last cut at t_end)
+    from rng alone; n_dropped clicks are not reconstructed. Rounding can put
+    a time on a bin edge or floor it onto a neighbouring bin; such a time
+    moves to the middle of its own bin. That is exact for every bin wider
+    than a few float spacings at its edges (a sliver of a last bin that
+    rounding adds past t_end gets no counts from a run).
+    """
+    bins = np.repeat(np.arange(h.n_bins), h.counts)
+    starts = h.bin_starts[bins]
+    ends = np.minimum(starts + h.bin_width, h.t_end)
+    times = rng.uniform(starts, ends)
+    stray = h.bin_index(times) != bins
+    times[stray] = starts[stray] + (ends[stray] - starts[stray]) / 2.0
+    return times
 
 
 def _window_counts(h: Histogram, lo: float, hi: float) -> float:
@@ -100,10 +136,7 @@ def _window_counts(h: Histogram, lo: float, hi: float) -> float:
         )
     if hi <= lo:
         return 0.0
-    starts = h.bin_starts
-    ends = starts + h.bin_width
-    overlap = np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, h.bin_width)
-    return float(np.dot(h.counts, overlap / h.bin_width))
+    return float(np.dot(h.counts, h.overlaps(lo, hi) / h.bin_width))
 
 
 def roi_integrate(h: Histogram, center: float, width: float) -> int:

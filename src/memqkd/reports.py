@@ -7,18 +7,18 @@ key-rate grids.
 
 A run's outputs are reduced block by block (block_outputs, the reducer that
 memqkd run hands to simulation.simulate_blocks): each block, the RunResult
-of its pulses, becomes its pulses.csv rows, its click histogram and its
-tallies, so no per-pulse array or click time outlives its block.
+of its pulses, becomes its pulses.csv rows and hands on its histogram and
+tallies, so no per-pulse array outlives its block.
 
 pulses.csv rows are laid out as one (pulses, width) byte matrix per block:
-each field is a column slot padded with NUL bytes, the slots are joined by
-comma and newline columns, and dropping every NUL leaves the rows. Integers
-(and integral emit times below 2**63) become digits by numpy arithmetic,
-and states, bases and flags are looked up by their array codes. Floats
-(mu_eff and non-integral emit times) get repr's shortest round-trip digits
-from exact integer and float arithmetic on the whole block
-(_shortest_digits); only what repr does not print positionally (0,
-negatives, nan, inf, x < 1e-4 or x >= 1e16) and powers of two are
+each field is a column slot padded with NUL bytes, the slots are written
+into one matrix between comma and newline columns, and dropping every NUL
+leaves the rows. Integers (and integral emit times below 2**63) become
+digits by numpy arithmetic, and states, bases and flags are looked up by
+their array codes. Floats (mu_eff and non-integral emit times) get repr's
+shortest round-trip digits from exact integer and float arithmetic on the
+whole block (_shortest_digits); only what repr does not print positionally
+(0, negatives, nan, inf, x < 1e-4 or x >= 1e16) and powers of two are
 formatted one value at a time. write_lines writes the other files in
 batches of _BATCH lines, so only one batch of lines is held at once.
 """
@@ -32,7 +32,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .histogram import Histogram, bin_clicks, sbr_from_histogram
+from .histogram import Histogram, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
 from .qubits import BASES, POLARIZATION_CYCLE
 from .simulation import PhotonTotals, RunResult, SiftedSample
@@ -234,9 +234,13 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> byte
         _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
         _FLAG_CODES[block.error.astype(np.intp)][:, None],
     )
-    comma, newline = (np.full((len(index), 1), ord(c), np.uint8) for c in ",\n")
-    matrix = np.hstack([slot for field in fields for slot in (field, comma)][:-1] + [newline])
-    return matrix[matrix != 0].tobytes()
+    # Each field's first column; a comma or, last, a newline follows it.
+    columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
+    matrix = np.full((len(index), columns[-1]), ord(","), np.uint8)
+    matrix[:, -1] = ord("\n")
+    for field, column in zip(fields, columns):
+        matrix[:, column : column + field.shape[1]] = field
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def block_outputs(
@@ -247,10 +251,9 @@ def block_outputs(
     Each of the last three adds exactly across blocks, so a run's outputs
     are the rows in block order and the sums of the rest.
     """
-    analysis = config.analysis
     return (
         pulse_csv_rows(start, block, config.source.pulse_period_ns),
-        bin_clicks(block.click_times_ns, analysis.bin_width_ns, analysis.window),
+        block.histogram,
         block.sample,
         block.photons,
     )

@@ -10,9 +10,10 @@ error rates.
 Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
 block may be shorter). Each block draws every layer as whole arrays from one
 stream keyed by (config.seed, block_index), in a fixed order that starts
-with the prepared states. Workers take whole blocks and the block size never
-depends on the worker count, so a run is a pure function of its config
-whatever the number of workers.
+with the prepared states; click timing draws from that stream's first
+child. Workers take whole blocks and the block size never depends on the
+worker count, so a run is a pure function of its config whatever the number
+of workers.
 
 Each block is a RunResult of its own pulses. simulate_blocks streams a
 run: it hands each block to a caller-supplied reducer where the block is
@@ -40,6 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .config import ChannelConfig, MemoryConfig, SourceMode
+from .histogram import Histogram
 from .keyrate import SbrEstimate
 from .qubits import (
     BASES,
@@ -261,6 +263,58 @@ def sift(
     return sifted, sifted & (bit != _BIT_OF_STATE[state])
 
 
+def _spread(total: int, overlaps: np.ndarray, length: float, rng) -> np.ndarray:
+    """Bin counts of total clicks uniform over an interval of the given length.
+
+    overlaps holds the interval's length inside each bin; the last entry of
+    the result counts the clicks that fall outside every bin.
+    """
+    p = overlaps / length if length > 0 else overlaps
+    return rng.multinomial(total, np.append(p / max(1.0, p.sum()), 0.0))
+
+
+def record_clicks(
+    leaked: np.ndarray, n_roi: int, config, rng: np.random.Generator
+) -> tuple[np.ndarray, Histogram]:
+    """Time tagging: per-pulse leak_clicks and the Histogram of every click.
+
+    Each click is uniform over a known interval: leaked photons over the leak
+    window [0, pulse_width_ns), the n_roi retrieved and ROI background
+    photons over the ROI, and other background over the record window
+    outside the ROI, at effective_background per roi_width_ns. So bin counts
+    are drawn, never click times: a component's total is spread over the
+    bins by a multinomial on their overlaps with its interval. Background
+    hits in the leak window outside the ROI are drawn per pulse first, and
+    leak_clicks is leaked plus those hits; the remaining background is an
+    independent Poisson count per bin. Leaked photons outside the record
+    window are n_dropped.
+    """
+    memory, pulse_width = config.memory, config.source.pulse_width_ns
+    h = Histogram.empty(config.analysis.bin_width_ns, config.analysis.window)
+    roi_lo, roi_hi = memory.roi
+    leak = h.overlaps(0.0, pulse_width)
+    roi = h.overlaps(roi_lo, roi_hi)
+    leak_background = leak - h.overlaps(max(0.0, roi_lo), min(pulse_width, roi_hi))
+    rest = np.maximum(h.overlaps(h.t_start, h.t_end) - roi - leak_background, 0.0)
+
+    def background(length):
+        # Mean background counts per pulse over length ns, in the order
+        # RunConfig.expected_clicks_per_pulse bounds.
+        return memory.effective_background * length / memory.roi_width_ns
+
+    leak_length = float(leak_background.sum())
+    hits = rng.poisson(background(leak_length), len(leaked))
+    leak_counts = _spread(int(leaked.sum()), leak, pulse_width, rng)
+    counts = (
+        leak_counts[:-1]
+        + _spread(n_roi, roi, memory.roi_width_ns, rng)[:-1]
+        + _spread(int(hits.sum()), leak_background, leak_length, rng)[:-1]
+        + rng.poisson(background(rest) * len(leaked))
+    )
+    histogram = dataclasses.replace(h, counts=counts, n_dropped=int(leak_counts[-1]))
+    return leaked + hits, histogram
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """A run, or one block of it: per-pulse arrays plus totals.
@@ -268,10 +322,11 @@ class RunResult:
     Row i is the i-th pulse of the run or block. state and bob_basis hold
     array codes (see the module docstring); c0 and c1 count the bit-0 and
     bit-1 detectors of bob_basis inside the ROI; leak_clicks counts arrivals
-    in the leakage window (diagnostic only, never sifted). click_times_ns
-    holds every click (leakage, retrieved, background) as a pulse-relative
-    timestamp, ready for histogramming. Pulse i of the run is emitted at
-    i * pulse_period_ns. The counting SBR is photons.counting_sbr(n_pulses).
+    in the leakage window (diagnostic only, never sifted). histogram bins
+    every click (leakage, retrieved, background) by its pulse-relative time
+    over the record window; like sample and photons, it adds exactly across
+    blocks. Pulse i of the run is emitted at i * pulse_period_ns. The
+    counting SBR is photons.counting_sbr(n_pulses).
     """
 
     state: np.ndarray
@@ -282,7 +337,7 @@ class RunResult:
     leak_clicks: np.ndarray
     sifted: np.ndarray
     error: np.ndarray
-    click_times_ns: np.ndarray
+    histogram: Histogram
     sample: SiftedSample
     photons: PhotonTotals
 
@@ -293,34 +348,20 @@ def _simulate_block(config, policy, reduce, block):
     A pure function of its arguments; every draw comes from the block's own
     stream, in a fixed order.
     """
-    source, channel, memory = config.source, config.channel, config.memory
+    source = config.source
     start, stop = _block_range(source.n_pulses, block)
     m = stop - start
     rng = np.random.default_rng([config.seed, block])
     state = _draw_states(source.mode, start, stop, rng)
-    mu_eff, arrived = sample_arriving_photons(source.mu_alice, channel, rng, m)
-    retrieved, leaked, lost, background_roi = apply_memory(arrived, memory, rng)
-
-    roi_lo, roi_hi = memory.roi
-    window_lo, window_hi = config.analysis.window
-    span_outside = (window_hi - window_lo) - memory.roi_width_ns
-    # Background is a homogeneous process over the record window; drawing the
-    # ROI share inside apply_memory and the remainder here keeps the ROI count
-    # exactly Poisson(effective_background) while the histogram sees the full
-    # uniform floor.
-    rate_outside = memory.effective_background * span_outside / memory.roi_width_ns
-    n_outside = rng.poisson(rate_outside, m)
-
-    leak_times = rng.uniform(0.0, source.pulse_width_ns, int(leaked.sum()))
-    roi_times = rng.uniform(roi_lo, roi_hi, int(retrieved.sum() + background_roi.sum()))
-    u = window_lo + rng.uniform(0.0, span_outside, int(n_outside.sum()))
-    outside_times = np.where(u < roi_lo, u, u + memory.roi_width_ns)
-    in_leak_window = (outside_times >= 0.0) & (outside_times < source.pulse_width_ns)
-    owner = np.repeat(np.arange(m), n_outside)
-    leak_clicks = leaked + np.bincount(owner[in_leak_window], minlength=m)
-
+    mu_eff, arrived = sample_arriving_photons(source.mu_alice, config.channel, rng, m)
+    retrieved, leaked, lost, background_roi = apply_memory(arrived, config.memory, rng)
     bob_basis, c0, c1 = measure(state, retrieved, background_roi, rng)
     sifted, error = sift(state, bob_basis, c0, c1, rng, policy)
+    # Click timing draws from a child stream: the tie policy and any later
+    # change to the timing leave every draw above alone.
+    leak_clicks, histogram = record_clicks(
+        leaked, int(retrieved.sum() + background_roi.sum()), config, rng.spawn(1)[0]
+    )
 
     result = RunResult(
         state=state,
@@ -331,7 +372,7 @@ def _simulate_block(config, policy, reduce, block):
         leak_clicks=leak_clicks,
         sifted=sifted,
         error=error,
-        click_times_ns=np.concatenate([leak_times, roi_times, outside_times]),
+        histogram=histogram,
         sample=SiftedSample.from_flags(bob_basis, sifted, error),
         photons=PhotonTotals(
             *(int(n.sum()) for n in (arrived, retrieved, leaked, lost, background_roi))
@@ -400,7 +441,8 @@ def run_experiment(
     blocks = list(simulate_blocks(config, workers, policy, _whole_block))
 
     def joined(name):
-        # Arrays concatenate in block order; sample and photons add exactly.
+        # Arrays concatenate in block order; histogram, sample and photons
+        # add exactly.
         parts = [getattr(block, name) for block in blocks]
         if isinstance(parts[0], np.ndarray):
             return np.concatenate(parts)

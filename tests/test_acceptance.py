@@ -28,6 +28,7 @@ from memqkd import (
     secret_key_rate,
 )
 from memqkd.cli import main as cli_main
+from memqkd.histogram import click_times
 from memqkd.qubits import POLARIZATION_CYCLE
 
 
@@ -252,10 +253,10 @@ def test_criterion_09_source_statistics(tmp_path):
 
 
 def test_criterion_10_histogram_conservation_and_sbr_recovery():
-    # Shard/merge equality on real pipeline timestamps.
+    # Shard/merge equality on click times drawn from a real pipeline histogram.
     config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
     run4 = run_experiment(config4)
-    times = run4.click_times_ns
+    times = click_times(run4.histogram, np.random.default_rng(1010))
     layout = (config4.analysis.bin_width_ns, config4.analysis.window)
     whole = bin_clicks(times, *layout)
     shards = np.array_split(times, 9)
@@ -286,13 +287,8 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
     synthetic_ok = abs(estimate.sbr - true_ratio) <= 3 * sigma
 
     def preset_histogram_sbr(result, config):
-        hist = bin_clicks(
-            result.click_times_ns,
-            config.analysis.bin_width_ns,
-            config.analysis.window,
-        )
         return sbr_from_histogram(
-            hist,
+            result.histogram,
             config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,

@@ -86,9 +86,9 @@ def test_run_is_byte_identical_across_worker_counts(tmp_path):
 #: stream layout, the draws or the output format changes them; such a change
 #: must say so and record the new digests.
 GOLDEN_DIGESTS = {
-    "pulses.csv": "05485b8276e0941841a982b1b0930cc4f1f1dec0275859bf5b5f1ef998e8694d",
-    "histogram.csv": "318b2329b33250c36418edf0f003d1433d0fa780bdbaf99190a30fd88ed97611",
-    "summary.txt": "55ce7ff910d7dce590ff2298aa37c274e39f9378901cc9894658f64a6aa3e9ce",
+    "pulses.csv": "9f6aec58e69b464e64b4991867b094a92a9f2648febf6cbf9ba5be42925ab381",
+    "histogram.csv": "73a8b8cfe32c333ff5d6e61457998a3266da2c7fd4dd66c26bac6c1d56f153ff",
+    "summary.txt": "6d931ff6c5f7adb1cf598fa170546b71623968083973b30452fd37ae09606b17",
 }
 
 
@@ -108,7 +108,7 @@ def test_run_outputs_match_golden_digests(tmp_path):
 #: --pulses 40960` (2.5 blocks), recorded with numpy 2.4. mu_eff is about
 #: 100 there, so its values have a three-digit integer part, and some have
 #: 15 or fewer significant digits.
-EXPERIMENT2_PULSES_DIGEST = "56e0e9b82f07376e03157b02cb700c49615084ab5fad39b98f75da3c99693f77"
+EXPERIMENT2_PULSES_DIGEST = "013cc736967ff3fc6fd3a355bc103d0c3912349a35ff5b398f968c07ad602f54"
 
 
 def test_bright_run_pulses_csv_matches_golden_digest(tmp_path):
@@ -229,7 +229,10 @@ def test_histogram_sbr_does_not_depend_on_the_time_scale(tmp_path):
         assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 0
         summaries.append((outdir / "summary.txt").read_text())
     assert summaries[0] == summaries[1]
-    assert "sbr_histogram = 1.00" in summaries[0]
+    # About 1: 100 background counts per ROI and pulse against 0.17
+    # retrieved photons; 0.01 is about three standard deviations.
+    sbr = float(summaries[0].split("sbr_histogram = ")[1].split()[0])
+    assert abs(sbr - 1.0) < 0.01
 
 
 def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):
@@ -246,15 +249,15 @@ def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsy
 @pytest.mark.parametrize("existing", [False, True])
 def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing):
     calls = []
-    real_bin_clicks = reports.bin_clicks
+    real_pulse_csv_rows = reports.pulse_csv_rows
 
-    def failing_bin_clicks(*args):
+    def failing_pulse_csv_rows(*args):
         calls.append(1)
         if len(calls) == 4:
             raise ValueError("injected failure in block 3")
-        return real_bin_clicks(*args)
+        return real_pulse_csv_rows(*args)
 
-    monkeypatch.setattr(reports, "bin_clicks", failing_bin_clicks)
+    monkeypatch.setattr(reports, "pulse_csv_rows", failing_pulse_csv_rows)
     outdir = tmp_path / "out"
     if existing:
         outdir.mkdir()

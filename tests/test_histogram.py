@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memqkd import bin_clicks, preset_config, roi_integrate, run_experiment, sbr_from_histogram
-from memqkd.histogram import Histogram
+from memqkd.histogram import Histogram, click_times
 
 
 def test_empty_input_gives_zero_histogram():
@@ -170,7 +171,8 @@ def test_sbr_rejects_overlapping_regions():
 def test_run_histogram_shows_two_peaks():
     config = preset_config("experiment3", n_pulses=20_000, seed=13)
     result = run_experiment(config)
-    h = bin_clicks(result.click_times_ns, 10.0, (0.0, 2000.0))
+    times = click_times(result.histogram, np.random.default_rng(13))
+    h = bin_clicks(times, 10.0, (0.0, 2000.0))
     starts = h.bin_starts
     leak_region = h.counts[(starts >= 0.0) & (starts < 400.0)]
     retrieval_region = h.counts[(starts >= 950.0) & (starts < 1050.0)]
@@ -188,6 +190,59 @@ def test_roi_count_matches_pipeline_tally():
     # background from the pipeline exactly.
     config = preset_config("experiment3", n_pulses=5000, seed=21)
     result = run_experiment(config)
-    h = bin_clicks(result.click_times_ns, 10.0, (0.0, 2000.0))
+    times = click_times(result.histogram, np.random.default_rng(21))
+    h = bin_clicks(times, 10.0, (0.0, 2000.0))
     roi_count = roi_integrate(h, 1000.0, 100.0)
     assert roi_count == result.photons.retrieved + result.photons.background_roi
+
+
+# --- click times derived from a histogram -------------------------------------
+
+
+def _without_dropped(h):
+    return dataclasses.replace(h, n_dropped=0)
+
+
+@pytest.mark.parametrize("window_start_ns", [0.0, 200.0])  # 200: half the leak window drops
+def test_click_times_bin_back_into_a_run_histogram(window_start_ns):
+    config = preset_config("experiment2", n_pulses=20_000, seed=17)
+    analysis = dataclasses.replace(config.analysis, window_start_ns=window_start_ns)
+    h = run_experiment(dataclasses.replace(config, analysis=analysis)).histogram
+    assert (h.n_dropped > 0) == (window_start_ns > 0)
+    times = click_times(h, np.random.default_rng(17))
+    assert times.size == h.total()
+    assert bin_clicks(times, analysis.bin_width_ns, analysis.window) == _without_dropped(h)
+
+
+def test_click_times_draw_from_the_callers_generator_only():
+    h = run_experiment(preset_config("experiment3", n_pulses=2000, seed=4)).histogram
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(click_times(h, a), click_times(h, b))
+    assert a.random() == b.random()
+
+
+@given(
+    st.floats(1e-3, 1e3),
+    st.floats(-1e4, 1e4),
+    st.integers(1, 40),
+    st.floats(0.0, 0.999),
+    st.integers(0, 2**32 - 1),
+)
+def test_click_times_round_trip_on_any_layout(bin_width, t_start, n_bins, cut, seed):
+    # Bin edges that are not exact floats, and a last bin cut short.
+    t_end = t_start + bin_width * (n_bins - cut)
+    h = Histogram.empty(bin_width, (t_start, t_end))
+    rng = np.random.default_rng(seed)
+    h.counts = rng.integers(0, 30, h.n_bins)
+    # A bin a few float spacings wide is outside click_times' contract.
+    h.counts[h.overlaps(t_start, t_end) < 1e-9 * bin_width] = 0
+    times = click_times(h, rng)
+    assert ((times >= t_start) & (times < t_end)).all()
+    assert bin_clicks(times, bin_width, (t_start, t_end)) == h
+
+
+def test_overlaps_cut_the_last_bin_at_the_window_end():
+    h = Histogram.empty(10.0, (0.0, 25.0))
+    assert h.n_bins == 3
+    assert h.overlaps(5.0, 100.0).tolist() == [5.0, 10.0, 5.0]
+    assert h.overlaps(-50.0, -1.0).tolist() == [0.0, 0.0, 0.0]

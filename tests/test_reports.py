@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from memqkd import POLARIZATION_CYCLE, bin_clicks, preset_config, reports, run_experiment
+from memqkd import POLARIZATION_CYCLE, preset_config, reports, run_experiment
 from memqkd.qubits import BASES
 from memqkd.reports import (
     _emit_time_field,
@@ -153,10 +153,7 @@ def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
     result = run_experiment(config, policy=policy)
     period = config.source.pulse_period_ns
     assert _lines(b"".join(rows)) == _lines(_row_wise_rows(0, result, period))
-    analysis = config.analysis
-    assert sum(hists[1:], hists[0]) == bin_clicks(
-        result.click_times_ns, analysis.bin_width_ns, analysis.window
-    )
+    assert sum(hists[1:], hists[0]) == result.histogram
     assert sum(samples[1:], samples[0]) == result.sample
     totals = sum(photons[1:], photons[0])
     assert totals == result.photons

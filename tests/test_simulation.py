@@ -5,10 +5,11 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from memqkd import (
     POLARIZATION_CYCLE,
+    AnalysisConfig,
     Basis,
     ChannelConfig,
     DoubleClickPolicy,
@@ -301,10 +302,10 @@ def test_photon_conservation_totals():
     assert photons.retrieved + photons.leaked + photons.lost == photons.arrived
 
 
-#: Per-pulse arrays of a RunResult, plus its click times.
+#: Per-pulse arrays of a RunResult.
 COLUMNS = (
     "state", "mu_eff", "bob_basis", "c0", "c1",
-    "leak_clicks", "sifted", "error", "click_times_ns",
+    "leak_clicks", "sifted", "error",
 )  # fmt: skip
 
 
@@ -313,6 +314,7 @@ def test_run_determinism_same_seed():
     a = run_experiment(config)
     b = run_experiment(config)
     assert a.sample == b.sample
+    assert a.histogram == b.histogram
     for column in COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
@@ -337,6 +339,7 @@ def test_worker_partition_invariance():
         split = run_experiment(config, workers=3, policy=policy)
         case = (preset, policy.name)
         assert solo.sample == split.sample, case
+        assert solo.histogram == split.histogram, case
         for column in COLUMNS:
             assert np.array_equal(getattr(solo, column), getattr(split, column)), (
                 case,
@@ -348,6 +351,7 @@ def test_discard_policy_changes_only_ties():
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=6)
     keep = run_experiment(config)
     drop = run_experiment(config, policy=DoubleClickPolicy.DISCARD)
+    assert keep.histogram == drop.histogram
     for column in set(COLUMNS) - {"sifted", "error"}:
         assert np.array_equal(getattr(keep, column), getattr(drop, column)), column
     tie = keep.sifted & (keep.c0 == keep.c1)
@@ -360,7 +364,7 @@ def test_zero_pulse_run():
     result = run_experiment(config)
     assert all(getattr(result, column).size == 0 for column in COLUMNS)
     assert result.sample.n_sifted_z == 0
-    assert result.click_times_ns.size == 0
+    assert result.histogram.total() == result.histogram.n_dropped == 0
 
 
 def test_basis_balance_in_run():
@@ -402,14 +406,76 @@ def test_sifted_pulses_need_matched_basis():
 
 
 def test_roi_must_fit_in_window():
-    from memqkd import AnalysisConfig
-
     # The config itself rejects it, before any pulse is drawn.
     with pytest.raises(ValueError, match="ROI"):
         RunConfig(
             memory=MemoryConfig(retrieval_delay_ns=1990.0),
             analysis=AnalysisConfig(),
         )
+
+
+# --- click histogram ----------------------------------------------------------
+
+#: Record-window geometries the histogram must follow: (config sections,
+#: length of the leak window inside the record window and outside the ROI,
+#: fraction of the leak window outside the record window).
+GEOMETRIES = {
+    "window starts after 0": ({"analysis": {"window_start_ns": 200.0}}, 200.0, 0.5),
+    "ROI inside the leak window": ({"memory": {"retrieval_delay_ns": 300.0}}, 300.0, 0.0),
+    "leak window past the window end": (
+        {
+            "source": {"pulse_width_ns": 2500.0},
+            # A last bin cut short too: [1990, 1995).
+            "analysis": {"window_end_ns": 1995.0, "background_end_ns": 1995.0},
+        },
+        1995.0 - 100.0,
+        (2500.0 - 1995.0) / 2500.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_histogram_matches_closed_form_bin_means(geometry):
+    sections, leak_background_ns, dropped_fraction = GEOMETRIES[geometry]
+    n = 100_000
+    config = RunConfig(
+        source=SourceConfig(n_pulses=n, **sections.get("source", {})),
+        memory=MemoryConfig(**sections.get("memory", {})),
+        analysis=AnalysisConfig(**sections.get("analysis", {})),
+        seed=41,
+    )
+    result = run_experiment(config)
+    h, photons = result.histogram, result.photons
+    memory, pulse_width = config.memory, config.source.pulse_width_ns
+    window_lo, window_hi = config.analysis.window
+    starts = window_lo + config.analysis.bin_width_ns * np.arange(h.n_bins)
+    ends = np.minimum(starts + config.analysis.bin_width_ns, window_hi)
+
+    def overlap(lo, hi):
+        return np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, None)
+
+    # Given the run's photon totals: leaked photons uniform over [0,
+    # pulse_width_ns), ROI photons over the ROI, and Poisson background at
+    # effective_background per roi_width_ns over the rest of the window.
+    roi = overlap(*memory.roi)
+    per_ns = memory.effective_background / memory.roi_width_ns
+    expected = (
+        photons.leaked * overlap(0.0, pulse_width) / pulse_width
+        + (photons.retrieved + photons.background_roi) * roi / memory.roi_width_ns
+        + n * per_ns * (ends - starts - roi)
+    )
+    assert (h.counts[expected == 0] == 0).all()
+    observed, expected = h.counts[expected > 0], expected[expected > 0]
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2.sf(statistic, len(expected)) > 1e-3, statistic / len(expected)
+
+    dropped = photons.leaked * dropped_fraction
+    spread = math.sqrt(dropped * (1.0 - dropped_fraction))
+    assert abs(h.n_dropped - dropped) <= 5 * spread
+
+    hits = per_ns * leak_background_ns
+    mean = result.leak_clicks.mean()
+    assert abs(mean - photons.leaked / n - hits) <= 5 * math.sqrt(hits / n)
 
 
 # --- block stream -------------------------------------------------------------
@@ -424,7 +490,7 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
     result = run_experiment(config, workers=2)
     for field in dataclasses.fields(RunResult):
         parts = [getattr(block, field.name) for block in blocks]
-        if field.name in ("sample", "photons"):
+        if field.name in ("histogram", "sample", "photons"):
             assert sum(parts[1:], parts[0]) == getattr(result, field.name), field.name
         else:
             joined = np.concatenate(parts)
