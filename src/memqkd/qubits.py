@@ -28,23 +28,21 @@ POLARIZATION_CYCLE = (Polarization.H, Polarization.V, Polarization.D, Polarizati
 BASES = (Basis.Z, Basis.X)
 
 #: Detector pair of each basis, in the order (bit-0 detector, bit-1 detector).
+#: The one statement of basis membership and of the key-bit convention.
 BASIS_MEMBERS = {
     Basis.Z: (Polarization.H, Polarization.V),
     Basis.X: (Polarization.D, Polarization.A),
 }
 
-# Key-bit convention, fixed once for the whole package: H,D -> 0 and V,A -> 1.
-_BIT = {Polarization.H: 0, Polarization.V: 1, Polarization.D: 0, Polarization.A: 1}
-
 
 def basis_of(p: Polarization) -> Basis:
-    """Basis that measures ``p`` deterministically."""
-    return Basis.Z if p in (Polarization.H, Polarization.V) else Basis.X
+    """Basis that measures ``p`` deterministically: the one whose detectors include it."""
+    return next(b for b, members in BASIS_MEMBERS.items() if p in members)
 
 
 def bit_of(p: Polarization) -> int:
-    """Key bit encoded by ``p`` (H,D -> 0 and V,A -> 1)."""
-    return _BIT[p]
+    """Key bit encoded by ``p``: its detector's place in its basis (H,D -> 0 and V,A -> 1)."""
+    return BASIS_MEMBERS[basis_of(p)].index(p)
 
 
 def detection_probability(p: Polarization, b: Basis, d: Polarization) -> float:

@@ -82,6 +82,15 @@ class DoubleClickPolicy(Enum):
     DISCARD = "discard"
 
 
+def _fieldwise_sum(self, other):
+    """``__add__`` of a tally dataclass: the field-by-field sum, built by its constructor."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return type(self)(
+        *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
+    )
+
+
 @dataclass(frozen=True)
 class SiftedSample:
     """Post-sifting tallies and error rates for both bases."""
@@ -95,13 +104,8 @@ class SiftedSample:
         if self.n_err_z > self.n_sifted_z or self.n_err_x > self.n_sifted_x:
             raise ValueError("errors cannot exceed sifted counts")
 
-    def __add__(self, other: SiftedSample) -> SiftedSample:
-        """Tallies of two disjoint samples, such as two blocks of one run."""
-        if not isinstance(other, SiftedSample):
-            return NotImplemented
-        return SiftedSample(
-            *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
-        )
+    #: Tallies of two disjoint samples, such as two blocks of one run.
+    __add__ = _fieldwise_sum
 
     @classmethod
     def from_flags(
@@ -143,12 +147,7 @@ class PhotonTotals:
     lost: int
     background_roi: int
 
-    def __add__(self, other: PhotonTotals) -> PhotonTotals:
-        if not isinstance(other, PhotonTotals):
-            return NotImplemented
-        return PhotonTotals(
-            *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
-        )
+    __add__ = _fieldwise_sum
 
     def counting_sbr(self, n_pulses: int) -> SbrEstimate:
         """Retrieved signal over ROI background, both per pulse."""

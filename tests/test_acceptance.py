@@ -10,26 +10,26 @@ import math
 import numpy as np
 from scipy.stats import chisquare
 
-from memqkd import (
+from memqkd.cli import main as cli_main
+from memqkd.config import (
     AnalysisConfig,
     ChannelConfig,
     MemoryConfig,
     RunConfig,
     SourceConfig,
     SourceMode,
-    bin_clicks,
+)
+from memqkd.histogram import bin_clicks, click_times, sbr_from_histogram
+from memqkd.keyrate import (
     classical_bound_check,
     fidelity_from_sbr,
     positive_rate_boundary,
-    preset_config,
     qber_oracle_from_sbr,
-    run_experiment,
-    sbr_from_histogram,
     secret_key_rate,
 )
-from memqkd.cli import main as cli_main
-from memqkd.histogram import click_times
+from memqkd.presets import preset_config
 from memqkd.qubits import POLARIZATION_CYCLE
+from memqkd.simulation import run_experiment
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:

@@ -7,17 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memqkd import (
-    OUTPUT_DIR_ENV,
-    ConfigError,
-    RunConfig,
-    parse_config,
-    preset_config,
-    reports,
-    serialize_config,
-)
-from memqkd import cli
+from memqkd import cli, reports
 from memqkd.cli import main
+from memqkd.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, parse_config, serialize_config
+from memqkd.presets import preset_config
 from memqkd.simulation import BLOCK_PULSES
 
 
@@ -446,7 +439,7 @@ def test_calibrate_large_sbr_drives_background_to_zero(capsys):
 def test_calibrate_fragment_parses_back(tmp_path, capsys):
     assert run_cli("calibrate", "--target-sbr", "7.2", "--mu", "2") == 0
     fragment = capsys.readouterr().out
-    from memqkd import parse_config
+    from memqkd.config import parse_config
 
     config = parse_config(fragment)
     assert config.memory.background_mean == pytest.approx(0.12 * 2 / 7.2, rel=1e-12)

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memqkd import bin_clicks, preset_config, roi_integrate, run_experiment, sbr_from_histogram
-from memqkd.histogram import Histogram, click_times
+from memqkd.histogram import (
+    Histogram,
+    bin_clicks,
+    click_times,
+    roi_integrate,
+    sbr_from_histogram,
+)
+from memqkd.presets import preset_config
+from memqkd.simulation import run_experiment
 
 
 def test_empty_input_gives_zero_histogram():

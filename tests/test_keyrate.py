@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memqkd import (
+from memqkd.keyrate import (
     SbrEstimate,
     binary_entropy,
     classical_bound_check,

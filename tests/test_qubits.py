@@ -1,6 +1,6 @@
 import pytest
 
-from memqkd import (
+from memqkd.qubits import (
     BASIS_MEMBERS,
     Basis,
     Polarization,

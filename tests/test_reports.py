@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from memqkd import POLARIZATION_CYCLE, preset_config, reports, run_experiment
-from memqkd.qubits import BASES
+from memqkd import reports
+from memqkd.config import SourceMode
+from memqkd.presets import preset_config
+from memqkd.qubits import BASES, POLARIZATION_CYCLE
 from memqkd.reports import (
     _emit_time_field,
     _float_field,
@@ -17,7 +19,12 @@ from memqkd.reports import (
     block_outputs,
     pulse_csv_rows,
 )
-from memqkd.simulation import BLOCK_PULSES, DoubleClickPolicy, SourceMode, simulate_blocks
+from memqkd.simulation import (
+    BLOCK_PULSES,
+    DoubleClickPolicy,
+    run_experiment,
+    simulate_blocks,
+)
 
 def _row_wise_rows(start, block, period):
     """Reference: pulses.csv rows formatted one row and one field at a time."""

@@ -7,31 +7,30 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2, chisquare
 
-from memqkd import (
-    POLARIZATION_CYCLE,
+from memqkd import simulation
+from memqkd.config import (
     AnalysisConfig,
-    Basis,
     ChannelConfig,
-    DoubleClickPolicy,
     MemoryConfig,
-    Polarization,
     RunConfig,
-    RunResult,
-    SiftedSample,
     SourceConfig,
     SourceMode,
+)
+from memqkd.keyrate import qber_oracle_from_sbr
+from memqkd.presets import preset_config
+from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of
+from memqkd.simulation import (
+    BLOCK_PULSES,
+    DoubleClickPolicy,
+    RunResult,
+    SiftedSample,
     apply_memory,
-    basis_of,
     measure,
-    preset_config,
-    qber_oracle_from_sbr,
     run_experiment,
     sample_arriving_photons,
     sift,
+    simulate_blocks,
 )
-from memqkd.qubits import BASES
-from memqkd import simulation
-from memqkd.simulation import BLOCK_PULSES, simulate_blocks
 
 H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
 Z, X = BASES.index(Basis.Z), BASES.index(Basis.X)
