@@ -10,25 +10,31 @@ memqkd run hands to simulation.simulate_blocks): each block, the RunResult
 of its pulses, becomes its pulses.csv rows and hands on its histogram and
 tallies, so no per-pulse array outlives its block.
 
-pulses.csv rows are laid out as one (pulses, width) byte matrix per block:
-each field is a column slot padded with NUL bytes, the slots are written
-into one matrix between comma and newline columns, and dropping every NUL
-leaves the rows. Integers (and integral emit times below 2**63) become
-digits by numpy arithmetic, and states, bases and flags are looked up by
-their array codes. Floats (mu_eff and non-integral emit times) get repr's
-shortest round-trip digits from exact integer and float arithmetic on the
-whole block (_shortest_digits); only what repr does not print positionally
-(0, negatives, nan, inf, x < 1e-4 or x >= 1e16) and powers of two are
-formatted one value at a time. write_lines writes the other files in
-batches of _BATCH lines, so only one batch of lines is held at once.
+Every CSV is laid out as (rows, width) byte matrices: each field is a
+column slot padded with NUL bytes, the slots are written into one matrix
+between comma and newline columns, and dropping every NUL leaves the rows
+(_csv_rows). pulses.csv gets one matrix per block. Integers (and integral
+emit times below 2**63) become digits by numpy arithmetic, and states,
+bases and flags are looked up by their array codes. Floats (mu_eff and
+non-integral emit times) get repr's shortest round-trip digits from exact
+integer and float arithmetic on the whole block (_shortest_digits); only
+what repr does not print positionally (0, negatives, nan, inf, x < 1e-4 or
+x >= 1e16) and powers of two are formatted one value at a time.
+
+The key-rate grids print each float as format(v, ".12e") does, its 13
+digits rounded from the exact product of |v| and a power of ten
+(_sci_field); only 0, nan, inf and |v| outside [1e-10, 1e13) are formatted
+one value at a time. Each grid axis is formatted once. histogram.csv,
+keyrate_map.csv and keyrate_boundary.csv are made as bytes chunks of at
+most _BATCH rows, which write_lines writes as they are made, so only one
+chunk's matrices are held at once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,9 +54,9 @@ def _num(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-#: Lines joined and written at a time by write_lines: bounds the temporary
-#: strings held at once.
-_BATCH = 2**14
+#: Rows formatted into one bytes chunk of the histogram and key-rate files:
+#: bounds the slot matrices held at once.
+_BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
 _STATE_CODES = np.frombuffer("".join(p.value for p in POLARIZATION_CYCLE).encode(), np.uint8)
@@ -93,15 +99,32 @@ def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, values - high
 
 
-#: 10**e as the nearest float, e = -4 .. 16. Each is exact or rounds up, so
-#: x >= _DECADES[e + 4] exactly when x >= 10**e.
-_DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
-#: 10**j, j = 0 .. 20, all exact floats, and their Dekker splits.
-_POW10 = np.array([float(10**j) for j in range(21)])
+def _least_float_from(e: int) -> float:
+    """The least float >= 10**e."""
+    t = float(f"1e{e}")
+    p, q = t.as_integer_ratio()
+    # t = p / q < 10**e, compared as integers.
+    if p * 10 ** max(-e, 0) < q * 10 ** max(e, 0):
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+#: The least float >= 10**e, e = _DECADE_MIN .. 16, so x >= _DECADES[k]
+#: exactly when x >= 10**(k + _DECADE_MIN). Most are the nearest float to
+#: 10**e, but those to 1e-7 and 1e-6 lie below it.
+_DECADE_MIN = -10
+_DECADES = np.array([_least_float_from(e) for e in range(_DECADE_MIN, 17)])
+#: 10**j, j = 0 .. 22, all exact floats, and their Dekker splits.
+_POW10 = np.array([float(10**j) for j in range(23)])
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 _INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
 #: The exponent and mantissa fields of a float's bits.
 _EXPONENT_BITS, _MANTISSA_BITS = 0x7FF << 52, (1 << 52) - 1
+
+
+def _decimal_exponent(x: np.ndarray) -> np.ndarray:
+    """floor(log10(x)), exactly, of each x in [1e-10, 1e17)."""
+    return np.searchsorted(_DECADES, x, side="right") - 1 + _DECADE_MIN
 
 
 def _nearest_multiple(whole, frac, unit):
@@ -143,8 +166,12 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bits = x.view(np.int64)
     ok = (x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA_BITS != 0)
     v, bits = x[ok], bits[ok]
-    j = 21 - np.searchsorted(_DECADES, v, side="right")
-    # y = whole + frac exactly: Dekker's product of v and 10**j.
+    j = 16 - _decimal_exponent(v)
+    # y = whole + frac exactly: Dekker's product of v and 10**j. It is
+    # written out here and in _sci_field, not in a helper: a helper frees
+    # high, low, ph and pl before the digit search, and glibc's malloc then
+    # hands about 1 MiB per block back to the system and faults it in again
+    # (about 8% of an experiment3 run on a 2-core Linux host).
     whole = v * _POW10[j]
     high, low = _split(v)
     ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
@@ -204,15 +231,81 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     return np.hstack([decided, others])
 
 
-def _emit_time_field(times: np.ndarray) -> np.ndarray:
-    """(n, w) uint8 slots of _num of each time; _int_field prints integral ones < 2**63."""
-    exact = (np.trunc(times) == times) & (np.abs(times) < 2.0**63)
-    ints = _int_field(np.where(exact, times, 0).astype(np.int64)) * exact[:, None]
+def _num_field(values: np.ndarray) -> np.ndarray:
+    """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63."""
+    exact = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
+    ints = _int_field(np.where(exact, values, 0).astype(np.int64)) * exact[:, None]
+    if exact.all():
+        return ints
     # _num of a non-integral float is its repr.
-    floats = _float_field(times[~exact], _num)
-    others = np.zeros((len(times), floats.shape[1]), np.uint8)
+    floats = _float_field(values[~exact], _num)
+    others = np.zeros((len(values), floats.shape[1]), np.uint8)
     others[~exact] = floats
     return np.hstack([ints, others])
+
+
+#: Width of a positional _sci_field slot: sign, d.dddddddddddd, e, +dd.
+_SCI_WIDTH = 19
+
+
+def _sci_field(values: np.ndarray) -> np.ndarray:
+    """(n, w) uint8 slots: format(v, ".12e") of each float64, NUL-padded.
+
+    format prints the 13 significant digits of |v| rounded half-even on
+    its exact value. With e the decimal exponent of |v|, y = |v| * 10**(12 - e)
+    lies in [1e12, 1e13) and is held exactly as whole + frac by Dekker's
+    product, as 10**(12 - e) is an exact float while 1e-10 <= |v| < 1e13.
+    Values outside that range, zeros, nan and inf are formatted one at a
+    time.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    magnitude = np.abs(values)
+    ok = (magnitude >= _DECADES[0]) & (magnitude < _POW10[13])
+    v = magnitude[ok]
+    e = _decimal_exponent(v)
+    j = 12 - e
+    # y = whole + frac exactly: Dekker's product of v and 10**j.
+    whole = v * _POW10[j]
+    high, low = _split(v)
+    ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
+    frac = ((high * ph - whole) + high * pl + low * ph) + low * pl
+    # whole - n is exact and at most 1/2, and frac at most half an ulp of
+    # whole, so only a tie in whole can round the other way: y lies beyond
+    # it when frac points away from n, and a true tie keeps rint's even n.
+    n = np.rint(whole)
+    off = whole - n
+    n += np.sign(off) * ((np.abs(off) == 0.5) & (np.sign(frac) == np.sign(off)))
+    carry = n == _POW10[13]
+    n = np.where(carry, _POW10[12], n).astype(np.int64)
+    e += carry
+    slots = np.zeros((_SCI_WIDTH, len(v)), np.uint8)
+    slots[0] = np.where(values[ok] < 0, ord("-"), 0)
+    slots[1] = n // _INT_POW10[12] + ord("0")
+    slots[2] = ord(".")
+    _put_digits(slots[3:15], n)
+    slots[15] = ord("e")
+    slots[16] = np.where(e < 0, ord("-"), ord("+"))
+    _put_digits(slots[17:], np.abs(e))
+    text = _text_field([format(x, ".12e") for x in values[~ok].tolist()])
+    field = np.zeros((len(values), max(_SCI_WIDTH, text.shape[1])), np.uint8)
+    field[ok, :_SCI_WIDTH] = slots.T
+    field[~ok, : text.shape[1]] = text
+    return field
+
+
+def _csv_rows(fields) -> bytes:
+    """The rows of (n, w) slot fields, comma-separated, each ending in a newline.
+
+    The fields are written into one byte matrix between comma and newline
+    columns, and dropping every NUL leaves the rows.
+    """
+    # Each field's first column; a comma or, last, a newline follows it.
+    columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
+    matrix = np.full((len(fields[0]), columns[-1]), ord(","), np.uint8)
+    matrix[:, -1] = ord("\n")
+    for field, column in zip(fields, columns):
+        matrix[:, column : column + field.shape[1]] = field
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> bytes:
@@ -224,7 +317,7 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> byte
     index = np.arange(start, start + len(block.state))
     fields = (
         _int_field(index),
-        _emit_time_field(index * pulse_period_ns),
+        _num_field(index * pulse_period_ns),
         _STATE_CODES[block.state][:, None],
         _float_field(block.mu_eff, repr),
         _BASIS_CODES[block.bob_basis][:, None],
@@ -234,13 +327,7 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> byte
         _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
         _FLAG_CODES[block.error.astype(np.intp)][:, None],
     )
-    # Each field's first column; a comma or, last, a newline follows it.
-    columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
-    matrix = np.full((len(index), columns[-1]), ord(","), np.uint8)
-    matrix[:, -1] = ord("\n")
-    for field, column in zip(fields, columns):
-        matrix[:, column : column + field.shape[1]] = field
-    return matrix.tobytes().translate(None, b"\0")
+    return _csv_rows(fields)
 
 
 def block_outputs(
@@ -259,31 +346,50 @@ def block_outputs(
     )
 
 
-def histogram_csv_lines(hist: Histogram) -> Iterable[str]:
-    yield "bin_start_ns,count"
-    for start, count in zip(hist.bin_starts, hist.counts):
-        yield f"{_num(float(start))},{int(count)}"
+def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:
+    """The header line, then rows 0 .. n - 1, _BATCH rows per bytes chunk.
+
+    fields_of(rows) gives the slot fields of an array of row numbers.
+    """
+    yield header.encode() + b"\n"
+    for start in range(0, n, _BATCH):
+        yield _csv_rows(fields_of(np.arange(start, min(start + _BATCH, n))))
 
 
-def keyrate_csv_lines(grid: KeyRateMap) -> Iterable[str]:
-    yield "mu,qber,rate"
-    for i, mu in enumerate(grid.mu_axis):
-        for j, qber in enumerate(grid.qber_axis):
-            yield f"{mu:.12e},{qber:.12e},{grid.rates[i, j]:.12e}"
+def histogram_csv_lines(hist: Histogram) -> Iterator[bytes]:
+    starts = hist.bin_starts
+
+    def fields(rows):
+        return _num_field(starts[rows]), _int_field(hist.counts[rows])
+
+    yield from _csv_chunks("bin_start_ns,count", len(starts), fields)
 
 
-def boundary_csv_lines(grid: KeyRateMap) -> Iterable[str]:
-    yield "mu,qber_star"
-    for mu, q_star in grid.boundary:
-        yield f"{mu:.12e},{q_star:.12e}"
+def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
+    # Each axis is formatted once; cell k of the row-major rates lies at
+    # mu_axis[k // cols] and qber_axis[k % cols].
+    mu, qber = _sci_field(grid.mu_axis), _sci_field(grid.qber_axis)
+    rates, cols = grid.rates.ravel(), len(grid.qber_axis)
+
+    def fields(cells):
+        return mu[cells // cols], qber[cells % cols], _sci_field(rates[cells])
+
+    yield from _csv_chunks("mu,qber,rate", len(rates), fields)
 
 
-def write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write each line followed by a newline, one bounded batch at a time."""
-    lines = iter(lines)
-    with path.open("w") as out:
-        while batch := list(islice(lines, _BATCH)):
-            out.write("\n".join(batch) + "\n")
+def boundary_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
+    boundary = np.array(grid.boundary, dtype=np.float64).reshape(-1, 2)
+
+    def fields(rows):
+        return _sci_field(boundary[rows, 0]), _sci_field(boundary[rows, 1])
+
+    yield from _csv_chunks("mu,qber_star", len(boundary), fields)
+
+
+def write_lines(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write each bytes chunk in turn, as the chunks are made."""
+    with path.open("wb") as out:
+        out.writelines(chunks)
 
 
 def summary_text(

@@ -408,6 +408,28 @@ def test_sweep_csv_precision(tmp_path):
             assert len(mantissa) >= 9  # at least 9 significant digits
 
 
+#: sha256 of the outputs of `memqkd sweep-keyrate --mu-range 0.01:50
+#: --qber-range 0:0.5 --resolution 137x211`, recorded with one f"{v:.12e}"
+#: per value. The grid holds QBER 0, negative rates, exponents down to e-1x
+#: and a cell count that no power-of-two batch divides.
+SWEEP_DIGESTS = {
+    "keyrate_map.csv": "b7e11e6cc029ac051380fb657c528a03396f25ed81605b92c99537934ad3ce5f",
+    "keyrate_boundary.csv": "84fc760353d039b8c054cdd0ee6cf630d8438ab29bfce4d54ada5d6b63be697e",
+}
+
+
+def test_sweep_outputs_match_golden_digests(tmp_path):
+    assert run_cli(
+        "sweep-keyrate", "--mu-range", "0.01:50", "--qber-range", "0:0.5",
+        "--resolution", "137x211", "--outdir", str(tmp_path),
+    ) == 0  # fmt: skip
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SWEEP_DIGESTS
+    }
+    assert digests == SWEEP_DIGESTS
+
+
 def test_sweep_rejects_inverted_or_degenerate_ranges(capsys):
     assert run_cli(
         "sweep-keyrate", "--mu-range", "2.0:1.0", "--qber-range", "0:0.1"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -11,12 +12,20 @@ from memqkd import reports
 from memqkd.config import SourceMode
 from memqkd.presets import preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE
+from memqkd.histogram import Histogram
+from memqkd.keyrate import key_rate_map
 from memqkd.reports import (
-    _emit_time_field,
+    _DECADE_MIN,
+    _DECADES,
     _float_field,
     _int_field,
     _num,
+    _num_field,
+    _sci_field,
     block_outputs,
+    boundary_csv_lines,
+    histogram_csv_lines,
+    keyrate_csv_lines,
     pulse_csv_rows,
 )
 from memqkd.simulation import (
@@ -177,7 +186,7 @@ _INT64 = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
 @given(arrays(np.float64, st.integers(0, 40), elements=_FLOATS))
 def test_emit_time_fields_match_num_on_any_times(times):
     # Non-integral, past 2**63, nan and inf: every time prints as _num does.
-    assert _slots(_emit_time_field(times)) == [_num(t) for t in times.tolist()]
+    assert _slots(_num_field(times)) == [_num(t) for t in times.tolist()]
 
 
 #: Every digit count and sign of an int64: 10**k - 1, 10**k and their
@@ -272,7 +281,7 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
     )
     # Emit times past the float range overflow to inf with a numpy
     # RuntimeWarning: a matter of the config's magnitudes, not of formatting;
-    # _emit_time_field is checked on inf above.
+    # _num_field is checked on inf above.
     assume(math.isfinite((start + n) * period))
 
     def column(elements, dtype):
@@ -291,3 +300,138 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
     )
     expected = _row_wise_rows(start, block, period)
     assert _lines(pulse_csv_rows(start, block, period)) == _lines(expected)
+
+
+def _sci(values):
+    return _slots(_sci_field(np.array(values, dtype=np.float64)))
+
+
+def _formatted(values):
+    return [format(v, ".12e") for v in values]
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_subnormal=True)))
+def test_sci_field_is_format_on_any_floats(values):
+    assert _slots(_sci_field(values)) == _formatted(values.tolist())
+
+
+def test_decades_are_the_least_floats_from_each_power_of_ten():
+    for k, t in enumerate(_DECADES.tolist()):
+        power = Fraction(10) ** (k + _DECADE_MIN)
+        assert Fraction(t) >= power > Fraction(np.nextafter(t, 0.0))
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        # An exact tie of the 13th digit goes to the even digit.
+        (8193 / 8192, "1.000122070312e+00"),
+        (8195 / 8192, "1.000366210938e+00"),
+        # Values that round up to 10**13 carry into the exponent.
+        (9.9999999999995e12, "1.000000000000e+13"),
+        (9.99999999999995, "1.000000000000e+01"),
+        (np.nextafter(1.0, 0.0), "1.000000000000e+00"),
+        (np.nextafter(1e13, 0.0), "1.000000000000e+13"),
+        # The nearest floats to 1e-7 and 1e-6 lie below those powers.
+        (1e-7, "1.000000000000e-07"),
+        (1e-6, "1.000000000000e-06"),
+        (5e-324, "4.940656458412e-324"),
+        (1.7976931348623157e308, "1.797693134862e+308"),
+        (0.0, "0.000000000000e+00"),
+        (-0.0, "-0.000000000000e+00"),
+    ],
+)
+def test_sci_field_cases(value, text):
+    assert _sci([value, -value]) == [text, _formatted([-value])[0]]
+    assert format(value, ".12e") == text
+
+
+def test_sci_field_is_format_at_the_fast_path_edges_and_on_ties():
+    edges = [t for d in _DECADES.tolist() for t in (np.nextafter(d, 0.0), d, np.nextafter(d, 1e20))]
+    edges += [np.nextafter(1e13, 0.0), 1e13, np.nextafter(1e13, 2e13), np.nan, np.inf]
+    # Exact ties of the 13th digit: N / 10**q, N a 14-digit odd multiple of
+    # 5**q, which is the float M / 2**q with M = N / 5**q.
+    rng = np.random.default_rng(13)
+    ties = []
+    for q in range(1, 20):
+        low, high = -(-(10**13) // 5**q), 10**14 // 5**q
+        ties += [m / 2**q for m in (rng.integers(low, high, 50) | 1).tolist() if m < high]
+    for tie in ties:
+        digits = f"{tie:.13e}"
+        assert digits[14] == "5" and Fraction(digits) == Fraction(tie)
+    values = np.array(edges + ties)
+    values = np.concatenate([values, -values])
+    assert _sci(values) == _formatted(values.tolist())
+
+
+def test_sci_field_is_format_on_random_bit_patterns():
+    rng = np.random.default_rng(12)
+    low, high = np.array([1e-10, 1e13]).view(np.int64)
+    values = np.concatenate([
+        rng.integers(low, high, 2 * 10**5).view(np.float64),
+        rng.integers(0, 2**64, 10**4, dtype=np.uint64).view(np.float64),
+    ])  # fmt: skip
+    field = np.hstack([_sci_field(values), np.full((len(values), 1), ord("\n"), np.uint8)])
+    got = field[field != 0].tobytes().decode("ascii").split("\n")[:-1]
+    expected = _formatted(values.tolist())
+    assert len(got) == len(expected)
+    assert [(g, e) for g, e in zip(got, expected) if g != e][:10] == []
+
+
+#: (mu range, qber range, rows, cols) of sweeps checked against f-strings.
+_SWEEPS = [
+    ((0.01, 50.0), (0.0, 0.5), 37, 211),
+    ((1e-9, 1e-3), (0.0, 0.2), 50, 50),
+    ((1.0, 1.0), (0.03, 0.03), 1, 1),
+    ((0.05, 1.7), (0.0, 0.15), 3, 5000),
+]
+
+
+@pytest.mark.parametrize("mu,qber,rows,cols", _SWEEPS)
+def test_keyrate_csvs_match_f_strings(mu, qber, rows, cols):
+    grid = key_rate_map(np.linspace(*mu, rows), np.linspace(*qber, cols))
+    expected = "mu,qber,rate\n" + "".join(
+        f"{m:.12e},{q:.12e},{grid.rates[i, j]:.12e}\n"
+        for i, m in enumerate(grid.mu_axis)
+        for j, q in enumerate(grid.qber_axis)
+    )
+    chunks = list(keyrate_csv_lines(grid))
+    assert all(isinstance(chunk, bytes) for chunk in chunks)
+    assert len(chunks) == 1 + -(-rows * cols // reports._BATCH)
+    assert _lines(b"".join(chunks)) == _lines(expected)
+    boundary = "mu,qber_star\n" + "".join(f"{m:.12e},{q:.12e}\n" for m, q in grid.boundary)
+    assert b"".join(boundary_csv_lines(grid)).decode("ascii") == boundary
+
+
+def test_boundary_csv_of_an_empty_boundary_is_its_header():
+    grid = dataclasses.replace(key_rate_map(np.array([1.0]), np.array([0.3])), boundary=())
+    assert b"".join(boundary_csv_lines(grid)) == b"mu,qber_star\n"
+
+
+@pytest.mark.parametrize(
+    "bin_width,window", [(0.5, (0.0, 100.0)), (0.3, (-2.5, 5000.0)), (1e16, (0.0, 1e20))]
+)
+def test_histogram_csv_matches_num(bin_width, window):
+    hist = Histogram.empty(bin_width, window)
+    hist = dataclasses.replace(hist, counts=np.arange(hist.n_bins, dtype=np.int64) * 7919)
+    expected = "bin_start_ns,count\n" + "".join(
+        f"{_num(float(start))},{int(count)}\n"
+        for start, count in zip(hist.bin_starts, hist.counts)
+    )
+    assert _lines(b"".join(histogram_csv_lines(hist))) == _lines(expected)
+
+
+def test_sweep_cells_rarely_reach_format(monkeypatch):
+    # A slide back to one format call per value would print the same bytes;
+    # count the module's format calls on a benchmark-sized sweep.
+    grid = key_rate_map(np.linspace(0.05, 1.7, 400), np.linspace(0.0, 0.15, 400))
+    calls = []
+
+    def counting_format(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(reports, "format", counting_format, raising=False)
+    b"".join(keyrate_csv_lines(grid))
+    assert len(calls) <= 0.01 * grid.rates.size
