@@ -65,7 +65,9 @@ def _build_parser() -> _Parser:
     which.add_argument("--config", type=Path, help="INI-style config file")
     run.add_argument("--seed", type=int, default=None, help="64-bit simulation seed")
     run.add_argument("--pulses", type=int, default=None, help="number of pulses")
-    run.add_argument("--workers", type=int, default=1, help="parallel workers")
+    run.add_argument(
+        "--workers", type=int, default=1, help="blocks simulated at once, one thread each"
+    )
     run.add_argument("--outdir", default=None, help="output directory")
 
     sweep = sub.add_parser(
@@ -213,9 +215,9 @@ def _cmd_run(args) -> int:
         with closing(blocks), paths["pulses.csv"].open("wb") as out:
             out.write(PULSE_CSV_HEADER.encode() + b"\n")
             rows, *totals = next(blocks)
-            out.write(rows)
+            out.writelines(rows)
             for rows, *block_totals in blocks:
-                out.write(rows)
+                out.writelines(rows)
                 totals = [a + b for a, b in zip(totals, block_totals)]
         hist, sample, photons = totals
         write_lines(paths["histogram.csv"], histogram_csv_lines(hist))

@@ -12,8 +12,10 @@ tallies, so no per-pulse array outlives its block.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, the slots are written into one matrix
-between comma and newline columns, and dropping every NUL leaves the rows
-(_csv_rows). pulses.csv gets one matrix per block. Integers (and integral
+between comma and newline columns, and dropping every NUL from each slice
+of _BATCH rows leaves those rows (_csv_rows). The slots are dropped once
+the matrix holds them, and no copy of a whole matrix is made: pulses.csv
+gets one matrix per block and a list of its row slices. Integers (and integral
 emit times below 2**63) become digits by numpy arithmetic, and states,
 bases and flags are looked up by their array codes. Floats (mu_eff and
 non-integral emit times) get repr's shortest round-trip digits from exact
@@ -54,8 +56,9 @@ def _num(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-#: Rows formatted into one bytes chunk of the histogram and key-rate files:
-#: bounds the slot matrices held at once.
+#: Rows per bytes chunk of every CSV. It bounds the slot matrices of the
+#: histogram and key-rate files held at once, and the copy that drops a
+#: matrix's NUL padding.
 _BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
@@ -293,11 +296,13 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     return field
 
 
-def _csv_rows(fields) -> bytes:
-    """The rows of (n, w) slot fields, comma-separated, each ending in a newline.
+def _csv_rows(fields: list) -> list[bytes]:
+    """The rows of (n, w) slot fields, comma-separated, each ending in a newline,
+    as bytes chunks of at most _BATCH rows.
 
     The fields are written into one byte matrix between comma and newline
-    columns, and dropping every NUL leaves the rows.
+    columns and then dropped from the list, which is left empty; dropping
+    every NUL from each _BATCH-row slice of the matrix leaves its rows.
     """
     # Each field's first column; a comma or, last, a newline follows it.
     columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
@@ -305,17 +310,22 @@ def _csv_rows(fields) -> bytes:
     matrix[:, -1] = ord("\n")
     for field, column in zip(fields, columns):
         matrix[:, column : column + field.shape[1]] = field
-    return matrix.tobytes().translate(None, b"\0")
+    fields.clear()
+    return [
+        matrix[start : start + _BATCH].tobytes().translate(None, b"\0")
+        for start in range(0, len(matrix), _BATCH)
+    ]
 
 
-def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> bytes:
+def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list[bytes]:
     """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
 
     block holds the pulses' per-pulse arrays; pulse i is emitted at
-    i * pulse_period_ns. Built as one byte matrix (module docstring).
+    i * pulse_period_ns. Built as one byte matrix (module docstring) and
+    returned as bytes chunks of at most _BATCH rows.
     """
     index = np.arange(start, start + len(block.state))
-    fields = (
+    fields = [
         _int_field(index),
         _num_field(index * pulse_period_ns),
         _STATE_CODES[block.state][:, None],
@@ -326,17 +336,18 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> byte
         _int_field(block.leak_clicks),
         _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
         _FLAG_CODES[block.error.astype(np.intp)][:, None],
-    )
+    ]
     return _csv_rows(fields)
 
 
 def block_outputs(
     config, start: int, block: RunResult
-) -> tuple[bytes, Histogram, SiftedSample, PhotonTotals]:
+) -> tuple[list[bytes], Histogram, SiftedSample, PhotonTotals]:
     """Reduce one block of a run to (pulses.csv rows, histogram, sample, photons).
 
-    Each of the last three adds exactly across blocks, so a run's outputs
-    are the rows in block order and the sums of the rest.
+    The rows are bytes chunks in row order. Each of the last three adds
+    exactly across blocks, so a run's outputs are the rows in block order
+    and the sums of the rest.
     """
     return (
         pulse_csv_rows(start, block, config.source.pulse_period_ns),
@@ -353,7 +364,7 @@ def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:
     """
     yield header.encode() + b"\n"
     for start in range(0, n, _BATCH):
-        yield _csv_rows(fields_of(np.arange(start, min(start + _BATCH, n))))
+        yield from _csv_rows(list(fields_of(np.arange(start, min(start + _BATCH, n)))))
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterator[bytes]:

@@ -17,8 +17,9 @@ of workers.
 
 Each block is a RunResult of its own pulses. simulate_blocks streams a
 run: it hands each block to a caller-supplied reducer where the block is
-simulated (in a pool worker when there are several) and yields the reduced
-blocks in block order, with at most _IN_FLIGHT_PER_WORKER blocks per worker
+simulated (in a pool thread when there are several workers; numpy's array
+loops and random draws release the GIL) and yields the reduced blocks in
+block order, with at most _IN_FLIGHT_PER_WORKER blocks per worker
 submitted and not yet consumed. run_experiment keeps every block and joins
 them.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -57,7 +58,7 @@ from .qubits import (
 #: changes every seeded output.
 BLOCK_PULSES = 2**14
 
-#: Blocks each pool worker may have submitted and not yet consumed: one
+#: Blocks each pool thread may have submitted and not yet consumed: one
 #: being simulated and one queued, so a worker never waits on the consumer
 #: while memory stays bounded whatever the run length.
 _IN_FLIGHT_PER_WORKER = 2
@@ -391,27 +392,26 @@ def simulate_blocks(
     start is the block's first pulse index and block the RunResult of the
     block's pulses.
 
-    reduce runs where its block is simulated: in this process for one
+    reduce runs where its block is simulated: in the calling thread for one
     worker (or one block), otherwise in one of min(workers, blocks) pool
-    processes, so it and its result must pickle. At most
-    _IN_FLIGHT_PER_WORKER blocks per process are submitted and not yet
-    consumed; the next block is submitted as each one is consumed. Every
-    block is a pure function of (config, block), so the yielded sequence
-    never depends on workers.
+    threads of this process, so it must be safe to call from several
+    threads at once. At most _IN_FLIGHT_PER_WORKER blocks per thread are
+    submitted and not yet consumed; the next block is submitted as each one
+    is consumed. Every block is a pure function of (config, block), so the
+    yielded sequence never depends on workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_blocks = _n_blocks(config.source.n_pulses)
     simulate = partial(_simulate_block, config, policy, reduce)
-    processes = min(workers, n_blocks)
-    if processes == 1:
+    threads = min(workers, n_blocks)
+    if threads == 1:
         yield from map(simulate, range(n_blocks))
         return
     blocks = iter(range(n_blocks))
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         in_flight = deque(
-            pool.submit(simulate, b)
-            for b in islice(blocks, _IN_FLIGHT_PER_WORKER * processes)
+            pool.submit(simulate, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
         )
         while in_flight:
             done = in_flight.popleft().result()

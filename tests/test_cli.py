@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -72,6 +76,36 @@ def test_run_is_byte_identical_across_worker_counts(tmp_path):
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
     assert outputs[8] == outputs[1]
+
+
+def test_run_with_workers_leaves_no_thread_behind(tmp_path):
+    threads = threading.active_count()
+    assert run_cli(
+        "run", "--preset", "experiment3", "--pulses", str(4 * BLOCK_PULSES),
+        "--workers", "3", "--outdir", str(tmp_path),
+    ) == 0  # fmt: skip
+    assert threading.active_count() == threads
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Workers are threads: neither multiprocessing nor the process pool is
+    # imported, in a fresh interpreter that imports only the cli.
+    code = (
+        "import sys, memqkd.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+        "or m == 'concurrent.futures.process'))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out == "[]\n"
 
 
 #: sha256 of each output of `memqkd run --preset experiment3 --seed 2016
@@ -239,8 +273,9 @@ def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsy
     assert not any((tmp_path / "histogram.csv").iterdir())
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("existing", [False, True])
-def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing):
+def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing, workers):
     calls = []
     real_pulse_csv_rows = reports.pulse_csv_rows
 
@@ -257,7 +292,7 @@ def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existin
         (outdir / "summary.txt").write_text("an earlier run\n")
     code = run_cli(
         "run", "--preset", "experiment3", "--pulses", str(7 * BLOCK_PULSES // 2),
-        "--outdir", str(outdir),
+        "--workers", str(workers), "--outdir", str(outdir),
     )  # fmt: skip
     assert code == 2
     assert len(calls) == 4

@@ -59,8 +59,10 @@ def _row_wise_rows(start, block, period):
 
 def _lines(text):
     # Compared as lists: pytest's report for two unequal multi-megabyte
-    # strings is a line diff that takes minutes. pulse_csv_rows returns
-    # ASCII bytes.
+    # strings is a line diff that takes minutes. pulse_csv_rows returns a
+    # list of ASCII bytes chunks.
+    if isinstance(text, list):
+        text = b"".join(text)
     if isinstance(text, bytes):
         text = text.decode("ascii")
     return text.split("\n")
@@ -168,7 +170,9 @@ def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
     rows, hists, samples, photons = zip(*blocks)
     result = run_experiment(config, policy=policy)
     period = config.source.pulse_period_ns
-    assert _lines(b"".join(rows)) == _lines(_row_wise_rows(0, result, period))
+    assert _lines([chunk for chunks in rows for chunk in chunks]) == _lines(
+        _row_wise_rows(0, result, period)
+    )
     assert sum(hists[1:], hists[0]) == result.histogram
     assert sum(samples[1:], samples[0]) == result.sample
     totals = sum(photons[1:], photons[0])

@@ -497,7 +497,7 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
 
 
 class _InlinePool:
-    """Stand-in for ProcessPoolExecutor that runs each block when submitted
+    """Stand-in for ThreadPoolExecutor that runs each block when submitted
     and records how many blocks are submitted and not yet consumed."""
 
     def __init__(self, max_workers, log):
@@ -521,7 +521,7 @@ class _InlinePool:
 def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
     log = {}
     monkeypatch.setattr(
-        simulation, "ProcessPoolExecutor", lambda max_workers: _InlinePool(max_workers, log)
+        simulation, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, log)
     )
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
@@ -535,6 +535,21 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
         assert in_flight == min(2 * log["processes"], n_blocks - len(starts))
     assert log["processes"] == min(workers, n_blocks)
     assert starts == [b * BLOCK_PULSES for b in range(n_blocks)]
+
+
+def test_stream_takes_a_reducer_that_cannot_pickle():
+    # A nested function cannot pickle; pool threads call it in this process.
+    config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=31)
+    seen = []
+
+    def reduce(start, block):
+        seen.append(start)
+        return start, block.sample, block.histogram
+
+    solo = list(simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, reduce))
+    split = list(simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce))
+    assert split == solo
+    assert sorted(seen) == sorted(2 * [0, BLOCK_PULSES, 2 * BLOCK_PULSES])
 
 
 def test_stream_rejects_zero_workers():
