@@ -25,8 +25,13 @@ x >= 1e16) and powers of two are formatted one value at a time.
 
 The key-rate grids print each float as format(v, ".12e") does, its 13
 digits rounded from the exact product of |v| and a power of ten
-(_sci_field); only 0, nan, inf and |v| outside [1e-10, 1e13) are formatted
-one value at a time. Each grid axis is formatted once. histogram.csv,
+(_sci_field). The digits are written four at a time, each group one lookup
+in a table of the 10**4 texts "0000" .. "9999" stored into a fixed offset
+of a row-major 19-byte slot, and the exponent one lookup in a table of
+"e-10" .. "e+13". Only 0, nan, inf and |v| outside [1e-10, 1e13) are
+formatted one value at a time, and a chunk with none of them is returned
+as its slots, with no merge. Each grid axis is formatted once and its
+rows gathered as whole fixed-size items. histogram.csv,
 keyrate_map.csv and keyrate_boundary.csv are made as bytes chunks of at
 most _BATCH rows, which write_lines writes as they are made, so only one
 chunk's matrices are held at once.
@@ -247,8 +252,27 @@ def _num_field(values: np.ndarray) -> np.ndarray:
     return np.hstack([ints, others])
 
 
-#: Width of a positional _sci_field slot: sign, d.dddddddddddd, e, +dd.
-_SCI_WIDTH = 19
+#: A positional _sci_field slot, row-major at fixed offsets: sign, lead
+#: digit, point, the other twelve digits as three groups of four and the
+#: exponent text, e.g. "-", "1", ".", "2345", "6789", "0123", "e-07".
+_SCI_SLOT = np.dtype(
+    {
+        "names": ["sign", "lead", "point", "groups", "exponent"],
+        "formats": [np.uint8, np.uint8, np.uint8, (np.uint32, 3), np.uint32],
+        "offsets": [0, 1, 2, 3, 15],
+        "itemsize": 19,
+    }
+)
+#: The ASCII digits of 00 .. 99 as uint16 and of 0000 .. 9999 as uint32,
+#: each in the byte order of its text.
+_DIGIT_PAIRS = (
+    (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint16)
+)
+_DIGIT_GROUPS = (
+    np.stack(np.broadcast_arrays(_DIGIT_PAIRS, _DIGIT_PAIRS.T), -1).view(np.uint32).ravel()
+)
+#: The exponent text "e-10" .. "e+13" of _sci_field's positional slots.
+_EXPONENT_TEXT = np.array([b"e%+03d" % e for e in range(_DECADE_MIN, 14)]).view(np.uint32)
 
 
 def _sci_field(values: np.ndarray) -> np.ndarray:
@@ -258,8 +282,11 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     its exact value. With e the decimal exponent of |v|, y = |v| * 10**(12 - e)
     lies in [1e12, 1e13) and is held exactly as whole + frac by Dekker's
     product, as 10**(12 - e) is an exact float while 1e-10 <= |v| < 1e13.
-    Values outside that range, zeros, nan and inf are formatted one at a
-    time.
+    Its digits are written four at a time into _SCI_SLOT rows: each group
+    is one division by 10**4 and one lookup in _DIGIT_GROUPS, and the
+    exponent is one lookup in _EXPONENT_TEXT. Values outside that range,
+    zeros, nan and inf are formatted one at a time and merged in; when a
+    chunk has none, the slots are returned as they are.
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
@@ -281,17 +308,22 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     carry = n == _POW10[13]
     n = np.where(carry, _POW10[12], n).astype(np.int64)
     e += carry
-    slots = np.zeros((_SCI_WIDTH, len(v)), np.uint8)
-    slots[0] = np.where(values[ok] < 0, ord("-"), 0)
-    slots[1] = n // _INT_POW10[12] + ord("0")
-    slots[2] = ord(".")
-    _put_digits(slots[3:15], n)
-    slots[15] = ord("e")
-    slots[16] = np.where(e < 0, ord("-"), ord("+"))
-    _put_digits(slots[17:], np.abs(e))
+    slots = np.empty(len(v), _SCI_SLOT)
+    slots["sign"] = (values[ok] < 0) * ord("-")
+    slots["point"] = ord(".")
+    groups = slots["groups"]
+    for k in (2, 1, 0):
+        quotient = n // 10**4
+        groups[:, k] = _DIGIT_GROUPS[n - quotient * 10**4]
+        n = quotient
+    slots["lead"] = n + ord("0")
+    slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]
+    slots = slots.view(np.uint8).reshape(len(v), _SCI_SLOT.itemsize)
+    if len(v) == len(values):
+        return slots
     text = _text_field([format(x, ".12e") for x in values[~ok].tolist()])
-    field = np.zeros((len(values), max(_SCI_WIDTH, text.shape[1])), np.uint8)
-    field[ok, :_SCI_WIDTH] = slots.T
+    field = np.zeros((len(values), max(_SCI_SLOT.itemsize, text.shape[1])), np.uint8)
+    field[ok, : _SCI_SLOT.itemsize] = slots
     field[~ok, : text.shape[1]] = text
     return field
 
@@ -377,13 +409,19 @@ def histogram_csv_lines(hist: Histogram) -> Iterator[bytes]:
 
 
 def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
-    # Each axis is formatted once; cell k of the row-major rates lies at
-    # mu_axis[k // cols] and qber_axis[k % cols].
-    mu, qber = _sci_field(grid.mu_axis), _sci_field(grid.qber_axis)
+    # Each axis is formatted once, and its slots are gathered as whole void
+    # items; cell k of the row-major rates lies at mu_axis[k // cols] and
+    # qber_axis[k % cols].
+    def gather(axis):
+        field = _sci_field(axis)
+        items = field.view(f"V{field.shape[1]}").ravel()
+        return lambda k: items[k].view(np.uint8).reshape(len(k), field.shape[1])
+
+    mu, qber = gather(grid.mu_axis), gather(grid.qber_axis)
     rates, cols = grid.rates.ravel(), len(grid.qber_axis)
 
     def fields(cells):
-        return mu[cells // cols], qber[cells % cols], _sci_field(rates[cells])
+        return mu(cells // cols), qber(cells % cols), _sci_field(rates[cells])
 
     yield from _csv_chunks("mu,qber,rate", len(rates), fields)
 

@@ -17,6 +17,8 @@ from memqkd.keyrate import key_rate_map
 from memqkd.reports import (
     _DECADE_MIN,
     _DECADES,
+    _DIGIT_GROUPS,
+    _EXPONENT_TEXT,
     _float_field,
     _int_field,
     _num,
@@ -344,11 +346,32 @@ def test_decades_are_the_least_floats_from_each_power_of_ten():
         (1.7976931348623157e308, "1.797693134862e+308"),
         (0.0, "0.000000000000e+00"),
         (-0.0, "-0.000000000000e+00"),
+        # The least exponent printed from the table.
+        (1e-10, "1.000000000000e-10"),
     ],
 )
 def test_sci_field_cases(value, text):
     assert _sci([value, -value]) == [text, _formatted([-value])[0]]
     assert format(value, ".12e") == text
+
+
+def test_digit_groups_are_four_digit_text():
+    assert _DIGIT_GROUPS.view("S4").tolist() == [b"%04d" % k for k in range(10**4)]
+
+
+def test_exponent_text_is_formats_exponent():
+    expected = [format(float(f"1e{e}"), ".12e")[-4:].encode() for e in range(_DECADE_MIN, 14)]
+    assert _EXPONENT_TEXT.view("S4").tolist() == expected
+
+
+def test_sci_field_merges_formatted_values_into_a_chunk():
+    # One chunk with fast-path values and each value formatted one at a
+    # time, so the merge runs; a chunk without the latter skips it.
+    fast = np.random.default_rng(14).uniform(-1e3, 1e3, 40)
+    others = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e13, -1e13]
+    values = np.insert(fast, [3, 9, 9, 20, 27, 33, 40], others)
+    assert _sci(values) == _formatted(values.tolist())
+    assert _sci_field(fast).shape == (len(fast), 19)
 
 
 def test_sci_field_is_format_at_the_fast_path_edges_and_on_ties():
