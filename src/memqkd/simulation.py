@@ -7,13 +7,21 @@ randomly chosen basis by a four-detector receiver. Sifting keeps matched-basis
 pulses with at least one click inside the retrieval ROI and tallies per-basis
 error rates.
 
+A pulse's photon number is Poisson at its mean, and each photon's fate is
+an independent choice, so by Poisson thinning every part of the pulse
+(leaked, retrieved onto either detector, lost) is an independent Poisson
+count at the pulse's mean times that part's probability. The layers pass
+means, not photon counts, and only the parts are drawn.
+
 Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
 block may be shorter). Each block draws every layer as whole arrays from one
-stream keyed by (config.seed, block_index), in a fixed order that starts
-with the prepared states; click timing draws from that stream's first
-child. Workers take whole blocks and the block size never depends on the
-worker count, so a run is a pure function of its config whatever the number
-of workers.
+stream keyed by (config.seed, block_index), in a fixed order: the prepared
+states, the turbulent gain, Bob's basis, the leaked photons, the retrieved
+photons on the bit-0 and then the bit-1 detector, the background on each,
+the block's lost total (one count), and the sifting ties. Click timing
+draws from that stream's first child. Workers take whole blocks and the
+block size never depends on the worker count, so a run is a pure function
+of its config whatever the number of workers.
 
 Each block is a RunResult of its own pulses. simulate_blocks streams a
 run: it hands each block to a caller-supplied reducer where the block is
@@ -140,7 +148,10 @@ class SiftedSample:
 
 @dataclass(frozen=True)
 class PhotonTotals:
-    """Photons per stage over a block or a run; blocks add exactly."""
+    """Photons per stage over a block or a run; blocks add exactly.
+
+    arrived is retrieved + leaked + lost: the parts are drawn, not the whole.
+    """
 
     arrived: int
     retrieved: int
@@ -179,58 +190,69 @@ def _draw_states(
 
 def sample_arriving_photons(
     mu_alice: float, channel: ChannelConfig, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Channel passage for size pulses: effective means and arriving photon counts.
+) -> np.ndarray:
+    """Channel passage for size pulses: each pulse's mean photon number at the memory.
 
     The turbulent gain is normal with mean 1 and std rel_fluctuation,
-    truncated at 0; the photon number is Poisson at the attenuated mean.
+    truncated at 0. Given the mean, a pulse's photon number is Poisson; it
+    is never drawn whole, only in the thinned parts the memory and the
+    receiver draw.
     """
     gain = np.maximum(0.0, rng.normal(1.0, channel.rel_fluctuation, size))
-    mu_effective = mu_alice * channel.transmission * gain
-    return mu_effective, rng.poisson(mu_effective)
+    return mu_alice * channel.transmission * gain
+
+
+def _retrieval_probability(memory: MemoryConfig) -> float:
+    """Probability that an arriving photon is stored and retrieved."""
+    # The min keeps the lost fraction 1 - leak - p_ret nonnegative in floats.
+    return min(1.0 - memory.leak_fraction, memory.retrieval_efficiency)
 
 
 def apply_memory(
-    n_photons: np.ndarray, memory: MemoryConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Storage step: (retrieved, leaked, lost, background_roi) per pulse.
+    mu_eff: np.ndarray, memory: MemoryConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Storage step for pulses of mean mu_eff: (mu_retrieved, leaked, mu_lost).
 
-    Each photon leaks, is retrieved, or is lost: two sequential binomials
-    (leaked first, then retrieved among the rest at the conditional
-    efficiency) give the multinomial split and keep per-pulse conservation
-    exact. Surviving photons keep their polarization: both rails store or
-    miss together, so attenuation never rotates the state. Background
-    counts in the ROI are Poisson at the suppressed mean and unpolarized
-    (routed 50/50 at measurement).
+    Each photon of a Poisson(mu_eff) pulse independently leaks, is retrieved
+    or is lost. By Poisson thinning the three counts are independent
+    Poissons at mu_eff times each fraction, so only leaked is drawn here,
+    per pulse. mu_retrieved is the per-pulse mean of the retrieved photons,
+    which the receiver draws per detector; mu_lost is the mean of the
+    block's lost total, a single count. Surviving photons keep their
+    polarization: both rails store or miss together, so attenuation never
+    rotates the state.
     """
     leak = memory.leak_fraction
-    leaked = rng.binomial(n_photons, leak)
-    # leak == 1 forces retrieval_efficiency == 0.
-    p_retrieve = min(1.0, memory.retrieval_efficiency / (1.0 - leak)) if leak < 1.0 else 0.0
-    retrieved = rng.binomial(n_photons - leaked, p_retrieve)
-    background = rng.poisson(memory.effective_background, np.shape(n_photons))
-    return retrieved, leaked, n_photons - leaked - retrieved, background
+    p_retrieve = _retrieval_probability(memory)
+    leaked = rng.poisson(mu_eff * leak)
+    mu_lost = float(mu_eff.sum()) * (1.0 - leak - p_retrieve)
+    return mu_eff * p_retrieve, leaked, mu_lost
 
 
 def measure(
     state: np.ndarray,
-    n_signal: np.ndarray,
-    n_background: np.ndarray,
+    bob_basis: np.ndarray,
+    mu_retrieved: np.ndarray,
+    background_mean: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Four-detector measurement: (bob_basis, c0, c1) per pulse.
+    """Four-detector measurement in Bob's basis: (c0, c1, retrieved) per pulse.
 
-    Bob's basis is a fair coin (the 50/50 splitter); signal photons route by
-    the ideal projection table, background photons 50/50 within the chosen
-    basis. c0 and c1 count the bit-0 and bit-1 detectors of bob_basis.
+    Retrieved photons route by the ideal projection table, and unpolarized
+    ROI background (background_mean per pulse) 50/50 within bob_basis. By
+    Poisson thinning each detector's signal and background counts are
+    independent Poissons: signal at mu_retrieved * P0 and mu_retrieved *
+    (1 - P0), with P0 = _P0[state, bob_basis], and background at
+    background_mean / 2 on each. c0 and c1 count the bit-0 and bit-1
+    detectors of bob_basis; retrieved is the signal part of c0 + c1.
     Detectors are ideal and photon-number resolving within the ROI.
     """
-    bob_basis = rng.integers(2, size=len(state), dtype=np.int8)
-    signal_d0 = rng.binomial(n_signal, _P0[state, bob_basis])
-    background_d0 = rng.binomial(n_background, 0.5)
-    c0 = signal_d0 + background_d0
-    c1 = (n_signal - signal_d0) + (n_background - background_d0)
-    return bob_basis, c0, c1
+    mu_d0 = mu_retrieved * _P0[state, bob_basis]
+    signal_d0 = rng.poisson(mu_d0)
+    signal_d1 = rng.poisson(mu_retrieved - mu_d0)
+    c0 = signal_d0 + rng.poisson(background_mean / 2.0, len(state))
+    c1 = signal_d1 + rng.poisson(background_mean / 2.0, len(state))
+    return c0, c1, signal_d0 + signal_d1
 
 
 def sift(
@@ -351,17 +373,25 @@ def _simulate_block(config, policy, reduce, block):
     source = config.source
     start, stop = _block_range(source.n_pulses, block)
     m = stop - start
+    memory = config.memory
     rng = np.random.default_rng([config.seed, block])
     state = _draw_states(source.mode, start, stop, rng)
-    mu_eff, arrived = sample_arriving_photons(source.mu_alice, config.channel, rng, m)
-    retrieved, leaked, lost, background_roi = apply_memory(arrived, config.memory, rng)
-    bob_basis, c0, c1 = measure(state, retrieved, background_roi, rng)
+    mu_eff = sample_arriving_photons(source.mu_alice, config.channel, rng, m)
+    # Bob's basis is a fair coin (the 50/50 splitter).
+    bob_basis = rng.integers(2, size=m, dtype=np.int8)
+    mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, memory, rng)
+    c0, c1, retrieved = measure(
+        state, bob_basis, mu_retrieved, memory.effective_background, rng
+    )
+    # The lost total only enters the photon ledger; drawn after every
+    # per-pulse count, it moves none of them.
+    lost = int(rng.poisson(mu_lost))
     sifted, error = sift(state, bob_basis, c0, c1, rng, policy)
+    n_retrieved, n_leaked = int(retrieved.sum()), int(leaked.sum())
+    n_roi = int(c0.sum() + c1.sum())
     # Click timing draws from a child stream: the tie policy and any later
     # change to the timing leave every draw above alone.
-    leak_clicks, histogram = record_clicks(
-        leaked, int(retrieved.sum() + background_roi.sum()), config, rng.spawn(1)[0]
-    )
+    leak_clicks, histogram = record_clicks(leaked, n_roi, config, rng.spawn(1)[0])
 
     result = RunResult(
         state=state,
@@ -375,7 +405,11 @@ def _simulate_block(config, policy, reduce, block):
         histogram=histogram,
         sample=SiftedSample.from_flags(bob_basis, sifted, error),
         photons=PhotonTotals(
-            *(int(n.sum()) for n in (arrived, retrieved, leaked, lost, background_roi))
+            arrived=n_retrieved + n_leaked + lost,
+            retrieved=n_retrieved,
+            leaked=n_leaked,
+            lost=lost,
+            background_roi=n_roi - n_retrieved,
         ),
     )
     return reduce(start, result)
@@ -449,3 +483,61 @@ def run_experiment(
 
     names = (field.name for field in dataclasses.fields(RunResult))
     return RunResult(**{name: joined(name) for name in names})
+
+
+#: Gauss-Legendre nodes of expected_qber's integral over the turbulent gain.
+_GAIN_NODES = 64
+
+
+def expected_qber(config, policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM) -> float:
+    """Closed-form sifted error rate of the model run_experiment samples.
+
+    A sifted pulse has matching bases, so given its turbulent gain g the
+    correct detector counts C ~ Poisson(lam(g) + q/2) and the wrong one
+    W ~ Poisson(q/2), independently, with lam(g) = mu_alice * transmission
+    * g * p_ret and q = effective_background. The error rate is a ratio of
+    expectations over g:
+
+    - RANDOM: E[P(W > C) + P(W = C >= 1) / 2] / E[P(C + W >= 1)];
+    - DISCARD: E[P(W > C)] / E[P(C + W >= 1) - P(W = C >= 1)].
+
+    The gain is normal (mean 1, std rel_fluctuation) truncated at 0: its
+    mass below 0 is a point mass at g = 0, and the rest is integrated by
+    Gauss-Legendre over the central +-8 standard deviations above 0. The
+    Poisson sums stop where both tails are far below double precision.
+    NaN when no pulse can click.
+    """
+    s = config.channel.rel_fluctuation
+    if s > 0:
+        lo, hi = max(0.0, 1.0 - 8.0 * s), 1.0 + 8.0 * s
+        x, w = np.polynomial.legendre.leggauss(_GAIN_NODES)
+        gain = lo + (hi - lo) * (x + 1.0) / 2.0
+        density = np.exp(-0.5 * ((gain - 1.0) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        below_zero = 0.5 * math.erfc(1.0 / (s * math.sqrt(2.0)))
+        gain = np.append(gain, 0.0)
+        weight = np.append(w * (hi - lo) / 2.0 * density, below_zero)
+    else:
+        gain, weight = np.ones(1), np.ones(1)
+    source, memory = config.source, config.memory
+    b = memory.effective_background / 2.0
+    a = source.mu_alice * config.channel.transmission * _retrieval_probability(memory) * gain + b
+    top = float(a.max())
+    k = np.arange(math.ceil(top + 12.0 * math.sqrt(top) + 40.0))
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+
+    def pmf(mean):
+        # Poisson pmf over k in log space; a zero mean puts all mass on k = 0.
+        log_mean = np.log(np.maximum(mean, np.finfo(float).tiny))
+        return np.exp(np.multiply.outer(log_mean, k) - np.asarray(mean)[..., None] - log_factorial)
+
+    p_c, p_w = pmf(a), pmf(b)
+    above = np.append(np.cumsum(p_w[::-1])[::-1][1:], 0.0)  # P(W > k)
+    wrong = p_c @ above  # P(W > C)
+    none = np.exp(-(a + b))  # P(C = W = 0)
+    tie = p_c @ p_w - none  # P(W = C >= 1)
+    click = -np.expm1(-(a + b))  # P(C + W >= 1)
+    if policy is DoubleClickPolicy.DISCARD:
+        errors, sifted = weight @ wrong, weight @ (click - tie)
+    else:
+        errors, sifted = weight @ (wrong + tie / 2.0), weight @ click
+    return float(errors / sifted) if sifted > 0 else math.nan

@@ -5,7 +5,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.stats import chi2, chisquare
+from scipy.integrate import quad
+from scipy.stats import binom, chi2, chisquare, norm, poisson, skellam
 
 from memqkd import simulation
 from memqkd.config import (
@@ -17,7 +18,7 @@ from memqkd.config import (
     SourceMode,
 )
 from memqkd.keyrate import qber_oracle_from_sbr
-from memqkd.presets import preset_config
+from memqkd.presets import PRESET_NAMES, preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of
 from memqkd.simulation import (
     BLOCK_PULSES,
@@ -25,6 +26,7 @@ from memqkd.simulation import (
     RunResult,
     SiftedSample,
     apply_memory,
+    expected_qber,
     measure,
     run_experiment,
     sample_arriving_photons,
@@ -74,24 +76,32 @@ def test_source_config_validation():
 def test_arrival_counts_zero_at_zero_mu():
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.0)
     rng = np.random.default_rng(0)
-    mu_eff, count = sample_arriving_photons(0.0, channel, rng, 100)
+    mu_eff = sample_arriving_photons(0.0, channel, rng, 100)
     assert np.all(mu_eff == 0.0)
-    assert np.all(count == 0)
+    mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, MemoryConfig(), rng)
+    c0, c1, retrieved = measure(codes(H).repeat(100), np.zeros(100, int), mu_retrieved, 0.0, rng)
+    assert np.all(leaked == 0) and mu_lost == 0.0
+    assert np.all(c0 == 0) and np.all(c1 == 0) and np.all(retrieved == 0)
 
 
 def test_arrival_mean_matches_memory_input_target():
+    # Arrived photons are the leaked, retrieved and lost ones together.
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.0)
     rng = np.random.default_rng(5)
     n = 200_000
-    _, counts = sample_arriving_photons(1.6 / 0.59, channel, rng, n)
+    mu_eff = sample_arriving_photons(1.6 / 0.59, channel, rng, n)
+    assert np.allclose(mu_eff, 1.6, rtol=1e-12, atol=0.0)
+    mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, MemoryConfig(), rng)
+    _, _, retrieved = measure(codes(H).repeat(n), np.zeros(n, int), mu_retrieved, 0.0, rng)
+    arrived = leaked.sum() + retrieved.sum() + rng.poisson(mu_lost)
     three_sigma = 3 * math.sqrt(1.6 / n)
-    assert counts.sum() / n == pytest.approx(1.6, abs=three_sigma)
+    assert arrived / n == pytest.approx(1.6, abs=three_sigma)
 
 
 def test_turbulence_fluctuation_scale():
     channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.05)
     rng = np.random.default_rng(9)
-    mus, _ = sample_arriving_photons(2.0, channel, rng, 100_000)
+    mus = sample_arriving_photons(2.0, channel, rng, 100_000)
     assert np.std(mus) / np.mean(mus) == pytest.approx(0.05, rel=0.10)
 
 
@@ -110,46 +120,75 @@ def test_channel_validation():
 def test_lossless_memory_preserves_everything():
     memory = MemoryConfig(retrieval_efficiency=1.0, leak_fraction=0.0, background_mean=0.0)
     rng = np.random.default_rng(1)
-    out = apply_memory(np.array([17]), memory, rng)
-    assert [int(a[0]) for a in out] == [17, 0, 0, 0]
+    mu_retrieved, leaked, mu_lost = apply_memory(np.array([17.0]), memory, rng)
+    assert (mu_retrieved.tolist(), leaked.tolist(), mu_lost) == ([17.0], [0], 0.0)
 
 
 def test_dead_memory_retrieves_nothing():
     memory = MemoryConfig(retrieval_efficiency=0.0, leak_fraction=0.4, background_mean=0.0)
     rng = np.random.default_rng(2)
-    n = np.array([0, 1, 5, 40])
-    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
-    assert np.all(retrieved == 0)
-    assert np.array_equal(leaked + lost, n)
+    mu = np.array([0.0, 1.0, 5.0, 40.0])
+    mu_retrieved, leaked, mu_lost = apply_memory(mu, memory, rng)
+    assert np.all(mu_retrieved == 0.0)
+    assert leaked[0] == 0
+    assert mu_lost == pytest.approx(0.6 * mu.sum())
 
 
 def test_all_leaking_memory_retrieves_nothing():
     memory = MemoryConfig(retrieval_efficiency=0.0, leak_fraction=1.0, background_mean=0.0)
-    n = np.array([0, 3, 40])
-    retrieved, leaked, lost, _ = apply_memory(n, memory, np.random.default_rng(2))
-    assert np.all(retrieved == 0) and np.all(lost == 0)
-    assert np.array_equal(leaked, n)
+    n = 100_000
+    mu = np.full(n, 3.0)
+    mu_retrieved, leaked, mu_lost = apply_memory(mu, memory, np.random.default_rng(2))
+    assert np.all(mu_retrieved == 0.0) and mu_lost == 0.0
+    # Every photon leaks: leaked is the whole Poisson(3) pulse.
+    assert abs(leaked.sum() - 3.0 * n) < 3 * math.sqrt(3.0 * n)
 
 
 def test_memory_conservation_exact():
-    memory = MemoryConfig(retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.2)
-    rng = np.random.default_rng(3)
-    n = rng.poisson(3.0, 2000)
-    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
-    assert np.array_equal(retrieved + leaked + lost, n)
-    assert np.all(lost >= 0)
+    # Arrived photons are defined as retrieved + leaked + lost, block by
+    # block, so the ledger adds up exactly over a run.
+    config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=3)
+    blocks = list(
+        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: block.photons)
+    )
+    assert len(blocks) == 3
+    for photons in blocks:
+        assert photons.arrived == photons.retrieved + photons.leaked + photons.lost
+        assert min(photons.retrieved, photons.leaked, photons.lost) > 0
 
 
 def test_memory_split_matches_multinomial_fractions():
-    # Sequential binomials must reproduce the multinomial's marginal means.
+    # The thinned Poisson draws must reproduce the multinomial's marginal means.
     memory = MemoryConfig(retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.0)
     rng = np.random.default_rng(11)
-    n = np.full(200_000, 5)
-    retrieved, leaked, lost, _ = apply_memory(n, memory, rng)
-    total = n.sum()
-    for count, p in ((retrieved, 0.12), (leaked, 0.35), (lost, 0.53)):
-        three_sigma = 3 * math.sqrt(p * (1 - p) / total)
-        assert abs(count.sum() / total - p) < three_sigma
+    n = 200_000
+    mu_retrieved, leaked, mu_lost = apply_memory(np.full(n, 5.0), memory, rng)
+    _, _, retrieved = measure(codes(H).repeat(n), np.zeros(n, int), mu_retrieved, 0.0, rng)
+    total = 5.0 * n
+    for count, p in ((retrieved.sum(), 0.12), (leaked.sum(), 0.35), (rng.poisson(mu_lost), 0.53)):
+        three_sigma = 3 * math.sqrt(p / total)  # Poisson: variance p * total
+        assert abs(count / total - p) < three_sigma
+
+
+def test_memory_split_is_poisson_thinning():
+    # Thinning a Poisson(mu) pulse gives independent Poisson counts with the
+    # binomial chain's means: leaked ~ B(n, leak), then retrieved ~
+    # B(n - leaked, eta / (1 - leak)), drawn below as the reference.
+    leak, eta, mu, n = 0.35, 0.12, 3.0, 200_000
+    memory = MemoryConfig(retrieval_efficiency=eta, leak_fraction=leak, background_mean=0.0)
+    rng = np.random.default_rng(12)
+    mu_retrieved, leaked, _ = apply_memory(np.full(n, mu), memory, rng)
+    _, _, retrieved = measure(codes(D).repeat(n), np.full(n, X), mu_retrieved, 0.0, rng)
+    arrived = rng.poisson(mu, n)
+    chain_leaked = rng.binomial(arrived, leak)
+    chain_retrieved = rng.binomial(arrived - chain_leaked, eta / (1.0 - leak))
+    for count, chain, p in ((leaked, chain_leaked, leak), (retrieved, chain_retrieved, eta)):
+        lam = mu * p
+        assert abs(count.mean() - lam) < 4 * math.sqrt(lam / n)
+        # The sample variance of a Poisson count has variance (lam + 2 lam^2) / n.
+        assert abs(count.var() - lam) < 4 * math.sqrt((lam + 2 * lam**2) / n)
+        assert abs(count.mean() - chain.mean()) < 4 * math.sqrt(2 * lam / n)
+    assert abs(np.corrcoef(leaked, retrieved)[0, 1]) < 4 / math.sqrt(n)
 
 
 def test_memory_long_run_sbr():
@@ -158,9 +197,13 @@ def test_memory_long_run_sbr():
         retrieval_efficiency=0.12, leak_fraction=0.35, background_mean=0.12 * 1.3 / 26.0
     )
     rng = np.random.default_rng(4)
-    n_pulses = 500_000
-    retrieved, _, _, background = apply_memory(rng.poisson(1.3, n_pulses), memory, rng)
-    assert retrieved.sum() / background.sum() == pytest.approx(26.0, rel=0.05)
+    n = 500_000
+    mu_retrieved, _, _ = apply_memory(np.full(n, 1.3), memory, rng)
+    c0, c1, retrieved = measure(
+        codes(H).repeat(n), np.zeros(n, int), mu_retrieved, memory.effective_background, rng
+    )
+    background = c0.sum() + c1.sum() - retrieved.sum()
+    assert retrieved.sum() / background == pytest.approx(26.0, rel=0.05)
 
 
 def test_memory_validation():
@@ -180,41 +223,43 @@ def test_memory_validation():
 def test_measure_matched_basis_clicks_correct_detector():
     rng = np.random.default_rng(6)
     n = 200
-    bob_basis, c0, c1 = measure(codes(H).repeat(n), np.ones(n, int), np.zeros(n, int), rng)
-    z = bob_basis == Z
-    assert z.any()
-    assert np.all(c0[z] == 1)  # H is the bit-0 detector of Z
-    assert np.all(c1[z] == 0)
+    c0, c1, retrieved = measure(codes(H).repeat(n), np.full(n, Z), np.ones(n), 0.0, rng)
+    assert c0.sum() > 0
+    assert np.array_equal(c0, retrieved)  # H is the bit-0 detector of Z
+    assert np.all(c1 == 0)
 
 
 def test_measure_conjugate_basis_splits_evenly():
     rng = np.random.default_rng(7)
     n = 20_000
-    bob_basis, c0, c1 = measure(codes(H).repeat(n), np.ones(n, int), np.zeros(n, int), rng)
-    x = bob_basis == X
-    trials = int(x.sum())
-    d_clicks, a_clicks = int(c0[x].sum()), int(c1[x].sum())
-    assert d_clicks + a_clicks == trials
-    three_sigma = 3 * math.sqrt(0.25 * trials)
-    assert abs(d_clicks - trials / 2) < three_sigma
+    c0, c1, retrieved = measure(codes(H).repeat(n), np.full(n, X), np.ones(n), 0.0, rng)
+    d_clicks, a_clicks = int(c0.sum()), int(c1.sum())
+    assert np.array_equal(c0 + c1, retrieved)
+    # Independent Poisson(n / 2) counts: their difference has variance n.
+    assert abs(d_clicks - a_clicks) < 3 * math.sqrt(n)
 
 
 def test_measure_background_splits_evenly():
     rng = np.random.default_rng(8)
     n = 5000
-    _, first, second = measure(codes(H).repeat(n), np.zeros(n, int), np.full(n, 10), rng)
+    first, second, retrieved = measure(codes(H).repeat(n), np.full(n, Z), np.zeros(n), 10.0, rng)
+    assert np.all(retrieved == 0)
     total = 10 * n
-    assert first.sum() + second.sum() == total
-    three_sigma = 3 * math.sqrt(0.25 * total)
-    assert abs(first.sum() - total / 2) < three_sigma
+    assert abs(first.sum() + second.sum() - total) < 3 * math.sqrt(total)
+    assert abs(first.sum() - second.sum()) < 3 * math.sqrt(total)
 
 
 def test_basis_choice_is_balanced():
-    rng = np.random.default_rng(10)
-    n = 50_000
-    bob_basis, _, _ = measure(codes(H).repeat(n), np.zeros(n, int), np.zeros(n, int), rng)
-    z = int(np.count_nonzero(bob_basis == Z))
-    assert abs(z - n / 2) < 3 * math.sqrt(0.25 * n)
+    # Bob's coin is fair and independent of Alice's state: the bases match
+    # on half of the pulses, whatever the state.
+    config = preset_config("experiment3", n_pulses=50_000, seed=10)
+    result = run_experiment(config)
+    n = len(result.state)
+    z = int(np.count_nonzero(result.bob_basis == Z))
+    alice_basis = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])[result.state]
+    matched = int(np.count_nonzero(alice_basis == result.bob_basis))
+    for count in (z, matched):
+        assert abs(count - n / 2) < 3 * math.sqrt(0.25 * n)
 
 
 # --- sifting ----------------------------------------------------------------
@@ -411,6 +456,90 @@ def test_roi_must_fit_in_window():
             memory=MemoryConfig(retrieval_delay_ns=1990.0),
             analysis=AnalysisConfig(),
         )
+
+
+# --- closed-form QBER oracle -------------------------------------------------
+
+
+def _qber_from_terms(a, b, policy):
+    """Sifted error rate for C ~ Poisson(a) on the correct detector and W ~
+    Poisson(b) on the wrong one, as (numerator, denominator)."""
+    wrong = skellam.sf(0, b, a)  # P(W - C > 0)
+    tie = skellam.pmf(0, b, a) - poisson.pmf(0, a + b)  # P(W = C >= 1)
+    click = poisson.sf(0, a + b)  # P(C + W >= 1)
+    if policy is DoubleClickPolicy.DISCARD:
+        return wrong, click - tie
+    return wrong + tie / 2, click
+
+
+def _signal_and_background(config):
+    """(mean retrieved photons per pulse at unit gain, background per detector)."""
+    memory = config.memory
+    signal = config.source.mu_alice * config.channel.transmission * memory.retrieval_efficiency
+    return signal, memory.effective_background / 2
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_expected_qber_is_the_skellam_ratio_at_a_fixed_gain(preset, policy):
+    config = preset_config(preset)
+    config = dataclasses.replace(config, channel=ChannelConfig(rel_fluctuation=0.0))
+    signal, b = _signal_and_background(config)
+    numerator, denominator = _qber_from_terms(signal + b, b, policy)
+    assert expected_qber(config, policy) == pytest.approx(numerator / denominator, rel=1e-9)
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+@pytest.mark.parametrize("rel_fluctuation", [0.05, 0.7])
+@pytest.mark.parametrize("preset", ["experiment2", "experiment3", "experiment4"])
+def test_expected_qber_averages_over_the_truncated_gain(preset, rel_fluctuation, policy):
+    # At 0.7 about 8% of the gain's normal law lies below 0: a point mass at
+    # g = 0, where nothing but background clicks.
+    config = preset_config(preset)
+    config = dataclasses.replace(config, channel=ChannelConfig(rel_fluctuation=rel_fluctuation))
+    signal, b = _signal_and_background(config)
+
+    def expectation(term):
+        def integrand(g):
+            density = norm.pdf(g, 1.0, rel_fluctuation)
+            return density * _qber_from_terms(signal * g + b, b, policy)[term]
+
+        upper = 1.0 + 12.0 * rel_fluctuation
+        spread = quad(integrand, 0.0, upper, points=[1.0], limit=200)[0]
+        at_zero = norm.cdf(0.0, 1.0, rel_fluctuation) * _qber_from_terms(b, b, policy)[term]
+        return spread + at_zero
+
+    reference = expectation(0) / expectation(1)
+    assert expected_qber(config, policy) == pytest.approx(reference, rel=1e-7)
+
+
+def test_expected_qber_is_nan_when_nothing_can_click():
+    config = RunConfig(memory=MemoryConfig(retrieval_efficiency=0.0, background_mean=0.0))
+    assert math.isnan(expected_qber(config))
+
+
+#: Fixed before any run: an error count must lie inside the central part of
+#: its binomial law that |z| <= 4 spans, each tail holding at least
+#: norm.sf(4). The exact binomial tails stay valid where the expected count
+#: is far below one (experiment2).
+QBER_Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_monte_carlo_qber_matches_expected_qber(preset, policy):
+    config = preset_config(preset, n_pulses=400_000, seed=17)
+    expected = expected_qber(config, policy)
+    samples = list(simulate_blocks(config, 1, policy, lambda start, block: block.sample))
+    sample = sum(samples[1:], samples[0])
+    for basis, n_sifted, n_err in (
+        ("Z", sample.n_sifted_z, sample.n_err_z),
+        ("X", sample.n_sifted_x, sample.n_err_x),
+    ):
+        below = binom.cdf(n_err, n_sifted, expected)
+        above = binom.sf(n_err - 1, n_sifted, expected)
+        z = (n_err - n_sifted * expected) / math.sqrt(n_sifted * expected * (1 - expected))
+        assert min(below, above) >= norm.sf(QBER_Z_BOUND), (basis, n_err, n_sifted, expected, z)
 
 
 # --- click histogram ----------------------------------------------------------
