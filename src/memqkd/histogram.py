@@ -58,9 +58,6 @@ class Histogram:
         index = np.minimum(np.floor((times - self.t_start) / self.bin_width), self.n_bins - 1)
         return np.where(inside, index, -1).astype(np.int64)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented

@@ -15,26 +15,28 @@ column slot padded with NUL bytes, the slots are written into one matrix
 between comma and newline columns, and dropping every NUL from each slice
 of _BATCH rows leaves those rows (_csv_rows). The slots are dropped once
 the matrix holds them, and no copy of a whole matrix is made: pulses.csv
-gets one matrix per block and a list of its row slices. Integers (and integral
-emit times below 2**63) become digits by numpy arithmetic, and states,
-bases and flags are looked up by their array codes. Floats (mu_eff and
-non-integral emit times) get repr's shortest round-trip digits from exact
-integer and float arithmetic on the whole block (_shortest_digits); only
-what repr does not print positionally (0, negatives, nan, inf, x < 1e-4 or
-x >= 1e16) and powers of two are formatted one value at a time.
+gets one matrix per block and a list of its row slices. States, bases and
+flags are looked up by their array codes.
 
-The key-rate grids print each float as format(v, ".12e") does, its 13
-digits rounded from the exact product of |v| and a power of ten
-(_sci_field). The digits are written four at a time, each group one lookup
-in a table of the 10**4 texts "0000" .. "9999" stored into a fixed offset
-of a row-major 19-byte slot, and the exponent one lookup in a table of
-"e-10" .. "e+13". Only 0, nan, inf and |v| outside [1e-10, 1e13) are
-formatted one value at a time, and a chunk with none of them is returned
-as its slots, with no merge. Each grid axis is formatted once and its
-rows gathered as whole fixed-size items. histogram.csv,
-keyrate_map.csv and keyrate_boundary.csv are made as bytes chunks of at
-most _BATCH rows, which write_lines writes as they are made, so only one
-chunk's matrices are held at once.
+Every number's digits come from one kernel, _put_digit_groups: four at a
+time, each one division by 10**4 and one lookup in a table of the texts
+"0000" .. "9999". Integers (and integral emit times below 2**63) print
+through it as they are. Floats (mu_eff and non-integral emit times) first
+get repr's shortest round-trip digits from exact integer and float
+arithmetic on the whole block (_shortest_digits); the key-rate grids print
+format(v, ".12e"), 13 digits rounded from the exact product of |v| and a
+power of ten (_sci_field). Integer and fraction digits are copied into
+column-major slots; _sci_field writes its groups in place into a row-major
+19-byte slot, with the exponent one lookup in a table of "e-10" .. "e+13".
+
+One merge, _merge, puts in what is formatted one value at a time: for
+repr, 0, negatives, nan, inf, x < 1e-4, x >= 1e16 and powers of two; for
+".12e", 0, nan, inf and |v| outside [1e-10, 1e13). A chunk with none of
+them is returned as its slots. Each grid axis is formatted once and its
+rows gathered as whole fixed-size items. histogram.csv, keyrate_map.csv
+and keyrate_boundary.csv are made as bytes chunks of at most _BATCH rows,
+which write_lines writes as they are made, so only one chunk's matrices
+are held at once.
 """
 
 from __future__ import annotations
@@ -71,13 +73,48 @@ _STATE_CODES = np.frombuffer("".join(p.value for p in POLARIZATION_CYCLE).encode
 _BASIS_CODES = np.frombuffer("".join(b.value for b in BASES).encode(), np.uint8)
 _FLAG_CODES = np.frombuffer(b"01", np.uint8)
 
+#: The ASCII digits of 00 .. 99 as uint16 and of 0000 .. 9999 as uint32,
+#: each in the byte order of its text.
+_DIGIT_PAIRS = (
+    (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint16)
+)
+_DIGIT_GROUPS = (
+    np.stack(np.broadcast_arrays(_DIGIT_PAIRS, _DIGIT_PAIRS.T), -1).view(np.uint32).ravel()
+)
+
+
+def _put_digit_groups(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write the last 4 * k digits of values[i] into row i of the (n, k) uint32
+    groups, as _DIGIT_GROUPS texts; return the quotient left above them."""
+    for k in range(groups.shape[1] - 1, -1, -1):
+        quotient = values // 10**4
+        groups[:, k] = _DIGIT_GROUPS[values - quotient * 10**4]
+        values = quotient
+    return values
+
 
 def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Write the last len(rows) decimal digits of each value into rows, as ASCII."""
-    for row in rows[::-1]:
-        quotient = values // 10
-        row[...] = values - quotient * 10 + ord("0")
-        values = quotient
+    """Write the last len(rows) decimal digits of each value into the
+    column-major (width, n) rows, as ASCII, through a temporary _put_digit_groups array."""
+    width = len(rows)
+    k = -(-width // 4)
+    groups = np.empty((len(values), k), np.uint32)
+    _put_digit_groups(groups, values)
+    rows[...] = groups.view(np.uint8)[:, 4 * k - width :].T
+
+
+def _merge(ok: np.ndarray, decided: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """(n, w) uint8 slots: decided's rows where ok, in order, and others' elsewhere.
+
+    decided holds the slots of the ok rows and others those of the rest,
+    each NUL-padded; when every row is ok, decided is returned as it is.
+    """
+    if ok.all():
+        return decided
+    field = np.zeros((len(ok), max(decided.shape[1], others.shape[1])), np.uint8)
+    field[ok, : decided.shape[1]] = decided
+    field[~ok, : others.shape[1]] = others
+    return field
 
 
 def _int_field(values: np.ndarray) -> np.ndarray:
@@ -151,10 +188,11 @@ def _nearest_multiple(whole, frac, unit):
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digits, places, ok): where ok, repr(x[i]) is digits[i] / 10**places[i].
+    """(digits, places, ok): repr(x[ok][i]) is digits[i] / 10**places[i].
 
-    ok holds where repr prints x positionally (1e-4 <= x < 1e16) and x is
-    not a power of two, whose round-trip interval is lopsided.
+    digits and places cover the ok rows only, in order. ok holds where repr
+    prints x positionally (1e-4 <= x < 1e16) and x is not a power of two,
+    whose round-trip interval is lopsided.
 
     repr prints the fewest significant digits that read back as x, and of
     those the nearest to x. With e the decimal exponent of x, y = x * 10**j,
@@ -203,17 +241,17 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rows = np.flatnonzero(shift)
     unit = _INT_POW10[shift[rows]]
     whole[rows] = whole[rows] // unit + _nearest_multiple(whole[rows], frac[rows], unit)[1]
-    digits, places = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
-    digits[ok], places[ok] = whole, j - shift
-    return digits, places, ok
+    return whole, j - shift, ok
 
 
 def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
     """(n, w) uint8 slots: repr of each float64, NUL-padded.
 
-    Digits come from _shortest_digits; the values it leaves open are
-    formatted one at a time by fallback, which must agree with repr on every
-    value _shortest_digits decides.
+    Digits come from _shortest_digits and are written by _put_digits into
+    column-major slots: the integer part by _int_field, then a point and
+    the fraction. The values _shortest_digits leaves open are formatted one
+    at a time by fallback, which must agree with repr on every value
+    _shortest_digits decides, and put among the others by _merge.
     """
     values = np.asarray(values, dtype=np.float64)
     digits, places, ok = _shortest_digits(values)
@@ -226,30 +264,23 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     fraction = np.where(point, digits - integer * scale, 0)
     decimals = np.maximum(places, 1)
     width = int(decimals.max(initial=1))
-    slots = np.zeros((1 + width, len(values)), np.uint8)
+    slots = np.zeros((1 + width, len(digits)), np.uint8)
     slots[0] = ord(".")
     _put_digits(slots[1:], fraction)
     # A value's fraction takes the last `decimals` places; the rest are NUL.
     slots[1:] *= np.arange(width, 0, -1)[:, None] <= decimals
     decided = np.hstack([_int_field(integer), slots.T])
-    decided *= ok[:, None]
-    text = _text_field([fallback(v) for v in values[~ok].tolist()])
-    others = np.zeros((len(values), text.shape[1]), np.uint8)
-    others[~ok] = text
-    return np.hstack([decided, others])
+    return _merge(ok, decided, _text_field([fallback(v) for v in values[~ok].tolist()]))
 
 
 def _num_field(values: np.ndarray) -> np.ndarray:
     """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63."""
     exact = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
-    ints = _int_field(np.where(exact, values, 0).astype(np.int64)) * exact[:, None]
+    ints = _int_field(values[exact].astype(np.int64))
     if exact.all():
         return ints
     # _num of a non-integral float is its repr.
-    floats = _float_field(values[~exact], _num)
-    others = np.zeros((len(values), floats.shape[1]), np.uint8)
-    others[~exact] = floats
-    return np.hstack([ints, others])
+    return _merge(exact, ints, _float_field(values[~exact], _num))
 
 
 #: A positional _sci_field slot, row-major at fixed offsets: sign, lead
@@ -263,14 +294,6 @@ _SCI_SLOT = np.dtype(
         "itemsize": 19,
     }
 )
-#: The ASCII digits of 00 .. 99 as uint16 and of 0000 .. 9999 as uint32,
-#: each in the byte order of its text.
-_DIGIT_PAIRS = (
-    (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint16)
-)
-_DIGIT_GROUPS = (
-    np.stack(np.broadcast_arrays(_DIGIT_PAIRS, _DIGIT_PAIRS.T), -1).view(np.uint32).ravel()
-)
 #: The exponent text "e-10" .. "e+13" of _sci_field's positional slots.
 _EXPONENT_TEXT = np.array([b"e%+03d" % e for e in range(_DECADE_MIN, 14)]).view(np.uint32)
 
@@ -282,11 +305,12 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     its exact value. With e the decimal exponent of |v|, y = |v| * 10**(12 - e)
     lies in [1e12, 1e13) and is held exactly as whole + frac by Dekker's
     product, as 10**(12 - e) is an exact float while 1e-10 <= |v| < 1e13.
-    Its digits are written four at a time into _SCI_SLOT rows: each group
-    is one division by 10**4 and one lookup in _DIGIT_GROUPS, and the
-    exponent is one lookup in _EXPONENT_TEXT. Values outside that range,
-    zeros, nan and inf are formatted one at a time and merged in; when a
-    chunk has none, the slots are returned as they are.
+    _put_digit_groups writes its last twelve digits in place into the
+    groups of the _SCI_SLOT rows, and the quotient it leaves is the lead
+    digit; the exponent is one lookup in _EXPONENT_TEXT. Values outside
+    that range, zeros, nan and inf are formatted one at a time and put
+    among the others by _merge, which returns the slots as they are when a
+    chunk has none.
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
@@ -311,21 +335,10 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     slots = np.empty(len(v), _SCI_SLOT)
     slots["sign"] = (values[ok] < 0) * ord("-")
     slots["point"] = ord(".")
-    groups = slots["groups"]
-    for k in (2, 1, 0):
-        quotient = n // 10**4
-        groups[:, k] = _DIGIT_GROUPS[n - quotient * 10**4]
-        n = quotient
-    slots["lead"] = n + ord("0")
+    slots["lead"] = _put_digit_groups(slots["groups"], n) + ord("0")
     slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]
     slots = slots.view(np.uint8).reshape(len(v), _SCI_SLOT.itemsize)
-    if len(v) == len(values):
-        return slots
-    text = _text_field([format(x, ".12e") for x in values[~ok].tolist()])
-    field = np.zeros((len(values), max(_SCI_SLOT.itemsize, text.shape[1])), np.uint8)
-    field[ok, : _SCI_SLOT.itemsize] = slots
-    field[~ok, : text.shape[1]] = text
-    return field
+    return _merge(ok, slots, _text_field([format(x, ".12e") for x in values[~ok].tolist()]))
 
 
 def _csv_rows(fields: list) -> list[bytes]:

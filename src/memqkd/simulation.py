@@ -150,16 +150,19 @@ class SiftedSample:
 class PhotonTotals:
     """Photons per stage over a block or a run; blocks add exactly.
 
-    arrived is retrieved + leaked + lost: the parts are drawn, not the whole.
+    The parts are drawn, not the whole: arrived is their sum.
     """
 
-    arrived: int
     retrieved: int
     leaked: int
     lost: int
     background_roi: int
 
     __add__ = _fieldwise_sum
+
+    @property
+    def arrived(self) -> int:
+        return self.retrieved + self.leaked + self.lost
 
     def counting_sbr(self, n_pulses: int) -> SbrEstimate:
         """Retrieved signal over ROI background, both per pulse."""
@@ -405,7 +408,6 @@ def _simulate_block(config, policy, reduce, block):
         histogram=histogram,
         sample=SiftedSample.from_flags(bob_basis, sifted, error),
         photons=PhotonTotals(
-            arrived=n_retrieved + n_leaked + lost,
             retrieved=n_retrieved,
             leaked=n_leaked,
             lost=lost,

@@ -319,7 +319,7 @@ def test_expected_clicks_match_a_run(preset, rel_fluctuation):
     # Arrivals plus every background click (each click is leaked, retrieved
     # or background).
     photons = result.photons
-    clicks = result.histogram.total() + result.histogram.n_dropped
+    clicks = result.histogram.counts.sum() + result.histogram.n_dropped
     background = clicks - photons.leaked - photons.retrieved
     per_pulse = (photons.arrived + background) / 40_000
     assert per_pulse == pytest.approx(config.expected_clicks_per_pulse, rel=0.02)

@@ -19,7 +19,7 @@ from memqkd.simulation import run_experiment
 def test_empty_input_gives_zero_histogram():
     h = bin_clicks([], bin_width=10.0, window=(0.0, 2000.0))
     assert h.n_bins == 200
-    assert h.total() == 0
+    assert h.counts.sum() == 0
     assert h.n_dropped == 0
 
 
@@ -27,7 +27,7 @@ def test_boundary_inclusion():
     h = bin_clicks([0.0, 1999.999, 2000.0, -0.001], bin_width=10.0, window=(0.0, 2000.0))
     assert h.counts[0] == 1
     assert h.counts[-1] == 1
-    assert h.total() == 2
+    assert h.counts.sum() == 2
     assert h.n_dropped == 2
 
 
@@ -52,7 +52,7 @@ def test_count_conservation():
     ts = rng.uniform(-100.0, 2100.0, 20_000)
     h = bin_clicks(ts, 10.0, (0.0, 2000.0))
     inside = np.count_nonzero((ts >= 0.0) & (ts < 2000.0))
-    assert h.total() == inside
+    assert h.counts.sum() == inside
     assert h.n_dropped == len(ts) - inside
 
 
@@ -78,7 +78,7 @@ def test_roi_whole_window_is_total():
     rng = np.random.default_rng(5)
     ts = rng.uniform(0.0, 2000.0, 4000)
     h = bin_clicks(ts, 10.0, (0.0, 2000.0))
-    assert roi_integrate(h, 1000.0, 2000.0) == h.total()
+    assert roi_integrate(h, 1000.0, 2000.0) == h.counts.sum()
 
 
 def test_roi_zero_width_is_zero():
@@ -217,7 +217,7 @@ def test_click_times_bin_back_into_a_run_histogram(window_start_ns):
     h = run_experiment(dataclasses.replace(config, analysis=analysis)).histogram
     assert (h.n_dropped > 0) == (window_start_ns > 0)
     times = click_times(h, np.random.default_rng(17))
-    assert times.size == h.total()
+    assert times.size == h.counts.sum()
     assert bin_clicks(times, analysis.bin_width_ns, analysis.window) == _without_dropped(h)
 
 

@@ -19,7 +19,7 @@ from memqkd.config import (
 )
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
-from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of
+from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of, bit_of
 from memqkd.simulation import (
     BLOCK_PULSES,
     DoubleClickPolicy,
@@ -408,7 +408,7 @@ def test_zero_pulse_run():
     result = run_experiment(config)
     assert all(getattr(result, column).size == 0 for column in COLUMNS)
     assert result.sample.n_sifted_z == 0
-    assert result.histogram.total() == result.histogram.n_dropped == 0
+    assert result.histogram.counts.sum() == result.histogram.n_dropped == 0
 
 
 def test_basis_balance_in_run():
@@ -523,6 +523,8 @@ def test_expected_qber_is_nan_when_nothing_can_click():
 #: norm.sf(4). The exact binomial tails stay valid where the expected count
 #: is far below one (experiment2).
 QBER_Z_BOUND = 4.0
+#: Alice's key bit of each state code.
+ALICE_BITS = np.array([bit_of(p) for p in POLARIZATION_CYCLE])
 
 
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
@@ -530,16 +532,22 @@ QBER_Z_BOUND = 4.0
 def test_monte_carlo_qber_matches_expected_qber(preset, policy):
     config = preset_config(preset, n_pulses=400_000, seed=17)
     expected = expected_qber(config, policy)
-    samples = list(simulate_blocks(config, 1, policy, lambda start, block: block.sample))
-    sample = sum(samples[1:], samples[0])
-    for basis, n_sifted, n_err in (
-        ("Z", sample.n_sifted_z, sample.n_err_z),
-        ("X", sample.n_sifted_x, sample.n_err_x),
-    ):
+
+    def tallies(start, block):
+        # (sifted, errors) in Bob's Z and X bases and of Alice's bits 0 and
+        # 1. A background excess on one detector moves errors from one bit
+        # to the other, which the per-basis tallies pool away.
+        bit = ALICE_BITS[block.state]
+        groups = (block.bob_basis == Z, block.bob_basis == X, bit == 0, bit == 1)
+        flags = (block.sifted, block.error)
+        return np.array([[np.count_nonzero(f & g) for f in flags] for g in groups])
+
+    totals = sum(simulate_blocks(config, 1, policy, tallies))
+    for group, (n_sifted, n_err) in zip(("Z", "X", "bit 0", "bit 1"), totals.tolist()):
         below = binom.cdf(n_err, n_sifted, expected)
         above = binom.sf(n_err - 1, n_sifted, expected)
         z = (n_err - n_sifted * expected) / math.sqrt(n_sifted * expected * (1 - expected))
-        assert min(below, above) >= norm.sf(QBER_Z_BOUND), (basis, n_err, n_sifted, expected, z)
+        assert min(below, above) >= norm.sf(QBER_Z_BOUND), (group, n_err, n_sifted, expected, z)
 
 
 # --- click histogram ----------------------------------------------------------
