@@ -18,22 +18,11 @@ the matrix holds them, and no copy of a whole matrix is made: pulses.csv
 gets one matrix per block and a list of its row slices. States, bases and
 flags are looked up by their array codes.
 
-Every number's digits come from one kernel, _put_digit_groups: four at a
-time, each one division by 10**4 and one lookup in a table of the texts
-"0000" .. "9999". Integers (and integral emit times below 2**63) print
-through it as they are. Floats (mu_eff and non-integral emit times) first
-get repr's shortest round-trip digits from exact integer and float
-arithmetic on the whole block (_shortest_digits); the key-rate grids print
-format(v, ".12e"), 13 digits rounded from the exact product of |v| and a
-power of ten (_sci_field). Integer and fraction digits are copied into
-column-major slots; _sci_field writes its groups in place into a row-major
-19-byte slot, with the exponent one lookup in a table of "e-10" .. "e+13".
-
-One merge, _merge, puts in what is formatted one value at a time: for
-repr, 0, negatives, nan, inf, x < 1e-4, x >= 1e16 and powers of two; for
-".12e", 0, nan, inf and |v| outside [1e-10, 1e13). A chunk with none of
-them is returned as its slots. Each grid axis is formatted once and its
-rows gathered as whole fixed-size items. histogram.csv, keyrate_map.csv
+Every number's digits are written four at a time by one kernel,
+_put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
+has found a float's digits; what is formatted one value at a time is put
+among the array rows by one merge, _merge. Each grid axis is formatted once and
+its rows gathered as whole fixed-size items. histogram.csv, keyrate_map.csv
 and keyrate_boundary.csv are made as bytes chunks of at most _BATCH rows,
 which write_lines writes as they are made, so only one chunk's matrices
 are held at once.
@@ -94,23 +83,21 @@ def _put_digit_groups(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Write the last len(rows) decimal digits of each value into the
-    column-major (width, n) rows, as ASCII, through a temporary _put_digit_groups array."""
-    width = len(rows)
-    k = -(-width // 4)
-    groups = np.empty((len(values), k), np.uint32)
+    """Write the last len(rows) digits of each value into the column-major rows."""
+    groups = np.empty((len(values), -(-len(rows) // 4)), np.uint32)
     _put_digit_groups(groups, values)
-    rows[...] = groups.view(np.uint8)[:, 4 * k - width :].T
+    rows[...] = groups.view(np.uint8)[:, -len(rows) :].T
 
 
-def _merge(ok: np.ndarray, decided: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """(n, w) uint8 slots: decided's rows where ok, in order, and others' elsewhere.
+def _merge(ok: np.ndarray, decided: np.ndarray, others: Callable) -> np.ndarray:
+    """(n, w) uint8 slots: decided's rows where ok, in order, and others()' elsewhere.
 
-    decided holds the slots of the ok rows and others those of the rest,
-    each NUL-padded; when every row is ok, decided is returned as it is.
+    decided holds the slots of the ok rows; others() makes those of the
+    rest and is called only when some row is not ok.
     """
-    if ok.all():
+    if len(decided) == len(ok):
         return decided
+    others = others()
     field = np.zeros((len(ok), max(decided.shape[1], others.shape[1])), np.uint8)
     field[ok, : decided.shape[1]] = decided
     field[~ok, : others.shape[1]] = others
@@ -247,11 +234,9 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
     """(n, w) uint8 slots: repr of each float64, NUL-padded.
 
-    Digits come from _shortest_digits and are written by _put_digits into
-    column-major slots: the integer part by _int_field, then a point and
-    the fraction. The values _shortest_digits leaves open are formatted one
-    at a time by fallback, which must agree with repr on every value
-    _shortest_digits decides, and put among the others by _merge.
+    Digits come from _shortest_digits; the values it leaves open are
+    formatted one at a time by fallback, which must agree with repr on every
+    value _shortest_digits decides.
     """
     values = np.asarray(values, dtype=np.float64)
     digits, places, ok = _shortest_digits(values)
@@ -270,17 +255,15 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     # A value's fraction takes the last `decimals` places; the rest are NUL.
     slots[1:] *= np.arange(width, 0, -1)[:, None] <= decimals
     decided = np.hstack([_int_field(integer), slots.T])
-    return _merge(ok, decided, _text_field([fallback(v) for v in values[~ok].tolist()]))
+    return _merge(ok, decided, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
 
 
 def _num_field(values: np.ndarray) -> np.ndarray:
     """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63."""
     exact = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
     ints = _int_field(values[exact].astype(np.int64))
-    if exact.all():
-        return ints
     # _num of a non-integral float is its repr.
-    return _merge(exact, ints, _float_field(values[~exact], _num))
+    return _merge(exact, ints, lambda: _float_field(values[~exact], _num))
 
 
 #: A positional _sci_field slot, row-major at fixed offsets: sign, lead
@@ -305,12 +288,10 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     its exact value. With e the decimal exponent of |v|, y = |v| * 10**(12 - e)
     lies in [1e12, 1e13) and is held exactly as whole + frac by Dekker's
     product, as 10**(12 - e) is an exact float while 1e-10 <= |v| < 1e13.
-    _put_digit_groups writes its last twelve digits in place into the
-    groups of the _SCI_SLOT rows, and the quotient it leaves is the lead
-    digit; the exponent is one lookup in _EXPONENT_TEXT. Values outside
-    that range, zeros, nan and inf are formatted one at a time and put
-    among the others by _merge, which returns the slots as they are when a
-    chunk has none.
+    _put_digit_groups writes its last twelve digits into _SCI_SLOT rows in
+    place and leaves the lead digit; the exponent is one lookup in
+    _EXPONENT_TEXT. Values outside that range, zeros, nan and inf are
+    formatted one at a time.
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
@@ -338,7 +319,9 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     slots["lead"] = _put_digit_groups(slots["groups"], n) + ord("0")
     slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]
     slots = slots.view(np.uint8).reshape(len(v), _SCI_SLOT.itemsize)
-    return _merge(ok, slots, _text_field([format(x, ".12e") for x in values[~ok].tolist()]))
+    return _merge(
+        ok, slots, lambda: _text_field([format(x, ".12e") for x in values[~ok].tolist()])
+    )
 
 
 def _csv_rows(fields: list) -> list[bytes]:
