@@ -18,6 +18,7 @@ import tempfile
 from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -104,15 +105,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _one_or_two(text: str, sep: str, parse: Callable) -> tuple:
+    """(a, a) for one value, (a, b) for two around sep; ValueError otherwise."""
+    parts = text.split(sep)
+    if len(parts) > 2:
+        raise ValueError(f"more than two values in {text!r}")
+    return parse(parts[0]), parse(parts[-1])
+
+
 def _parse_range(text: str, name: str) -> tuple[float, float]:
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            lo = hi = float(parts[0])
-        elif len(parts) == 2:
-            lo, hi = float(parts[0]), float(parts[1])
-        else:
-            raise ValueError
+        lo, hi = _one_or_two(text, ":", float)
     except ValueError:
         raise ConfigError(f"{name} must be MIN:MAX or a single number, got {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -123,14 +126,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
     try:
-        if len(parts) == 1:
-            rows = cols = int(parts[0])
-        elif len(parts) == 2:
-            rows, cols = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
+        rows, cols = _one_or_two(text.lower(), "x", int)
         if rows < 1 or cols < 1:
             raise ValueError
     except ValueError:

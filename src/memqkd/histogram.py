@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyrate import SbrEstimate
-
 
 @dataclass(eq=False)
 class Histogram:
@@ -154,13 +152,14 @@ def sbr_from_histogram(
     signal_center: float,
     roi_width: float,
     background_region: tuple[float, float],
-) -> SbrEstimate:
+) -> float:
     """SBR from one histogram: peak-ROI counts over duration-rescaled background.
 
-    eta is the (rounded) count in the ROI around the retrieval peak; q is the
-    background-region count rescaled linearly to the ROI duration. The two
-    regions must be disjoint and inside the window. Zero background counts
-    yield an estimate flagged infinite rather than a division error.
+    The ratio is eta / q, where eta is the (rounded) count in the ROI around
+    the retrieval peak and q the background-region count rescaled linearly
+    to the ROI duration. The two regions must be disjoint and inside the
+    window. Zero background counts give math.inf rather than a division
+    error.
     """
     bg_lo, bg_hi = float(background_region[0]), float(background_region[1])
     if not bg_hi > bg_lo:
@@ -174,4 +173,4 @@ def sbr_from_histogram(
     eta = roi_integrate(h, signal_center, roi_width)
     # The length ratio first: background * roi_width alone can overflow.
     q = _window_counts(h, bg_lo, bg_hi) * (roi_width / (bg_hi - bg_lo))
-    return SbrEstimate(eta=float(eta), q=q)
+    return math.inf if q == 0 else float(eta) / q

@@ -124,14 +124,14 @@ class KeyRateMap:
     """Key rate evaluated on a (mu, qber) grid plus its zero contour.
 
     rates[i, j] is the rate at (mu_axis[i], qber_axis[j]) with the same QBER
-    applied to both bases. boundary holds one (mu, qber_star) pair per mu for
-    which a positive region exists.
+    applied to both bases. q_star[i] is the zero-crossing QBER at mu_axis[i],
+    NaN where that mu has no positive region.
     """
 
     mu_axis: np.ndarray
     qber_axis: np.ndarray
     rates: np.ndarray
-    boundary: tuple[tuple[float, float], ...]
+    q_star: np.ndarray
 
 
 def key_rate_map(
@@ -142,9 +142,9 @@ def key_rate_map(
 ) -> KeyRateMap:
     """Evaluate the key rate on the full grid and locate the zero boundary.
 
-    Each cell equals the pointwise secret_key_rate value, and each boundary
-    entry the positive_rate_boundary value at boundary_tol; secret_key_rate
-    checks the axis values.
+    Each cell equals the pointwise secret_key_rate value, and each q_star
+    entry the positive_rate_boundary value at boundary_tol (NaN for None);
+    secret_key_rate checks the axis values.
     """
     mu_axis = np.asarray(mu_axis, dtype=float)
     qber_axis = np.asarray(qber_axis, dtype=float)
@@ -155,34 +155,7 @@ def key_rate_map(
             raise ValueError(f"{name} must be strictly increasing")
     rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
     q_star = _zero_crossings(mu_axis, ec_inefficiency, boundary_tol)
-    found = ~np.isnan(q_star)
-    boundary = tuple(zip(mu_axis[found].tolist(), q_star[found].tolist()))
-    return KeyRateMap(mu_axis, qber_axis, rates, boundary)
-
-
-@dataclass(frozen=True)
-class SbrEstimate:
-    """Signal and background counts per integration window, and their ratio.
-
-    eta is the expected retrieved-signal count per window, q the expected
-    background count. A zero-background estimate is flagged as infinite
-    rather than raising a division error.
-    """
-
-    eta: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.eta < 0 or self.q < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def sbr(self) -> float:
-        return math.inf if self.q == 0 else self.eta / self.q
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.q == 0
+    return KeyRateMap(mu_axis, qber_axis, rates, q_star)
 
 
 def fidelity_from_sbr(sbr: float) -> float:

@@ -54,7 +54,9 @@ def _num(value: float) -> str:
 
 #: Rows per bytes chunk of every CSV. It bounds the slot matrices of the
 #: histogram and key-rate files held at once, and the copy that drops a
-#: matrix's NUL padding.
+#: matrix's NUL padding. 2**14 rows measured slower on a 2-core host: a
+#: 400x400 sweep wrote 20-29% fewer cells/s and experiment2 ran 4-12% fewer
+#: pulses/s.
 _BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
@@ -423,12 +425,14 @@ def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
 
 
 def boundary_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
-    boundary = np.array(grid.boundary, dtype=np.float64).reshape(-1, 2)
+    # One row per mu with a positive region.
+    found = ~np.isnan(grid.q_star)
+    mu, q_star = grid.mu_axis[found], grid.q_star[found]
 
     def fields(rows):
-        return _sci_field(boundary[rows, 0]), _sci_field(boundary[rows, 1])
+        return _sci_field(mu[rows]), _sci_field(q_star[rows])
 
-    yield from _csv_chunks("mu,qber_star", len(boundary), fields)
+    yield from _csv_chunks("mu,qber_star", len(mu), fields)
 
 
 def write_lines(path: Path, chunks: Iterable[bytes]) -> None:
@@ -472,13 +476,13 @@ def summary_text(
         f"qber_z = {rate(sample.qber_z)}",
         f"qber_x = {rate(sample.qber_x)}",
         f"qber_mean = {rate(sample.qber_mean)}",
-        f"sbr_counting = {rate(counting.sbr)}",
-        f"sbr_histogram = {rate(hist_sbr.sbr)}",
+        f"sbr_counting = {rate(counting)}",
+        f"sbr_histogram = {rate(hist_sbr)}",
     ]
-    # Fidelity uses the counting ratio: its eta and q are exactly the
-    # retrieved-signal and background quantities the estimator is defined on.
-    if counting.sbr > 0.5 and not counting.is_infinite:
-        fidelity = fidelity_from_sbr(counting.sbr)
+    # Fidelity uses the counting ratio: it is taken of exactly the
+    # retrieved-signal and background counts the estimator is defined on.
+    if 0.5 < counting < math.inf:
+        fidelity = fidelity_from_sbr(counting)
         verdict = "pass" if classical_bound_check(fidelity) else "fail"
         lines.append(f"fidelity = {repr(fidelity)}")
         lines.append(f"classical_bound = {verdict}")

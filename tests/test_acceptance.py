@@ -139,7 +139,7 @@ def test_criterion_05_noise_suppressed_rescaled_run():
     qber = result.sample.qber_mean
     rescaled_sbr = 26.0 / 1.3
     fidelity = fidelity_from_sbr(rescaled_sbr)
-    fidelity_measured = fidelity_from_sbr(result.photons.counting_sbr(100_000).sbr)
+    fidelity_measured = fidelity_from_sbr(result.photons.counting_sbr(100_000))
     ok = (
         0.015 <= qber <= 0.035
         and abs(fidelity - 0.975) <= 0.01
@@ -284,7 +284,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
     )
     true_ratio = 5.0
     sigma = true_ratio * math.sqrt(1.0 / 50_000 + 1.0 / 80_000)
-    synthetic_ok = abs(estimate.sbr - true_ratio) <= 3 * sigma
+    synthetic_ok = abs(estimate - true_ratio) <= 3 * sigma
 
     def preset_histogram_sbr(result, config):
         return sbr_from_histogram(
@@ -292,7 +292,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
             config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,
-        ).sbr
+        )
 
     sbr4 = preset_histogram_sbr(run4, config4)
     config5 = preset_config("experiment5", n_pulses=100_000, seed=10)
@@ -303,5 +303,5 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
         10,
         "histogram sharding exact, SBR recovery on synthetic and preset runs",
         sharding_ok and synthetic_ok and presets_ok,
-        f"synthetic={estimate.sbr:.3f}, preset4={sbr4:.2f}, preset5={sbr5:.2f}",
+        f"synthetic={estimate:.3f}, preset4={sbr4:.2f}, preset5={sbr5:.2f}",
     )

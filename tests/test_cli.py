@@ -265,6 +265,32 @@ def test_histogram_sbr_does_not_depend_on_the_time_scale(tmp_path):
     assert abs(sbr - expected) < 3 * 0.0035
 
 
+def test_summary_has_no_fidelity_outside_the_estimator_range(tmp_path):
+    # experiment3 retrieves about 0.19 photons per pulse: no background
+    # makes both ratios infinite, a background of 1 puts the counting ratio
+    # near 0.19, below the estimator's 0.5, and 0 pulses leave no QBER.
+    def summary(pulses, background=None):
+        config = preset_config("experiment3", n_pulses=pulses, seed=5)
+        if background is not None:
+            memory = dataclasses.replace(config.memory, background_mean=background)
+            config = dataclasses.replace(config, memory=memory)
+        outdir = tmp_path / f"{pulses}-{background}"
+        path = tmp_path / "run.ini"
+        path.write_text(serialize_config(config))
+        assert run_cli("run", "--config", str(path), "--outdir", str(outdir)) == 0
+        text = (outdir / "summary.txt").read_text()
+        return dict(line.split(" = ", 1) for line in text.splitlines())
+
+    no_fidelity = ("n/a (sbr outside estimator validity)", "n/a")
+    dark = summary(2000, background=0.0)
+    assert (dark["sbr_counting"], dark["sbr_histogram"]) == ("inf", "inf")
+    assert (dark["fidelity"], dark["classical_bound"]) == no_fidelity
+    bright = summary(2000, background=1.0)
+    assert 0.0 < float(bright["sbr_counting"]) < 0.5
+    assert (bright["fidelity"], bright["classical_bound"]) == no_fidelity
+    assert summary(0)["qber_z"] == "n/a"
+
+
 def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):
     (tmp_path / "histogram.csv").mkdir()
     code = run_cli(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memqkd.keyrate import (
-    SbrEstimate,
     binary_entropy,
     classical_bound_check,
     fidelity_from_sbr,
@@ -175,10 +174,9 @@ def test_map_boundary_splits_grid_signs():
     grid = key_rate_map(
         np.linspace(0.1, 3.0, 50), np.linspace(0.0, 0.15, 50), 1.05, boundary_tol=tol
     )
-    assert len(grid.boundary) == 50
-    by_mu = dict(grid.boundary)
-    for i, mu in enumerate(grid.mu_axis):
-        q_star = by_mu[float(mu)]
+    assert grid.q_star.shape == (50,)
+    assert not np.isnan(grid.q_star).any()
+    for i, q_star in enumerate(grid.q_star):
         for j, q in enumerate(grid.qber_axis):
             if q < q_star - 2 * tol:
                 assert grid.rates[i, j] > 0
@@ -201,12 +199,12 @@ def test_map_rejects_bad_axes():
 def test_map_boundary_equals_scalar_boundary(tol):
     # At 1e-300 every mu stops at the float spacing of its own root, so the
     # elements stop at different iterations. exp(-800) underflows to 0: that
-    # mu has no positive region, so it has no entry.
+    # mu has no positive region, so its entry is NaN.
     mu_axis = np.concatenate([np.geomspace(1e-6, 40.0, 60), [800.0]])
     grid = key_rate_map(mu_axis, [0.0, 0.1], 1.05, boundary_tol=tol)
     assert positive_rate_boundary(800.0, 1.05, tol) is None
-    expected = [(mu, positive_rate_boundary(mu, 1.05, tol)) for mu in mu_axis[:-1]]
-    assert list(grid.boundary) == expected
+    expected = [positive_rate_boundary(mu, 1.05, tol) for mu in mu_axis]
+    assert [None if math.isnan(q) else q for q in grid.q_star.tolist()] == expected
 
 
 def test_map_matches_closed_form():
@@ -290,12 +288,3 @@ def test_classical_bound():
     assert classical_bound_check(0.92)
     assert not classical_bound_check(0.85)
     assert not classical_bound_check(0.5)
-
-
-def test_sbr_estimate_flags_zero_background():
-    estimate = SbrEstimate(eta=12.0, q=0.0)
-    assert estimate.is_infinite
-    assert estimate.sbr == math.inf
-    assert SbrEstimate(eta=5.0, q=2.0).sbr == 2.5
-    with pytest.raises(ValueError):
-        SbrEstimate(eta=-1.0, q=1.0)

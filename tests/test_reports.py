@@ -190,7 +190,7 @@ _INT64 = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
 
 @settings(deadline=None)
 @given(arrays(np.float64, st.integers(0, 40), elements=_FLOATS))
-def test_emit_time_fields_match_num_on_any_times(times):
+def test_num_field_matches_num_on_any_times(times):
     # Non-integral, past 2**63, nan and inf: every time prints as _num does.
     assert _slots(_num_field(times)) == [_num(t) for t in times.tolist()]
 
@@ -412,6 +412,8 @@ _SWEEPS = [
     ((1e-9, 1e-3), (0.0, 0.2), 50, 50),
     ((1.0, 1.0), (0.03, 0.03), 1, 1),
     ((0.05, 1.7), (0.0, 0.15), 3, 5000),
+    # exp(-mu) underflows past mu ~745: those mu have no boundary row.
+    ((1.0, 900.0), (0.0, 0.5), 7, 3),
 ]
 
 
@@ -427,12 +429,15 @@ def test_keyrate_csvs_match_f_strings(mu, qber, rows, cols):
     assert all(isinstance(chunk, bytes) for chunk in chunks)
     assert len(chunks) == 1 + -(-rows * cols // reports._BATCH)
     assert _lines(b"".join(chunks)) == _lines(expected)
-    boundary = "mu,qber_star\n" + "".join(f"{m:.12e},{q:.12e}\n" for m, q in grid.boundary)
+    boundary = "mu,qber_star\n" + "".join(
+        f"{m:.12e},{q:.12e}\n" for m, q in zip(grid.mu_axis, grid.q_star) if not math.isnan(q)
+    )
     assert b"".join(boundary_csv_lines(grid)).decode("ascii") == boundary
 
 
 def test_boundary_csv_of_an_empty_boundary_is_its_header():
-    grid = dataclasses.replace(key_rate_map(np.array([1.0]), np.array([0.3])), boundary=())
+    # exp(-800) underflows to 0, so this mu has no positive region.
+    grid = key_rate_map(np.array([800.0]), np.array([0.3]))
     assert b"".join(boundary_csv_lines(grid)) == b"mu,qber_star\n"
 
 

@@ -426,7 +426,7 @@ def test_run_sbr_estimator_consistency():
     expected = (
         memory.retrieval_efficiency * 1.6 / memory.effective_background
     )
-    assert result.photons.counting_sbr(100_000).sbr == pytest.approx(expected, rel=0.05)
+    assert result.photons.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
 
 
 def test_run_qber_converges_to_oracle():
