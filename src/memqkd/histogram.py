@@ -159,7 +159,7 @@ def sbr_from_histogram(
     the retrieval peak and q the background-region count rescaled linearly
     to the ROI duration. The two regions must be disjoint and inside the
     window. Zero background counts give math.inf rather than a division
-    error.
+    error, and math.nan when the ROI holds no counts either.
     """
     bg_lo, bg_hi = float(background_region[0]), float(background_region[1])
     if not bg_hi > bg_lo:
@@ -173,4 +173,4 @@ def sbr_from_histogram(
     eta = roi_integrate(h, signal_center, roi_width)
     # The length ratio first: background * roi_width alone can overflow.
     q = _window_counts(h, bg_lo, bg_hi) * (roi_width / (bg_hi - bg_lo))
-    return math.inf if q == 0 else float(eta) / q
+    return float(eta) / q if q else (math.inf if eta else math.nan)

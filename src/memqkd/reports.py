@@ -11,12 +11,13 @@ of its pulses, becomes its pulses.csv rows and hands on its histogram and
 tallies, so no per-pulse array outlives its block.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
-column slot padded with NUL bytes, the slots are written into one matrix
-between comma and newline columns, and dropping every NUL from each slice
-of _BATCH rows leaves those rows (_csv_rows). The slots are dropped once
-the matrix holds them, and no copy of a whole matrix is made: pulses.csv
-gets one matrix per block and a list of its row slices. States, bases and
-flags are looked up by their array codes.
+column slot padded with NUL bytes, with a sign column only where some value
+has a sign, the slots are written into one matrix between comma and newline
+columns, and one bytes.replace of every NUL in each slice of _BATCH rows
+leaves those rows (_csv_rows). The slots are dropped once the matrix holds
+them, and no copy of a whole matrix is made: pulses.csv gets one matrix per
+block and a list of its row slices. States, bases and flags are looked up
+by their array codes.
 
 Every number's digits are written four at a time by one kernel,
 _put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
@@ -56,7 +57,7 @@ def _num(value: float) -> str:
 #: histogram and key-rate files held at once, and the copy that drops a
 #: matrix's NUL padding. 2**14 rows measured slower on a 2-core host: a
 #: 400x400 sweep wrote 20-29% fewer cells/s and experiment2 ran 4-12% fewer
-#: pulses/s.
+#: pulses/s (measured while bytes.translate dropped the padding).
 _BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
@@ -107,16 +108,18 @@ def _merge(ok: np.ndarray, decided: np.ndarray, others: Callable) -> np.ndarray:
 
 
 def _int_field(values: np.ndarray) -> np.ndarray:
-    """(n, w) uint8 slots: each int64 as str prints it, NUL-padded on the left."""
+    """(n, w) uint8 slots: each int64 as str prints it, NUL-padded on the left;
+    the sign column is there only when some value is negative."""
     values = np.asarray(values, dtype=np.int64)
     # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63.
     magnitude = np.abs(values).view(np.uint64)
     width = len(str(int(magnitude.max(initial=0))))
-    slots = np.zeros((1 + width, len(values)), np.uint8)
-    slots[0][values < 0] = ord("-")
-    _put_digits(slots[1:], magnitude)
+    negative = values < 0
+    slots = np.zeros((negative.any() + width, len(values)), np.uint8)
+    slots[0][negative] = ord("-")
+    _put_digits(slots[-width:], magnitude)
     # Leading zeros, the places above a value's highest digit, become NUL.
-    slots[1:width] *= magnitude >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)[:, None]
+    slots[-width:-1] *= magnitude >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)[:, None]
     return slots.T
 
 
@@ -293,7 +296,8 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     _put_digit_groups writes its last twelve digits into _SCI_SLOT rows in
     place and leaves the lead digit; the exponent is one lookup in
     _EXPONENT_TEXT. Values outside that range, zeros, nan and inf are
-    formatted one at a time.
+    formatted one at a time. The sign column is dropped when no value has
+    its sign bit set.
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
@@ -321,9 +325,13 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     slots["lead"] = _put_digit_groups(slots["groups"], n) + ord("0")
     slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]
     slots = slots.view(np.uint8).reshape(len(v), _SCI_SLOT.itemsize)
-    return _merge(
-        ok, slots, lambda: _text_field([format(x, ".12e") for x in values[~ok].tolist()])
-    )
+
+    def others():
+        # These keep the sign slot too: format's " " sign is written as NUL.
+        return _text_field([format(x, " .12e").replace(" ", "\0") for x in values[~ok].tolist()])
+
+    field = _merge(ok, slots, others)
+    return field if np.signbit(values).any() else field[:, 1:]
 
 
 def _csv_rows(fields: list) -> list[bytes]:
@@ -331,8 +339,8 @@ def _csv_rows(fields: list) -> list[bytes]:
     as bytes chunks of at most _BATCH rows.
 
     The fields are written into one byte matrix between comma and newline
-    columns and then dropped from the list, which is left empty; dropping
-    every NUL from each _BATCH-row slice of the matrix leaves its rows.
+    columns and then dropped from the list, which is left empty; one
+    bytes.replace of every NUL in each _BATCH-row slice leaves its rows.
     """
     # Each field's first column; a comma or, last, a newline follows it.
     columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
@@ -342,7 +350,7 @@ def _csv_rows(fields: list) -> list[bytes]:
         matrix[:, column : column + field.shape[1]] = field
     fields.clear()
     return [
-        matrix[start : start + _BATCH].tobytes().translate(None, b"\0")
+        matrix[start : start + _BATCH].tobytes().replace(b"\0", b"")
         for start in range(0, len(matrix), _BATCH)
     ]
 
@@ -411,7 +419,7 @@ def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
     # items; cell k of the row-major rates lies at mu_axis[k // cols] and
     # qber_axis[k % cols].
     def gather(axis):
-        field = _sci_field(axis)
+        field = np.ascontiguousarray(_sci_field(axis))
         items = field.view(f"V{field.shape[1]}").ravel()
         return lambda k: items[k].view(np.uint8).reshape(len(k), field.shape[1])
 

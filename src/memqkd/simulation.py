@@ -164,13 +164,14 @@ class PhotonTotals:
         return self.retrieved + self.leaked + self.lost
 
     def counting_sbr(self, n_pulses: int) -> float:
-        """Retrieved signal over ROI background, both per pulse, or math.inf
-        without pulses or background. The per-pulse division fixes the digits
-        of summary.txt's sbr_counting: retrieved / background_roi differs from
-        it in the last digit for about a third of count triples.
+        """Retrieved signal over ROI background, both per pulse: math.inf without
+        background, math.nan without either (as without pulses). The per-pulse
+        division fixes the digits of summary.txt's sbr_counting: retrieved /
+        background_roi differs from it in the last digit for about a third of
+        count triples.
         """
         if not (n_pulses and self.background_roi):
-            return math.inf
+            return math.inf if self.retrieved else math.nan
         return (self.retrieved / n_pulses) / (self.background_roi / n_pulses)
 
 

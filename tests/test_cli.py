@@ -268,7 +268,8 @@ def test_histogram_sbr_does_not_depend_on_the_time_scale(tmp_path):
 def test_summary_has_no_fidelity_outside_the_estimator_range(tmp_path):
     # experiment3 retrieves about 0.19 photons per pulse: no background
     # makes both ratios infinite, a background of 1 puts the counting ratio
-    # near 0.19, below the estimator's 0.5, and 0 pulses leave no QBER.
+    # near 0.19, below the estimator's 0.5, and 0 pulses leave no QBER and,
+    # with neither signal nor background, no ratio.
     def summary(pulses, background=None):
         config = preset_config("experiment3", n_pulses=pulses, seed=5)
         if background is not None:
@@ -288,7 +289,9 @@ def test_summary_has_no_fidelity_outside_the_estimator_range(tmp_path):
     bright = summary(2000, background=1.0)
     assert 0.0 < float(bright["sbr_counting"]) < 0.5
     assert (bright["fidelity"], bright["classical_bound"]) == no_fidelity
-    assert summary(0)["qber_z"] == "n/a"
+    empty = summary(0)
+    assert (empty["qber_z"], empty["sbr_counting"], empty["sbr_histogram"]) == ("n/a",) * 3
+    assert (empty["fidelity"], empty["classical_bound"]) == no_fidelity
 
 
 def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):

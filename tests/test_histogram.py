@@ -150,6 +150,11 @@ def test_sbr_zero_background_flagged_infinite():
     assert estimate == math.inf
 
 
+def test_sbr_without_signal_or_background_is_nan():
+    h = bin_clicks([], 10.0, (0.0, 2000.0))
+    assert math.isnan(sbr_from_histogram(h, 1000.0, 100.0, (1200.0, 2000.0)))
+
+
 def test_sbr_does_not_overflow_near_the_top_of_the_float_range():
     # counts x bin_width exceeds the float range, yet scaling every length
     # by a power of two must not change the estimate.

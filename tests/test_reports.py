@@ -212,6 +212,15 @@ def test_int_field_matches_str_at_every_digit_count():
     )
 
 
+@pytest.mark.parametrize("top", [0, 9, 10, 12345, 2**63 - 1])
+def test_int_field_has_a_sign_column_only_for_a_negative_value(top):
+    values = np.array([0, top // 3, top], dtype=np.int64)
+    assert _int_field(values).shape == (3, len(str(top)))
+    signed = _int_field(np.append(values, -1))
+    assert signed.shape == (4, 1 + len(str(top)))
+    assert signed[:, 0].tolist() == [0, 0, 0, ord("-")]
+
+
 def _float_field_text(values):
     """_float_field of values, one line per value; _float_field prints repr."""
     field = _float_field(values, repr)
@@ -374,6 +383,25 @@ def test_sci_field_merges_formatted_values_into_a_chunk():
     assert _sci_field(fast).shape == (len(fast), 19)
 
 
+def test_sci_field_of_nonnegative_values_has_no_all_nul_column():
+    values = np.array([1.5, 0.0, 2e-3, np.inf, 7.25e12, np.nan, 1e13, 3e-10])
+    field = _sci_field(values)
+    assert field.any(axis=0).all()
+    assert _slots(field) == _formatted(values.tolist())
+    assert _sci_field(values[[0, 2, 4]]).shape == (3, 18)
+
+
+@pytest.mark.parametrize("signed", [-0.0, -2.5, -1e-300, -np.inf, -1e13, -np.nan])
+def test_sci_field_keeps_its_sign_column_for_a_signed_value(signed):
+    values = np.array([1.5, 0.0, 2e-3, signed])
+    field = _sci_field(values)
+    # One column wider than the same values without their signs.
+    assert field.shape[1] == 1 + _sci_field(np.abs(values)).shape[1]
+    sign = 0 if math.isnan(signed) else ord("-")  # format prints nan unsigned
+    assert field[:, 0].tolist() == [0, 0, 0, sign]
+    assert _slots(field) == _formatted(values.tolist())
+
+
 def test_sci_field_is_format_at_the_fast_path_edges_and_on_ties():
     edges = [t for d in _DECADES.tolist() for t in (np.nextafter(d, 0.0), d, np.nextafter(d, 1e20))]
     edges += [np.nextafter(1e13, 0.0), 1e13, np.nextafter(1e13, 2e13), np.nan, np.inf]
@@ -404,6 +432,32 @@ def test_sci_field_is_format_on_random_bit_patterns():
     expected = _formatted(values.tolist())
     assert len(got) == len(expected)
     assert [(g, e) for g, e in zip(got, expected) if g != e][:10] == []
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_csv_rows_drop_the_nul_padding_as_translate_does(data):
+    n = data.draw(st.integers(0, 30), label="n")
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="widths")
+    slot_bytes = st.sampled_from(b"\0\0-.09e")
+    fields = [data.draw(arrays(np.uint8, (n, w), elements=slot_bytes)) for w in widths]
+    # All-NUL fields and all-NUL rows.
+    for field in fields:
+        if data.draw(st.booleans(), label="blank field"):
+            field[...] = 0
+    blank_rows = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n), label="blank rows")
+    for field in fields:
+        field[blank_rows] = 0
+    batch = data.draw(st.integers(1, 8), label="batch")
+    separators = [np.full((n, 1), ord(c), np.uint8) for c in "," * (len(fields) - 1) + "\n"]
+    matrix = np.hstack([part for pair in zip(fields, separators) for part in pair])
+    expected = [
+        matrix[start : start + batch].tobytes().translate(None, b"\0")
+        for start in range(0, n, batch)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "_BATCH", batch)
+        assert reports._csv_rows(list(fields)) == expected
 
 
 #: (mu range, qber range, rows, cols) of sweeps checked against f-strings.

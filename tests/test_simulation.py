@@ -429,6 +429,12 @@ def test_run_sbr_estimator_consistency():
     assert result.photons.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
 
 
+def test_counting_sbr_without_background_is_inf_and_without_counts_nan():
+    assert simulation.PhotonTotals(5, 1, 2, 0).counting_sbr(10) == math.inf
+    assert math.isnan(simulation.PhotonTotals(0, 1, 2, 0).counting_sbr(10))
+    assert math.isnan(simulation.PhotonTotals(0, 0, 0, 0).counting_sbr(0))
+
+
 def test_run_qber_converges_to_oracle():
     config = preset_config("experiment3", n_pulses=100_000, seed=12)
     result = run_experiment(config)
