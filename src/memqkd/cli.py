@@ -2,11 +2,17 @@
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config file),
 2 runtime error.
+
+Every command (and cli.main) first has glibc's malloc keep freed memory in
+the process: each simulated block frees buffers of 128 KiB to 1 MiB that
+the next block allocates again, and by default glibc unmaps them or trims
+them off the heap, and the next block faults them in again, page by page.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import errno
 import math
@@ -270,7 +276,27 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+#: glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed memory in the process: a 1 GiB trim threshold and a 32 MiB
+    mmap threshold (glibc's maximum); either alone faults more than neither.
+    Without mallopt (not glibc), nothing is set."""
+    try:
+        # Windows has no dlopen(NULL): CDLL(None) raises TypeError there.
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2**30)
+    mallopt(_M_MMAP_THRESHOLD, 2**25)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -164,6 +164,18 @@ def _decimal_exponent(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(_DECADES, x, side="right") - 1 + _DECADE_MIN
 
 
+def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(whole, frac): whole + frac == v * 10**j exactly, by Dekker's product.
+
+    whole is the rounded float product and frac its exact error; j indexes
+    _POW10, whose entries are exact.
+    """
+    whole = v * _POW10[j]
+    high, low = _split(v)
+    ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
+    return whole, ((high * ph - whole) + high * pl + low * ph) + low * pl
+
+
 def _nearest_multiple(whole, frac, unit):
     """(distance, above) from y = whole + frac to its nearest multiple of unit.
 
@@ -205,15 +217,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ok = (x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA_BITS != 0)
     v, bits = x[ok], bits[ok]
     j = 16 - _decimal_exponent(v)
-    # y = whole + frac exactly: Dekker's product of v and 10**j. It is
-    # written out here and in _sci_field, not in a helper: a helper frees
-    # high, low, ph and pl before the digit search, and glibc's malloc then
-    # hands about 1 MiB per block back to the system and faults it in again
-    # (about 8% of an experiment3 run on a 2-core Linux host).
-    whole = v * _POW10[j]
-    high, low = _split(v)
-    ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
-    frac = ((high * ph - whole) + high * pl + low * ph) + low * pl
+    whole, frac = _times_pow10(v, j)
     # whole >= 1e16 is an even integral float, and frac its exact error; a
     # tie frac == 1/2 goes to the even neighbour.
     carry = np.rint(frac)
@@ -304,12 +308,7 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     ok = (magnitude >= _DECADES[0]) & (magnitude < _POW10[13])
     v = magnitude[ok]
     e = _decimal_exponent(v)
-    j = 12 - e
-    # y = whole + frac exactly: Dekker's product of v and 10**j.
-    whole = v * _POW10[j]
-    high, low = _split(v)
-    ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
-    frac = ((high * ph - whole) + high * pl + low * ph) + low * pl
+    whole, frac = _times_pow10(v, 12 - e)
     # whole - n is exact and at most 1/2, and frac at most half an ulp of
     # whole, so only a tie in whole can round the other way: y lies beyond
     # it when frac points away from n, and a true tie keeps rint's even n.
