@@ -73,7 +73,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=None, help="64-bit simulation seed")
     run.add_argument("--pulses", type=int, default=None, help="number of pulses")
     run.add_argument(
-        "--workers", type=int, default=1, help="blocks simulated at once, one thread each"
+        "--workers",
+        type=int,
+        default=1,
+        help="blocks simulated at once, one thread each, at most one per usable CPU",
     )
     run.add_argument("--outdir", default=None, help="output directory")
 

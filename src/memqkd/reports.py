@@ -12,12 +12,11 @@ tallies, so no per-pulse array outlives its block.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
-has a sign, the slots are written into one matrix between comma and newline
-columns, and one bytes.replace of every NUL in each slice of _BATCH rows
-leaves those rows (_csv_rows). The slots are dropped once the matrix holds
-them, and no copy of a whole matrix is made: pulses.csv gets one matrix per
-block and a list of its row slices. States, bases and flags are looked up
-by their array codes.
+has a sign. Each slice of _BATCH rows of the slots is written into one
+_BATCH-row matrix between comma and newline columns, and one bytes.replace
+of every NUL leaves those rows (_csv_rows). pulses.csv gets a list of such
+chunks per block, all made in the one matrix. States, bases and flags are
+looked up by their array codes.
 
 Every number's digits are written four at a time by one kernel,
 _put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
@@ -54,10 +53,11 @@ def _num(value: float) -> str:
 
 
 #: Rows per bytes chunk of every CSV. It bounds the slot matrices of the
-#: histogram and key-rate files held at once, and the copy that drops a
-#: matrix's NUL padding. 2**14 rows measured slower on a 2-core host: a
-#: 400x400 sweep wrote 20-29% fewer cells/s and experiment2 ran 4-12% fewer
-#: pulses/s (measured while bytes.translate dropped the padding).
+#: histogram and key-rate files held at once, the byte matrix rows are
+#: written into, and the copy that drops its NUL padding. 2**14 rows
+#: measured slower on a 2-core host: a 400x400 sweep wrote 20-29% fewer
+#: cells/s and experiment2 ran 4-12% fewer pulses/s (measured while
+#: bytes.translate dropped the padding).
 _BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
@@ -111,12 +111,13 @@ def _int_field(values: np.ndarray) -> np.ndarray:
     """(n, w) uint8 slots: each int64 as str prints it, NUL-padded on the left;
     the sign column is there only when some value is negative."""
     values = np.asarray(values, dtype=np.int64)
+    signed = values.min(initial=0) < 0
     # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63.
-    magnitude = np.abs(values).view(np.uint64)
+    magnitude = (np.abs(values) if signed else values).view(np.uint64)
     width = len(str(int(magnitude.max(initial=0))))
-    negative = values < 0
-    slots = np.zeros((negative.any() + width, len(values)), np.uint8)
-    slots[0][negative] = ord("-")
+    slots = np.zeros((signed + width, len(values)), np.uint8)
+    if signed:
+        slots[0][values < 0] = ord("-")
     _put_digits(slots[-width:], magnitude)
     # Leading zeros, the places above a value's highest digit, become NUL.
     slots[-width:-1] *= magnitude >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)[:, None]
@@ -177,18 +178,17 @@ def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_multiple(whole, frac, unit):
-    """(distance, above) from y = whole + frac to its nearest multiple of unit.
+    """k such that k * unit is the multiple of unit nearest y = whole + frac.
 
-    above: that multiple is the one above whole, not the one at or below it.
     Of two equally near, the even multiple is taken, as repr takes the even
-    digit. A distance past 16 reads as about 16, which keeps every sum exact
-    (see _shortest_digits).
+    digit. The nearest lies within 16 of y, and a distance past 16 reads as
+    about 16, which keeps every sum exact (see _shortest_digits).
     """
     quotient = whole // unit
     rest = whole - quotient * unit
     below = np.abs(np.minimum(rest, 16) + frac)
     above = np.minimum(unit - rest, 16) - frac
-    return np.minimum(below, above), (above < below) | ((above == below) & (quotient % 2 == 1))
+    return quotient + ((above < below) | ((above == below) & (quotient % 2 == 1)))
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,39 +204,48 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     int64 and a float of at most 1/2, by Dekker's product. A decimal reads
     back as x when it lies within half = ulp(x) / 2 * 10**j (0.55 to 11.2)
     of y. The (17 - s)-digit decimals are the multiples of 10**s, and the
-    shortest is the largest s whose nearest multiple lies that close.
+    shortest is the largest s (at most 16) of which a multiple lies that
+    close.
+
+    No search is needed. The integers that close to y are the `room` (1 to
+    23) integers up to b = whole + floor(frac + half), and the largest
+    multiple of 10**s among them is b - b % 10**s, so one lies among them
+    exactly when b % 10**s < room. That decides s >= 1 and s >= 2; fewer
+    than 100 integers hold at most one multiple of 100, so when s >= 2 that
+    one, 100 * (b // 100), is the only candidate, and s counts its trailing
+    zeros.
 
     Every comparison is exact: y is a multiple of ulp(x) * 2**j >= 2**-46,
-    so each distance (below 17) fits in 53 bits, and half is a power of two
-    times 10**j. None lies exactly on the edge, where the parity of x would
-    decide: in this range, a midpoint of two floats is either an odd integer
-    above 2**53, where the integer x is nearer, or has 17 or more significant
-    digits, more than any shorter decimal tried.
+    so frac +- half (below 12) fits in 53 bits, and half is a power of two
+    times 10**j. No decimal shorter than 17 digits lies exactly at half
+    from y, where the parity of x would decide: in this range, a midpoint of
+    two floats is either an odd integer above 2**53, where the integer x is
+    nearer, or has 17 or more significant digits. So whether b or the
+    lowest integer counted lies at exactly half does not change the answer.
     """
     bits = x.view(np.int64)
     ok = (x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA_BITS != 0)
-    v, bits = x[ok], bits[ok]
-    j = 16 - _decimal_exponent(v)
-    whole, frac = _times_pow10(v, j)
+    if not ok.all():
+        x, bits = x[ok], bits[ok]
+    j = 16 - _decimal_exponent(x)
+    whole, frac = _times_pow10(x, j)
     # whole >= 1e16 is an even integral float, and frac its exact error; a
     # tie frac == 1/2 goes to the even neighbour.
     carry = np.rint(frac)
     frac -= carry
     whole = whole.astype(np.int64) + carry.astype(np.int64)
     half = ((bits & _EXPONENT_BITS) - (53 << 52)).view(np.float64) * _POW10[j]
-    # 17 digits always read back (|frac| <= 1/2 < half); try fewer while
-    # the nearest shorter decimal is close enough.
-    shift = np.zeros(len(v), np.intp)
-    rows = np.arange(len(v))
-    for s in range(1, 17):
-        distance, _ = _nearest_multiple(whole[rows], frac[rows], _INT_POW10[s])
-        rows = rows[distance < half[rows]]
-        if not len(rows):
-            break
-        shift[rows] = s
+    # 17 digits always read back (|frac| <= 1/2 < half, so room >= 1).
+    top = np.floor(frac + half)
+    room = top - np.ceil(frac - half) + 1
+    last = (whole + top.astype(np.int64)) % 100
+    shift = (last % 10 < room).astype(np.intp)
+    rows = np.flatnonzero(last < room)
+    hundreds = (whole[rows] + top[rows].astype(np.int64)) // 100
+    shift[rows] = 2 + np.count_nonzero(hundreds[:, None] % _INT_POW10[1:15] == 0, axis=1)
     rows = np.flatnonzero(shift)
     unit = _INT_POW10[shift[rows]]
-    whole[rows] = whole[rows] // unit + _nearest_multiple(whole[rows], frac[rows], unit)[1]
+    whole[rows] = _nearest_multiple(whole[rows], frac[rows], unit)
     return whole, j - shift, ok
 
 
@@ -252,13 +261,16 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     # digits / 10**places as an integer part, a point and at least one
     # fraction digit (a lone 0 when places <= 0). digits < 10**17, so
     # 10**18 splits it as any larger power would.
-    scale = _INT_POW10[np.minimum(np.abs(places), 18)]
-    point = places > 0
-    integer = np.where(point, digits // scale, digits * scale)
-    fraction = np.where(point, digits - integer * scale, 0)
-    decimals = np.maximum(places, 1)
+    scale = _INT_POW10[np.clip(places, 0, 18)]
+    integer = digits // scale
+    fraction = np.subtract(digits, integer * scale, out=digits)
+    # places < 0: the value is the integer digits * 10**-places (< 1e16).
+    integral = places < 0
+    if integral.any():
+        integer[integral] *= _INT_POW10[-places[integral]]
+    decimals = np.maximum(places, 1, out=places)
     width = int(decimals.max(initial=1))
-    slots = np.zeros((1 + width, len(digits)), np.uint8)
+    slots = np.zeros((1 + width, len(fraction)), np.uint8)
     slots[0] = ord(".")
     _put_digits(slots[1:], fraction)
     # A value's fraction takes the last `decimals` places; the rest are NUL.
@@ -270,7 +282,7 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
 def _num_field(values: np.ndarray) -> np.ndarray:
     """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63."""
     exact = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
-    ints = _int_field(values[exact].astype(np.int64))
+    ints = _int_field((values if exact.all() else values[exact]).astype(np.int64))
     # _num of a non-integral float is its repr.
     return _merge(exact, ints, lambda: _float_field(values[~exact], _num))
 
@@ -333,33 +345,37 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     return field if np.signbit(values).any() else field[:, 1:]
 
 
-def _csv_rows(fields: list) -> list[bytes]:
+def _csv_rows(fields) -> list[bytes]:
     """The rows of (n, w) slot fields, comma-separated, each ending in a newline,
     as bytes chunks of at most _BATCH rows.
 
-    The fields are written into one byte matrix between comma and newline
-    columns and then dropped from the list, which is left empty; one
-    bytes.replace of every NUL in each _BATCH-row slice leaves its rows.
+    Each _BATCH-row slice of the fields is written into the same byte
+    matrix between comma and newline columns, and one bytes.replace of every
+    NUL leaves its rows. A matrix of every row (0.8 MB on a 2**14-pulse
+    experiment3 block) needed a free region that large for each block, and
+    grew the heap in some warm calls when glibc had none left.
     """
     # Each field's first column; a comma or, last, a newline follows it.
     columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
-    matrix = np.full((len(fields[0]), columns[-1]), ord(","), np.uint8)
+    n = len(fields[0])
+    matrix = np.full((min(n, _BATCH), columns[-1]), ord(","), np.uint8)
     matrix[:, -1] = ord("\n")
-    for field, column in zip(fields, columns):
-        matrix[:, column : column + field.shape[1]] = field
-    fields.clear()
-    return [
-        matrix[start : start + _BATCH].tobytes().replace(b"\0", b"")
-        for start in range(0, len(matrix), _BATCH)
-    ]
+    chunks = []
+    for start in range(0, n, _BATCH):
+        rows = matrix[: n - start]
+        for field, column in zip(fields, columns):
+            rows[:, column : column + field.shape[1]] = field[start : start + _BATCH]
+        chunks.append(rows.tobytes().replace(b"\0", b""))
+    return chunks
 
 
 def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list[bytes]:
     """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
 
     block holds the pulses' per-pulse arrays; pulse i is emitted at
-    i * pulse_period_ns. Built as one byte matrix (module docstring) and
-    returned as bytes chunks of at most _BATCH rows.
+    i * pulse_period_ns. Built as slot fields written into one _BATCH-row
+    byte matrix (module docstring) and returned as bytes chunks of at most
+    _BATCH rows.
     """
     index = np.arange(start, start + len(block.state))
     fields = [
@@ -401,7 +417,7 @@ def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:
     """
     yield header.encode() + b"\n"
     for start in range(0, n, _BATCH):
-        yield from _csv_rows(list(fields_of(np.arange(start, min(start + _BATCH, n)))))
+        yield from _csv_rows(fields_of(np.arange(start, min(start + _BATCH, n))))
 
 
 def histogram_csv_lines(hist: Histogram) -> Iterator[bytes]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -421,6 +422,13 @@ def _simulate_block(config, policy, reduce, block):
     return reduce(start, result)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_blocks(
     config,
     workers: int,
@@ -433,18 +441,21 @@ def simulate_blocks(
     block's pulses.
 
     reduce runs where its block is simulated: in the calling thread for one
-    worker (or one block), otherwise in one of min(workers, blocks) pool
-    threads of this process, so it must be safe to call from several
-    threads at once. At most _IN_FLIGHT_PER_WORKER blocks per thread are
-    submitted and not yet consumed; the next block is submitted as each one
-    is consumed. Every block is a pure function of (config, block), so the
-    yielded sequence never depends on workers.
+    worker (or one block, or one usable CPU), otherwise in one of
+    min(workers, blocks, usable CPUs) pool threads of this process, so it
+    must be safe to call from several threads at once. At most
+    _IN_FLIGHT_PER_WORKER blocks per thread are submitted and not yet
+    consumed; the next block is submitted as each one is consumed. Every
+    block is a pure function of (config, block), so the yielded sequence
+    never depends on workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_blocks = _n_blocks(config.source.n_pulses)
     simulate = partial(_simulate_block, config, policy, reduce)
-    threads = min(workers, n_blocks)
+    # More threads than CPUs only wait for one another, and a large workers
+    # would ask the OS for that many threads.
+    threads = min(workers, n_blocks, _usable_cpus())
     # Inline, not a one-thread pool: with one worker the pool ran experiment3
     # up to 6.3% slower (5 of 6 benchmark pairs, 2-core host), 0.4 MiB larger.
     if threads == 1:

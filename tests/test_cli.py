@@ -10,10 +10,11 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memqkd import cli, reports
+from memqkd import cli, reports, simulation
 from memqkd.cli import main
 from memqkd.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, parse_config, serialize_config
 from memqkd.presets import preset_config
@@ -60,9 +61,11 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def test_run_is_byte_identical_across_worker_counts(tmp_path):
+def test_run_is_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     # 5.5 blocks: a partial last block, more blocks than the four that two
     # workers keep in flight (so the window refills), more workers than blocks.
+    # Up to 8 threads start, whatever the host's CPU count.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
     pulses = str(11 * BLOCK_PULSES // 2)
     outputs = {}
     for workers in (1, 2, 3, 8):
@@ -153,6 +156,66 @@ def test_run_without_mallopt_writes_the_same_outputs(tmp_path, monkeypatch, libc
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def _sampler_digests():
+    """sha256 of the output of each kind of Generator call a block makes
+    (_simulate_block and record_clicks), at the dtypes and mean regimes they
+    use, each drawn from its own stream keyed as a block's stream is."""
+    draws = {
+        "integers(4, int8)": lambda rng: rng.integers(4, size=1000, dtype=np.int8),
+        "normal": lambda rng: rng.normal(1.0, 0.25, 1000),
+        "integers(2, int8)": lambda rng: rng.integers(2, size=1000, dtype=np.int8),
+        # numpy draws a Poisson mean below 10 by one algorithm and a larger
+        # one by another.
+        "poisson(means below 10)": lambda rng: rng.poisson(np.linspace(0.0, 9.99, 1000)),
+        "poisson(means from 10)": lambda rng: rng.poisson(np.linspace(10.0, 200.0, 1000)),
+        "poisson(scalar mean, size)": lambda rng: rng.poisson(0.05, 1000),
+        "poisson(scalar mean)": lambda rng: np.array(rng.poisson(3000.5)),
+        # The trailing cell takes what the others leave, as in record_clicks.
+        "multinomial": lambda rng: rng.multinomial(5000, np.append(np.full(40, 0.02), 0.0)),
+        "spawn(1)": lambda rng: rng.spawn(1)[0].poisson(2.0, 1000),
+    }
+    return {
+        name: hashlib.sha256(draw(np.random.default_rng([2016, k])).tobytes()).hexdigest()
+        for k, (name, draw) in enumerate(draws.items())
+    }
+
+
+#: The numpy version SAMPLER_DIGESTS, GOLDEN_DIGESTS and
+#: EXPERIMENT2_PULSES_DIGEST were recorded with.
+SAMPLER_NUMPY = "2.4.6"
+SAMPLER_DIGESTS = {
+    "integers(4, int8)": "ba75e35c2c0cd9b9ead032b3b5c84eb6981d160ce4832e28da931f98a69ce195",
+    "normal": "b7325c07d14adaef8d5d8ed0112b9ae1e98bf292495659ce8ad4fce24b810ffe",
+    "integers(2, int8)": "520557e6a04654bcb4ebc254b37a0a3191a5137abeea42ae58517755e301bf5b",
+    "poisson(means below 10)": "d6b04fb77adf856b013c54a4b6a5643a062847a5a3eb85c20cf9889fcc6dd01b",
+    "poisson(means from 10)": "6d36213b1b4bd8f4d3911570e32d3f7c1f6d9de71a47d130f61f056e7562edec",
+    "poisson(scalar mean, size)": "f7898d09f795c7d39d54fcb24a364b62e9685002da6a7b210af5f43e1fa2488a",
+    "poisson(scalar mean)": "adb0325d321aa0c76cb9e78e803b87f81db35f26bcf62227595d8f2c6fd4c036",
+    "multinomial": "ba24784129353ca5b3b72ddc05edd04bbde54a9ae28a88566891eca614d84e82",
+    "spawn(1)": "e3a23ec3849d92ec4496b2c3e87af9bdd42a632e56be88f41c74e4de25560f25",
+}
+
+
+def test_sampler_canary():
+    # NEP 19 does not promise numpy's sampler streams from one version to the
+    # next, and every seeded output of memqkd run is drawn from them.
+    assert _sampler_digests() == SAMPLER_DIGESTS, (
+        f"numpy's streams moved: numpy {np.__version__} draws other values "
+        f"than numpy {SAMPLER_NUMPY}"
+    )
+
+
+def _which_moved():
+    """The message of a failed memqkd run golden digest: the sampler canary
+    tells whether numpy's streams or memqkd's output moved."""
+    if _sampler_digests() != SAMPLER_DIGESTS:
+        return (
+            f"numpy's streams moved (test_sampler_canary fails on numpy "
+            f"{np.__version__}; recorded on {SAMPLER_NUMPY})"
+        )
+    return "memqkd's output moved (test_sampler_canary passes: numpy's streams did not)"
+
+
 #: sha256 of each output of `memqkd run --preset experiment3 --seed 2016
 #: --pulses 57344` (3.5 blocks), recorded with numpy 2.4. Any change to the
 #: stream layout, the draws or the output format changes them; such a change
@@ -173,7 +236,7 @@ def test_run_outputs_match_golden_digests(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN_DIGESTS
     }
-    assert digests == GOLDEN_DIGESTS
+    assert digests == GOLDEN_DIGESTS, _which_moved()
 
 
 #: sha256 of pulses.csv from `memqkd run --preset experiment2 --seed 2016
@@ -189,7 +252,7 @@ def test_bright_run_pulses_csv_matches_golden_digest(tmp_path):
         "--pulses", str(5 * BLOCK_PULSES // 2), "--outdir", str(tmp_path),
     ) == 0  # fmt: skip
     digest = hashlib.sha256((tmp_path / "pulses.csv").read_bytes()).hexdigest()
-    assert digest == EXPERIMENT2_PULSES_DIGEST
+    assert digest == EXPERIMENT2_PULSES_DIGEST, _which_moved()
 
 
 def test_run_config_file(tmp_path):

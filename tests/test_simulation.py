@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -661,12 +662,16 @@ class _InlinePool:
         return future
 
 
-@pytest.mark.parametrize("workers,n_blocks", [(2, 11), (3, 4), (8, 3)])
-def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
+@pytest.mark.parametrize(
+    "workers,n_blocks,cpus", [(2, 11, 8), (3, 4, 8), (8, 3, 8), (10**5, 11, 3)]
+)
+def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks, cpus):
+    # _InlinePool starts no thread, whatever max_workers it is given.
     log = {}
     monkeypatch.setattr(
         simulation, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, log)
     )
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
     for start in simulate_blocks(
@@ -677,8 +682,51 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks):
         # consumed, until none are left.
         in_flight = log["submitted"] - len(starts)
         assert in_flight == min(2 * log["processes"], n_blocks - len(starts))
-    assert log["processes"] == min(workers, n_blocks)
+    assert log["processes"] == min(workers, n_blocks, cpus)
     assert starts == [b * BLOCK_PULSES for b in range(n_blocks)]
+
+
+class _StopRun(Exception):
+    pass
+
+
+def _record_pool_size(sizes):
+    """A ThreadPoolExecutor stand-in that records max_workers and stops the
+    run before any thread starts."""
+
+    def executor(max_workers):
+        sizes.append(max_workers)
+        raise _StopRun
+
+    return executor
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_stream_starts_at_most_one_thread_per_usable_cpu(monkeypatch, affinity):
+    # The CPUs the process may use: its affinity mask where the OS has one,
+    # otherwise every CPU. Both counts are patched, so the host's do not
+    # matter.
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sizes = []
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
+    config = preset_config("experiment3", n_pulses=8 * BLOCK_PULSES, seed=2)
+    with pytest.raises(_StopRun):
+        next(simulate_blocks(config, 10**5, DoubleClickPolicy.RANDOM, lambda start, block: start))
+    assert sizes == [3]
+
+
+def test_stream_on_one_usable_cpu_runs_inline(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES + 5, seed=2)
+    starts = list(simulate_blocks(config, 4, DoubleClickPolicy.RANDOM, lambda start, block: start))
+    assert starts == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
+    assert sizes == []
 
 
 def test_stream_takes_a_reducer_that_cannot_pickle():
