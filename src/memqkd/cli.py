@@ -151,9 +151,11 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
                 f"{name}: a 1-point axis needs a degenerate range, got {lo}:{hi}"
             )
         return np.array([lo])
-    if hi == lo:
+    axis = np.linspace(lo, hi, n)
+    # A range a few floats wide repeats some of the n points.
+    if not np.all(np.diff(axis) > 0):
         raise ConfigError(f"{name}: range {lo}:{hi} cannot hold {n} distinct points")
-    return np.linspace(lo, hi, n)
+    return axis
 
 
 def _read_config(path: Path) -> RunConfig:

@@ -75,10 +75,20 @@ def secret_key_rate(
     for name, q in (("qber_x", qber_x), ("qber_z", qber_z)):
         _require((0.0 <= q) & (q <= 0.5), q, f"{name} must lie in [0, 0.5]")
     _require((1.0 <= f) & (f < np.inf), f, "ec_inefficiency must be >= 1 and finite")
-    gain = np.exp(-mu) * (1.0 - binary_entropy(qber_x))
-    cost = binary_entropy(qber_z) * f
-    rate = mu * (gain - cost)
+    rate = _rate(mu, binary_entropy(qber_x), binary_entropy(qber_z), f)
     return rate if rate.ndim else float(rate)
+
+
+def _rate(mu: np.ndarray, h_x, h_z, f) -> np.ndarray:
+    """secret_key_rate of checked arrays, from the entropies h_x and h_z.
+
+    The operations of the formula in its order, in one array of the
+    broadcast shape: a (mu, QBER) grid holds no grid-sized temporary.
+    """
+    rate = np.empty(np.broadcast_shapes(*(np.shape(v) for v in (mu, h_x, h_z, f))))
+    np.multiply(np.exp(-mu), 1.0 - h_x, out=rate)
+    rate -= h_z * f
+    return np.multiply(mu, rate, out=rate)
 
 
 def _zero_crossings(mu, ec_inefficiency: float, tol: float) -> np.ndarray:
@@ -101,7 +111,8 @@ def _zero_crossings(mu, ec_inefficiency: float, tol: float) -> np.ndarray:
         active = active & (hi - lo > tol) & (mid != lo) & (mid != hi)
         if not active.any():
             return np.where(found, mid, np.nan)
-        positive = secret_key_rate(mu, mid, mid, ec_inefficiency) > 0.0
+        h = binary_entropy(mid)
+        positive = _rate(mu, h, h, ec_inefficiency) > 0.0
         lo = np.where(active & positive, mid, lo)
         hi = np.where(active & ~positive, mid, hi)
 

@@ -160,9 +160,20 @@ _INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _EXPONENT_BITS, _MANTISSA_BITS = 0x7FF << 52, (1 << 52) - 1
 
 
+#: floor(e * log10(2)), the decimal exponent of 2**e, for each biased binary
+#: exponent e + 1023, as an index into _DECADES. The floats of exponent e lie
+#: in [2**e, 2**(e + 1)), which holds at most one power of ten, so theirs is
+#: this decade or the next. Clipped to 0 .. len(_DECADES) - 2 so that the
+#: next is in _DECADES too, which changes no result in [1e-10, 1e17).
+_BINARY_DECADES = np.clip(
+    np.floor((np.arange(2048) - 1023) * np.log10(2)) - _DECADE_MIN, 0, len(_DECADES) - 2
+).astype(np.intp)
+
+
 def _decimal_exponent(x: np.ndarray) -> np.ndarray:
     """floor(log10(x)), exactly, of each x in [1e-10, 1e17)."""
-    return np.searchsorted(_DECADES, x, side="right") - 1 + _DECADE_MIN
+    k = _BINARY_DECADES[x.view(np.int64) >> 52]
+    return k + (x >= _DECADES[k + 1]) + _DECADE_MIN
 
 
 def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,20 +329,23 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
     ok = (magnitude >= _DECADES[0]) & (magnitude < _POW10[13])
-    v = magnitude[ok]
+    v, kept = (magnitude, values) if ok.all() else (magnitude[ok], values[ok])
     e = _decimal_exponent(v)
     whole, frac = _times_pow10(v, 12 - e)
     # whole - n is exact and at most 1/2, and frac at most half an ulp of
     # whole, so only a tie in whole can round the other way: y lies beyond
     # it when frac points away from n, and a true tie keeps rint's even n.
     n = np.rint(whole)
-    off = whole - n
-    n += np.sign(off) * ((np.abs(off) == 0.5) & (np.sign(frac) == np.sign(off)))
+    ties = np.flatnonzero(np.abs(whole - n) == 0.5)
+    off = whole[ties] - n[ties]
+    n[ties] += np.sign(off) * (np.sign(frac[ties]) == np.sign(off))
     carry = n == _POW10[13]
-    n = np.where(carry, _POW10[12], n).astype(np.int64)
-    e += carry
+    if carry.any():
+        n[carry] = _POW10[12]
+        e += carry
+    n = n.astype(np.int64)
     slots = np.empty(len(v), _SCI_SLOT)
-    slots["sign"] = (values[ok] < 0) * ord("-")
+    slots["sign"] = (kept < 0) * ord("-")
     slots["point"] = ord(".")
     slots["lead"] = _put_digit_groups(slots["groups"], n) + ord("0")
     slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ def test_map_cells_equal_pointwise_eval():
     for i, mu in enumerate(mu_axis):
         for j, q in enumerate(qber_axis):
             assert grid.rates[i, j] == secret_key_rate(mu, q, q, 1.05)
+
+
+def test_map_holds_one_grid_while_it_evaluates():
+    # The gain, the cost and the rate as separate grid-sized arrays peak at
+    # about 3 grids; computed in place, the rates are the only one.
+    mu_axis, qber_axis = np.linspace(0.05, 2.5, 400), np.linspace(0.0, 0.15, 400)
+    key_rate_map(mu_axis, qber_axis)
+    tracemalloc.start()
+    try:
+        key_rate_map(mu_axis, qber_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grids = peak / (400 * 400 * 8)
+    assert grids <= 1.5, f"{grids:.2f} grids"
 
 
 def test_map_boundary_splits_grid_signs():

@@ -16,10 +16,12 @@ from memqkd.qubits import BASES, POLARIZATION_CYCLE
 from memqkd.histogram import Histogram
 from memqkd.keyrate import key_rate_map
 from memqkd.reports import (
+    _BINARY_DECADES,
     _DECADE_MIN,
     _DECADES,
     _DIGIT_GROUPS,
     _EXPONENT_TEXT,
+    _decimal_exponent,
     _float_field,
     _int_field,
     _num,
@@ -362,6 +364,38 @@ def test_decades_are_the_least_floats_from_each_power_of_ten():
     for k, t in enumerate(_DECADES.tolist()):
         power = Fraction(10) ** (k + _DECADE_MIN)
         assert Fraction(t) >= power > Fraction(np.nextafter(t, 0.0))
+
+
+def _floor_log10(x: Fraction) -> int:
+    """floor(log10(x)) of a positive Fraction, exactly."""
+    e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def test_decimal_exponent_is_exact_at_every_decade_and_binary_exponent():
+    # Each decade's least float and both its neighbours, and the least and
+    # greatest float of every binary exponent, within [1e-10, 1e17).
+    values = [t for d in _DECADES.tolist() for t in (np.nextafter(d, 0.0), d, np.nextafter(d, 1e20))]
+    for e in range(-40, 60):
+        values += [2.0**e, np.nextafter(2.0 ** (e + 1), 0.0)]
+    x = np.array([v for v in values if _DECADES[0] <= v < 1e17])
+    # 3 * 27 - 1 decade values, and the least floats of exponents -33 .. 56
+    # and the greatest of -34 .. 55.
+    assert len(x) == 80 + 2 * 90
+    assert _decimal_exponent(x).tolist() == [_floor_log10(Fraction(v)) for v in x.tolist()]
+    # Each entry is the decade of 2**e, clipped so that the next decade is one
+    # of _DECADES too. An entry one too small still gives the right result
+    # where [2**e, 2**(e + 1)) holds no power of ten, so the values above
+    # cannot see it there.
+    expected = [
+        min(max(_floor_log10(Fraction(2) ** e), _DECADE_MIN), _DECADE_MIN + len(_DECADES) - 2)
+        for e in range(-1023, 1025)
+    ]
+    assert (_BINARY_DECADES + _DECADE_MIN).tolist() == expected
 
 
 @pytest.mark.parametrize(
