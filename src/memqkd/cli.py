@@ -191,7 +191,7 @@ def _output_set(outdir: Path, names: tuple[str, ...]):
     in a temporary directory in outdir, or in its nearest existing ancestor
     when outdir does not exist yet (the same file system, so os.replace
     moves each file whole); outdir is created only on success, and the
-    staging directory is removed whatever happens.
+    staging directory is removed whatever happens: on success it is empty.
     """
     for name in names:
         if (outdir / name).is_dir():
@@ -204,8 +204,10 @@ def _output_set(outdir: Path, names: tuple[str, ...]):
         outdir.mkdir(parents=True, exist_ok=True)
         for name in names:
             os.replace(stage / name, outdir / name)
-    finally:
+    except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        raise
+    stage.rmdir()
 
 
 def _cmd_run(args) -> int:

@@ -21,11 +21,13 @@ looked up by their array codes.
 Every number's digits are written four at a time by one kernel,
 _put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
 has found a float's digits; what is formatted one value at a time is put
-among the array rows by one merge, _merge. Each grid axis is formatted once and
-its rows gathered as whole fixed-size items. histogram.csv, keyrate_map.csv
+among the array rows by one merge, _merge. histogram.csv, keyrate_map.csv
 and keyrate_boundary.csv are made as bytes chunks of at most _BATCH rows,
 which write_lines writes as they are made, so only one chunk's matrices
-are held at once.
+are held at once. keyrate_map.csv is the outer product of its two axes, so
+each axis is formatted once, a chunk is whole mu rows, and the qber slots,
+commas and newlines stay in place in one matrix from chunk to chunk: only
+the rates are formatted per chunk (keyrate_csv_lines).
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ def _num(value: float) -> str:
 
 #: Rows per bytes chunk of every CSV. It bounds the slot matrices of the
 #: histogram and key-rate files held at once, the byte matrix rows are
-#: written into, and the copy that drops its NUL padding. 2**14 rows
-#: measured slower on a 2-core host: a 400x400 sweep wrote 20-29% fewer
-#: cells/s and experiment2 ran 4-12% fewer pulses/s (measured while
-#: bytes.translate dropped the padding).
+#: written into, and the copy that drops its NUL padding. On a 2-core host,
+#: with bytes.replace dropping the padding, a 400x400 keyrate_map.csv took
+#: 24.9, 26.9 and 26.1 ms at 2**12, 2**13 and 2**14 rows (medians of ten
+#: alternating rounds that spread over 17-30 ms), at tracemalloc peaks of
+#: 700, 1,379 and 2,737 KiB. While bytes.translate dropped it, 2**14 rows
+#: wrote 20-29% fewer sweep cells/s and ran experiment2 4-12% fewer pulses/s.
 _BATCH = 2**12
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
@@ -444,21 +448,41 @@ def histogram_csv_lines(hist: Histogram) -> Iterator[bytes]:
 
 
 def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
-    # Each axis is formatted once, and its slots are gathered as whole void
-    # items; cell k of the row-major rates lies at mu_axis[k // cols] and
-    # qber_axis[k % cols].
-    def gather(axis):
-        field = np.ascontiguousarray(_sci_field(axis))
-        items = field.view(f"V{field.shape[1]}").ravel()
-        return lambda k: items[k].view(np.uint8).reshape(len(k), field.shape[1])
+    """The header line, then one row per cell of the row-major rates.
 
-    mu, qber = gather(grid.mu_axis), gather(grid.qber_axis)
-    rates, cols = grid.rates.ravel(), len(grid.qber_axis)
-
-    def fields(cells):
-        return mu(cells // cols), qber(cells % cols), _sci_field(rates[cells])
-
-    yield from _csv_chunks("mu,qber,rate", len(rates), fields)
+    A chunk is max(1, _BATCH // cols) whole mu rows, or _BATCH cells of one
+    row when a row holds more. Its rows are a (mu rows, cells, width) byte
+    matrix whose commas, newlines and qber slots are written only when the
+    rate width or the chunk's cells change; per chunk, each mu slot is
+    broadcast over its row and only the rates are formatted.
+    """
+    mu, qber = _sci_field(grid.mu_axis), _sci_field(grid.qber_axis)
+    rows, cols = grid.rates.shape
+    per, span = max(1, _BATCH // cols), min(cols, _BATCH)
+    # The first column of the qber and rate slots.
+    q0 = mu.shape[1] + 1
+    r0 = q0 + qber.shape[1] + 1
+    yield b"mu,qber,rate\n"
+    matrix, placed = np.empty((0, 0, 0), np.uint8), None
+    for r in range(0, rows, per):
+        for c in range(0, cols, span):
+            rate = _sci_field(grid.rates[r : r + per, c : c + span].ravel())
+            if matrix.shape[2] != r0 + rate.shape[1] + 1:
+                # A chunk's rate field is 18 bytes, 19 with a sign column,
+                # and one more where format prints a three-digit exponent.
+                matrix = np.empty((per, span, r0 + rate.shape[1] + 1), np.uint8)
+                matrix[..., [q0 - 1, r0 - 1]] = ord(",")
+                matrix[..., -1] = ord("\n")
+                placed = None
+            block = matrix[: min(per, rows - r), : min(span, cols - c)]
+            if placed != c:
+                matrix[:, : block.shape[1], q0 : r0 - 1] = qber[c : c + span]
+                placed = c
+            block[..., : q0 - 1] = mu[r : r + per, None]
+            block[..., r0:-1] = rate.reshape(*block.shape[:2], -1)
+            # Not held through the two copies of the matrix below.
+            del rate
+            yield block.tobytes().replace(b"\0", b"")
 
 
 def boundary_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:

@@ -450,6 +450,26 @@ def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existin
     assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
 
 
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "command,files",
+    [
+        (("run", "--preset", "experiment3", "--pulses", "100"),
+         ["histogram.csv", "pulses.csv", "summary.txt"]),
+        (("sweep-keyrate", "--mu-range", "0.1:2", "--qber-range", "0:0.1",
+          "--resolution", "5x4"),
+         ["keyrate_boundary.csv", "keyrate_map.csv"]),
+    ],
+)  # fmt: skip
+def test_success_leaves_no_staging_directory(tmp_path, existing, command, files):
+    outdir = tmp_path / "out"
+    if existing:
+        outdir.mkdir()
+    assert run_cli(*command, "--outdir", str(outdir)) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == files
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "absent.ini")) == 1
 

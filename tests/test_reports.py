@@ -32,6 +32,7 @@ from memqkd.reports import (
     histogram_csv_lines,
     keyrate_csv_lines,
     pulse_csv_rows,
+    write_lines,
 )
 from memqkd.simulation import (
     BLOCK_PULSES,
@@ -532,22 +533,96 @@ _SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("mu,qber,rows,cols", _SWEEPS)
-def test_keyrate_csvs_match_f_strings(mu, qber, rows, cols):
-    grid = key_rate_map(np.linspace(*mu, rows), np.linspace(*qber, cols))
+def _keyrate_chunk_rows(rows, cols):
+    """Rows per keyrate_map.csv chunk: max(1, _BATCH // cols) whole mu rows,
+    or, when a mu row holds more than _BATCH cells, _BATCH cells of one row."""
+    batch = reports._BATCH
+    if cols <= batch:
+        per = batch // cols
+        return [min(per, rows - r) * cols for r in range(0, rows, per)]
+    return [min(batch, cols - c) for _ in range(rows) for c in range(0, cols, batch)]
+
+
+def _check_keyrate_csv(grid):
     expected = "mu,qber,rate\n" + "".join(
         f"{m:.12e},{q:.12e},{grid.rates[i, j]:.12e}\n"
         for i, m in enumerate(grid.mu_axis)
         for j, q in enumerate(grid.qber_axis)
     )
-    chunks = list(keyrate_csv_lines(grid))
+    header, *chunks = keyrate_csv_lines(grid)
+    assert header == b"mu,qber,rate\n"
     assert all(isinstance(chunk, bytes) for chunk in chunks)
-    assert len(chunks) == 1 + -(-rows * cols // reports._BATCH)
-    assert _lines(b"".join(chunks)) == _lines(expected)
+    assert [chunk.count(b"\n") for chunk in chunks] == _keyrate_chunk_rows(*grid.rates.shape)
+    assert _lines(header + b"".join(chunks)) == _lines(expected)
+
+
+@pytest.mark.parametrize("mu,qber,rows,cols", _SWEEPS)
+def test_keyrate_csvs_match_f_strings(mu, qber, rows, cols):
+    grid = key_rate_map(np.linspace(*mu, rows), np.linspace(*qber, cols))
+    _check_keyrate_csv(grid)
     boundary = "mu,qber_star\n" + "".join(
         f"{m:.12e},{q:.12e}\n" for m, q in zip(grid.mu_axis, grid.q_star) if not math.isnan(q)
     )
     assert b"".join(boundary_csv_lines(grid)).decode("ascii") == boundary
+
+
+#: (mu range, qber range, rows, cols, _BATCH) of sweeps cut into many chunks.
+_SMALL_BATCH_SWEEPS = [
+    # cols does not divide _BATCH.
+    ((0.01, 50.0), (0.0, 0.5), 13, 5, 16),
+    ((0.05, 1.7), (0.0, 0.15), 9, 7, 7),
+    # cols > _BATCH, with and without a shorter last slice of each row.
+    ((0.01, 50.0), (0.0, 0.5), 3, 21, 8),
+    ((0.05, 1.7), (0.0, 0.15), 4, 16, 8),
+    # 1x1, 1xN and Nx1 grids.
+    ((1.0, 1.0), (0.03, 0.03), 1, 1, 4),
+    ((1.6, 1.6), (0.0, 0.3), 1, 9, 4),
+    ((0.01, 50.0), (0.119, 0.119), 9, 1, 4),
+    # Rows of positive rates (an 18-byte rate field), rows with negative
+    # rates (19 bytes), 0.0 where exp(-mu) underflows, and rates below
+    # 1e-10 (format fallbacks), 1e-120 with a three-digit exponent.
+    ((1e-12, 900.0), (0.0, 0.02), 40, 7, 16),
+    ((1e-12, 900.0), (0.0, 0.02), 40, 7, 4),
+    ((1e-120, 900.0), (0.0, 0.02), 6, 11, 8),
+]
+
+
+@pytest.mark.parametrize("mu,qber,rows,cols,batch", _SMALL_BATCH_SWEEPS)
+def test_keyrate_csv_chunks_match_f_strings(mu, qber, rows, cols, batch, monkeypatch):
+    monkeypatch.setattr(reports, "_BATCH", batch)
+    _check_keyrate_csv(key_rate_map(np.linspace(*mu, rows), np.linspace(*qber, cols)))
+
+
+def test_keyrate_csv_widths_change_between_chunks(monkeypatch):
+    grid = key_rate_map(np.linspace(1e-12, 900.0, 40), np.linspace(0.0, 0.02, 7))
+    rates = grid.rates
+    assert (rates > 0).all(axis=1).any() and (rates < 0).any()
+    assert (rates == 0).any() and ((rates != 0) & (np.abs(rates) < 1e-10)).any()
+    # One mu row per chunk, whose rate field is 18, 19 or 20 bytes wide.
+    assert [_sci_field(row).shape[1] for row in rates[:2]] == [18, 19]
+    assert {_sci_field(row).shape[1] for row in rates} == {18, 19, 20}
+    monkeypatch.setattr(reports, "_BATCH", 7)
+    _check_keyrate_csv(grid)
+
+
+#: Bound on the tracemalloc peak of writing a 400x400 keyrate_map.csv:
+#: 700 KiB measured with numpy 2.4, plus about 15%. While each chunk
+#: gathered both axes' slots and filled a new row matrix, the peak was
+#: 938 KiB; one matrix of the whole grid would take about 9 MiB.
+KEYRATE_PEAK_KIB = 800
+
+
+def test_keyrate_csv_of_a_sweep_peaks_below_its_bound(tmp_path):
+    grid = key_rate_map(np.linspace(0.05, 1.7, 400), np.linspace(0.0, 0.15, 400))
+    path = tmp_path / "keyrate_map.csv"
+    write_lines(path, keyrate_csv_lines(grid))
+    tracemalloc.start()
+    try:
+        write_lines(path, keyrate_csv_lines(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= KEYRATE_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
 def test_boundary_csv_of_an_empty_boundary_is_its_header():
