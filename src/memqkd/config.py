@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +52,13 @@ def _check_floats(config) -> None:
             object.__setattr__(config, field.name, value + 0.0)
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a non-integral count (2.5, or even 2.0), which numpy's integer
+    draws and seeding would only fail on mid-run; numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Pulsed four-state source.
@@ -77,6 +85,7 @@ class SourceConfig:
             )
         if not self.mu_alice > 0:
             raise ValueError(f"mu_alice must be positive, got {self.mu_alice}")
+        _check_integer("n_pulses", self.n_pulses)
         # Pulse indices are int64 and emit times float64 (pulses.csv).
         if not 0 <= self.n_pulses <= 2**63:
             raise ValueError(f"n_pulses must lie in [0, 2**63], got {self.n_pulses}")
@@ -231,6 +240,7 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        _check_integer("seed", self.seed)
         if not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         # Cross-section checks: the [memory] ROI against the [analysis] regions.

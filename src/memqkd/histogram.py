@@ -69,6 +69,8 @@ class Histogram:
 
     def __add__(self, other: "Histogram") -> "Histogram":
         """Merge two histograms with identical layout by elementwise addition."""
+        if not isinstance(other, Histogram):
+            return NotImplemented
         if (
             self.bin_width != other.bin_width
             or self.t_start != other.t_start

@@ -91,15 +91,18 @@ def _rate(mu: np.ndarray, h_x, h_z, f) -> np.ndarray:
     return np.multiply(mu, rate, out=rate)
 
 
-def _zero_crossings(mu, ec_inefficiency: float, tol: float) -> np.ndarray:
-    """Shared QBER at which the rate crosses zero, per mu; NaN where the rate
-    at QBER 0 is not positive.
+def positive_rate_boundary(
+    mu,
+    ec_inefficiency: float = DEFAULT_EC_INEFFICIENCY,
+    tol: float = 1e-6,
+) -> float | np.ndarray:
+    """QBER (applied to both bases) at which the key rate crosses zero, per mu.
 
-    The rate is strictly decreasing in the shared QBER on (0, 0.5), so plain
-    bisection converges to the unique root whenever the rate at QBER 0 is
-    positive. Every mu is bisected at once; each stops on its own once its
-    bracket is within tol or holds two adjacent floats (tol below their
-    spacing), so the result per mu does not depend on the other values.
+    Elementwise on arrays (a scalar mu returns a float); NaN where the rate at
+    QBER 0 is not positive. The rate strictly decreases in the shared QBER on
+    (0, 0.5), so bisection finds the unique root. Every mu is bisected at
+    once and stops on its own once its bracket is within tol or holds two
+    adjacent floats, so its result does not depend on the other values.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -110,24 +113,12 @@ def _zero_crossings(mu, ec_inefficiency: float, tol: float) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         active = active & (hi - lo > tol) & (mid != lo) & (mid != hi)
         if not active.any():
-            return np.where(found, mid, np.nan)
+            q_star = np.where(found, mid, np.nan)
+            return q_star if q_star.ndim else float(q_star)
         h = binary_entropy(mid)
         positive = _rate(mu, h, h, ec_inefficiency) > 0.0
         lo = np.where(active & positive, mid, lo)
         hi = np.where(active & ~positive, mid, hi)
-
-
-def positive_rate_boundary(
-    mu: float,
-    ec_inefficiency: float = DEFAULT_EC_INEFFICIENCY,
-    tol: float = 1e-6,
-) -> float | None:
-    """QBER (applied to both bases) at which the key rate crosses zero.
-
-    Returns None when there is no positive region at all.
-    """
-    (q_star,) = _zero_crossings([mu], ec_inefficiency, tol).tolist()
-    return None if math.isnan(q_star) else q_star
 
 
 @dataclass(frozen=True)
@@ -153,9 +144,9 @@ def key_rate_map(
 ) -> KeyRateMap:
     """Evaluate the key rate on the full grid and locate the zero boundary.
 
-    Each cell equals the pointwise secret_key_rate value, and each q_star
-    entry the positive_rate_boundary value at boundary_tol (NaN for None);
-    secret_key_rate checks the axis values.
+    Each cell equals the pointwise secret_key_rate value, and q_star is
+    positive_rate_boundary of mu_axis at boundary_tol; secret_key_rate checks
+    the axis values.
     """
     mu_axis = np.asarray(mu_axis, dtype=float)
     qber_axis = np.asarray(qber_axis, dtype=float)
@@ -165,7 +156,7 @@ def key_rate_map(
         if np.any(np.diff(axis) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
     rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
-    q_star = _zero_crossings(mu_axis, ec_inefficiency, boundary_tol)
+    q_star = positive_rate_boundary(mu_axis, ec_inefficiency, boundary_tol)
     return KeyRateMap(mu_axis, qber_axis, rates, q_star)
 
 

@@ -89,7 +89,7 @@ def test_criterion_02_boundary_solver():
     brackets_hold = True
     for mu in np.linspace(0.1, 3.0, 50):
         q_mu = positive_rate_boundary(mu, 1.05, tol=tol)
-        if q_mu is None:
+        if math.isnan(q_mu):
             brackets_hold = False
             break
         eps = 2 * tol

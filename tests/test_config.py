@@ -202,6 +202,29 @@ def test_replace_preserves_validation():
         dataclasses.replace(config, seed=-3)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, "7"], ids=repr)
+def test_non_integer_n_pulses_rejected_on_construction(value):
+    # Such a count used to construct and then fail inside the block stream.
+    with pytest.raises(ValueError, match="n_pulses must be an integer"):
+        preset_config("experiment3", n_pulses=value)
+    with pytest.raises(ValueError, match="n_pulses must be an integer"):
+        SourceConfig(n_pulses=value)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "7"], ids=repr)
+def test_non_integer_seed_rejected_on_construction(value):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dataclasses.replace(RunConfig(), seed=value)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        preset_config("experiment3", seed=value)
+
+
+def test_numpy_integer_counts_accepted_and_run():
+    config = preset_config("experiment3", n_pulses=np.int64(64), seed=np.uint64(7))
+    assert config == preset_config("experiment3", n_pulses=64, seed=7)
+    assert len(run_experiment(config).state) == 64
+
+
 @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
 @pytest.mark.parametrize("section,cls,name", FLOAT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
 def test_non_finite_float_rejected_on_construction(section, cls, name, value):

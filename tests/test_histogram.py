@@ -74,6 +74,14 @@ def test_merge_rejects_layout_mismatch():
         a + b
 
 
+def test_add_non_histogram_raises_type_error():
+    h = bin_clicks([1.0], 10.0, (0.0, 100.0))
+    for other in (0, 1.5, None):
+        with pytest.raises(TypeError):
+            h + other
+    assert h.__add__(0) is NotImplemented
+
+
 def test_roi_whole_window_is_total():
     rng = np.random.default_rng(5)
     ts = rng.uniform(0.0, 2000.0, 4000)

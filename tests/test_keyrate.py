@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from memqkd import keyrate
 from memqkd.keyrate import (
     binary_entropy,
     classical_bound_check,
@@ -119,7 +120,7 @@ def test_boundary_value_against_oracle():
 def test_boundary_always_exists_for_positive_mu():
     # The gain term mu * e^-mu is positive at q = 0, so a root exists.
     for mu in (1e-6, 0.5, 5.0, 20.0):
-        assert positive_rate_boundary(mu, 1.05) is not None
+        assert not math.isnan(positive_rate_boundary(mu, 1.05))
 
 
 def test_boundary_rejects_bad_tol():
@@ -218,9 +219,48 @@ def test_map_boundary_equals_scalar_boundary(tol):
     # mu has no positive region, so its entry is NaN.
     mu_axis = np.concatenate([np.geomspace(1e-6, 40.0, 60), [800.0]])
     grid = key_rate_map(mu_axis, [0.0, 0.1], 1.05, boundary_tol=tol)
-    assert positive_rate_boundary(800.0, 1.05, tol) is None
+    assert math.isnan(positive_rate_boundary(800.0, 1.05, tol))
     expected = [positive_rate_boundary(mu, 1.05, tol) for mu in mu_axis]
-    assert [None if math.isnan(q) else q for q in grid.q_star.tolist()] == expected
+    np.testing.assert_array_equal(grid.q_star, expected)
+
+
+def test_boundary_scalar_returns_float():
+    q_star = positive_rate_boundary(1.0, 1.05)
+    assert type(q_star) is float
+    assert q_star == pytest.approx(BOUNDARY_MU1, abs=1e-6)
+    # exp(-800) underflows to 0: no positive region, so NaN.
+    no_region = positive_rate_boundary(800.0, 1.05)
+    assert type(no_region) is float and math.isnan(no_region)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4)], ids=str)
+def test_boundary_array_keeps_shape(shape):
+    mu = np.geomspace(0.01, 5.0, math.prod(shape)).reshape(shape)
+    q_star = positive_rate_boundary(mu, 1.05)
+    assert isinstance(q_star, np.ndarray) and q_star.shape == shape
+    expected = [positive_rate_boundary(m, 1.05) for m in mu.ravel().tolist()]
+    np.testing.assert_array_equal(q_star.ravel(), expected)
+
+
+def test_boundary_empty_array_returns_empty_array():
+    q_star = positive_rate_boundary(np.array([]), 1.05)
+    assert isinstance(q_star, np.ndarray) and q_star.shape == (0,)
+
+
+def test_map_calls_boundary_once(monkeypatch):
+    # The sweep's bisection is the public function: one call per map, so a
+    # hook on the module attribute sees (and times) all of it.
+    calls = []
+    original = keyrate.positive_rate_boundary
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate, "positive_rate_boundary", counting)
+    grid = key_rate_map(np.linspace(0.1, 3.0, 40), [0.0, 0.1], 1.05)
+    assert len(calls) == 1
+    assert grid.q_star.shape == (40,)
 
 
 def test_map_matches_closed_form():
