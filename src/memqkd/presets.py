@@ -10,6 +10,7 @@ against component transmissions.
 from __future__ import annotations
 
 import math
+import sys
 
 from .config import ChannelConfig, MemoryConfig, RunConfig, SourceConfig, SourceMode
 
@@ -23,7 +24,10 @@ def background_mean_for_sbr(
 ) -> float:
     """Background mean per ROI that yields target_sbr at the given input mean.
 
-    Inverts sbr = retrieval_efficiency * mu_memory / background_mean.
+    Inverts sbr = retrieval_efficiency * mu_memory / background_mean. A
+    ratio of inputs so extreme that the mean, or the signal it is divided
+    from, leaves the normal floats is rejected: inf and 0 give no ratio, and
+    a subnormal holds too few digits to give target_sbr.
     """
     if not 0 < target_sbr < math.inf:
         raise ValueError(f"target_sbr must be positive and finite, got {target_sbr}")
@@ -33,7 +37,19 @@ def background_mean_for_sbr(
         raise ValueError(
             f"retrieval_efficiency must lie in (0, 1], got {retrieval_efficiency}"
         )
-    return retrieval_efficiency * mu_memory / target_sbr
+    signal = retrieval_efficiency * mu_memory
+    background = signal / target_sbr
+    if not sys.float_info.min <= background < math.inf:
+        raise ValueError(
+            f"background_mean must be finite and at least {sys.float_info.min!r}, "
+            f"got {background!r} for target_sbr {target_sbr!r} at mu_memory {mu_memory!r}"
+        )
+    if signal < sys.float_info.min:
+        raise ValueError(
+            f"retrieval_efficiency * mu_memory must be at least {sys.float_info.min!r}, "
+            f"got {signal!r} at mu_memory {mu_memory!r}"
+        )
+    return background
 
 
 #: name -> (source mode, memory-input mean, background_mean, noise_suppression).

@@ -20,14 +20,17 @@ looked up by their array codes.
 
 Every number's digits are written four at a time by one kernel,
 _put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
-has found a float's digits; what is formatted one value at a time is put
-among the array rows by one merge, _merge. histogram.csv, keyrate_map.csv
-and keyrate_boundary.csv are made as bytes chunks of at most _BATCH rows,
-which write_lines writes as they are made, so only one chunk's matrices
-are held at once. keyrate_map.csv is the outer product of its two axes, so
-each axis is formatted once, a chunk is whole mu rows, and the qber slots,
-commas and newlines stay in place in one matrix from chunk to chunk: only
-the rates are formatted per chunk (keyrate_csv_lines).
+has found a float's digits; _sci_field rounds each scaled value as a float
+and needs Dekker's exact product only where that float is a tie. What is
+formatted one value at a time is put among the array rows by one merge,
+_merge. histogram.csv, keyrate_map.csv and keyrate_boundary.csv are made as
+bytes chunks of at most _BATCH rows, which write_lines writes as they are
+made, so only one chunk's matrices are held at once. keyrate_map.csv is
+the outer product of its two axes, so each axis is formatted once, a chunk
+is whole mu rows, and the qber slots, commas and newlines stay in place in
+one matrix from chunk to chunk: only the rates are formatted per chunk, and
+each row's mu and rate slots are copied in as whole items of a record view
+of that matrix (keyrate_csv_lines).
 """
 
 from __future__ import annotations
@@ -322,27 +325,31 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
 
     format prints the 13 significant digits of |v| rounded half-even on
     its exact value. With e the decimal exponent of |v|, y = |v| * 10**(12 - e)
-    lies in [1e12, 1e13) and is held exactly as whole + frac by Dekker's
-    product, as 10**(12 - e) is an exact float while 1e-10 <= |v| < 1e13.
-    _put_digit_groups writes its last twelve digits into _SCI_SLOT rows in
-    place and leaves the lead digit; the exponent is one lookup in
-    _EXPONENT_TEXT. Values outside that range, zeros, nan and inf are
-    formatted one at a time. The sign column is dropped when no value has
-    its sign bit set.
+    lies in [1e12, 1e13), and 10**(12 - e) is an exact float while
+    1e-10 <= |v| < 1e13. y is rounded to the float whole and whole to the
+    nearest integer; only where whole lies halfway between two integers
+    does Dekker's product give y's exact error from whole, which decides
+    the rounding there. _put_digit_groups writes the last twelve digits
+    into _SCI_SLOT rows in place and leaves the lead digit; the exponent is
+    one lookup in _EXPONENT_TEXT. Values outside that range, zeros, nan and
+    inf are formatted one at a time. The sign column is dropped when no
+    value has its sign bit set.
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
     ok = (magnitude >= _DECADES[0]) & (magnitude < _POW10[13])
     v, kept = (magnitude, values) if ok.all() else (magnitude[ok], values[ok])
     e = _decimal_exponent(v)
-    whole, frac = _times_pow10(v, 12 - e)
-    # whole - n is exact and at most 1/2, and frac at most half an ulp of
-    # whole, so only a tie in whole can round the other way: y lies beyond
-    # it when frac points away from n, and a true tie keeps rint's even n.
+    whole = v * _POW10[12 - e]
+    # whole - n is exact and at most 1/2, and y's error from whole at most
+    # half an ulp of whole, so only a tie in whole can round the other way:
+    # y lies beyond it when the exact error frac points away from n, and a
+    # true tie keeps rint's even n. So frac is taken at the ties only.
     n = np.rint(whole)
     ties = np.flatnonzero(np.abs(whole - n) == 0.5)
     off = whole[ties] - n[ties]
-    n[ties] += np.sign(off) * (np.sign(frac[ties]) == np.sign(off))
+    _, frac = _times_pow10(v[ties], 12 - e[ties])
+    n[ties] += np.sign(off) * (np.sign(frac) == np.sign(off))
     carry = n == _POW10[13]
     if carry.any():
         n[carry] = _POW10[12]
@@ -453,8 +460,10 @@ def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
     A chunk is max(1, _BATCH // cols) whole mu rows, or _BATCH cells of one
     row when a row holds more. Its rows are a (mu rows, cells, width) byte
     matrix whose commas, newlines and qber slots are written only when the
-    rate width or the chunk's cells change; per chunk, each mu slot is
-    broadcast over its row and only the rates are formatted.
+    rate width or the chunk's cells change; per chunk, only the rates are
+    formatted, and each mu slot is broadcast over its row. Both are copied
+    through a record view of the matrix, one record per row, so that each
+    slot is one item of the copy.
     """
     mu, qber = _sci_field(grid.mu_axis), _sci_field(grid.qber_axis)
     rows, cols = grid.rates.shape
@@ -463,25 +472,37 @@ def keyrate_csv_lines(grid: KeyRateMap) -> Iterator[bytes]:
     q0 = mu.shape[1] + 1
     r0 = q0 + qber.shape[1] + 1
     yield b"mu,qber,rate\n"
+    mu_slots = mu.view(f"V{q0 - 1}")[:, 0]
     matrix, placed = np.empty((0, 0, 0), np.uint8), None
     for r in range(0, rows, per):
         for c in range(0, cols, span):
             rate = _sci_field(grid.rates[r : r + per, c : c + span].ravel())
+            rate_slots = rate.view(f"V{rate.shape[1]}")[:, 0]
             if matrix.shape[2] != r0 + rate.shape[1] + 1:
                 # A chunk's rate field is 18 bytes, 19 with a sign column,
                 # and one more where format prints a three-digit exponent.
                 matrix = np.empty((per, span, r0 + rate.shape[1] + 1), np.uint8)
                 matrix[..., [q0 - 1, r0 - 1]] = ord(",")
                 matrix[..., -1] = ord("\n")
+                # One record per row, its mu and rate slots as fields.
+                records = matrix.view(
+                    {
+                        "names": ["mu", "rate"],
+                        "formats": [mu_slots.dtype, rate_slots.dtype],
+                        "offsets": [0, r0],
+                        "itemsize": matrix.shape[2],
+                    }
+                )[..., 0]
                 placed = None
             block = matrix[: min(per, rows - r), : min(span, cols - c)]
             if placed != c:
                 matrix[:, : block.shape[1], q0 : r0 - 1] = qber[c : c + span]
                 placed = c
-            block[..., : q0 - 1] = mu[r : r + per, None]
-            block[..., r0:-1] = rate.reshape(*block.shape[:2], -1)
+            cells = records[: block.shape[0], : block.shape[1]]
+            cells["mu"] = mu_slots[r : r + per, None]
+            cells["rate"] = rate_slots.reshape(block.shape[:2])
             # Not held through the two copies of the matrix below.
-            del rate
+            del rate, rate_slots
             yield block.tobytes().replace(b"\0", b"")
 
 

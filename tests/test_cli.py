@@ -757,6 +757,25 @@ def test_sweep_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
         (("--retrieval-efficiency", "-0.1"), "retrieval_efficiency must lie in (0, 1]"),
         (("--mu", "inf"), "mu_memory must be positive and finite"),
         (("--target-sbr", "inf"), "target_sbr must be positive and finite"),
+        # The background would overflow to inf, underflow to 0 or be
+        # subnormal, or the signal it is divided from would be subnormal.
+        (
+            ("--target-sbr", "1e-320", "--mu", "1e308"),
+            "background_mean must be finite and at least 2.2250738585072014e-308, got inf for",
+        ),
+        (
+            ("--target-sbr", "1e308", "--mu", "1e-308"),
+            "background_mean must be finite and at least 2.2250738585072014e-308, got 0.0 for",
+        ),
+        (
+            ("--target-sbr", "1e308", "--mu", "1e-14"),
+            "background_mean must be finite and at least 2.2250738585072014e-308, got 1e-323 for",
+        ),
+        (
+            ("--target-sbr", "1e-10", "--mu", "1e-308"),
+            "retrieval_efficiency * mu_memory must be at least 2.2250738585072014e-308, "
+            "got 1.2e-309",
+        ),
     ],
 )
 def test_calibrate_rejects_non_finite_or_unusable_inputs(capsys, flags, message):

@@ -477,7 +477,21 @@ def test_sci_field_is_format_at_the_fast_path_edges_and_on_ties():
     for tie in ties:
         digits = f"{tie:.13e}"
         assert digits[14] == "5" and Fraction(digits) == Fraction(tie)
-    values = np.array(edges + ties)
+    # Near-ties: the float product v * 10**j is a tie k + 1/2, but the exact
+    # product is not, so format rounds v the way its exact value lies.
+    near, odd = [], 0
+    for j in range(1, 23):
+        for k in rng.integers(10**12, 10**13, 20).tolist():
+            tie = Fraction(2 * k + 1, 2)
+            nearest = float(tie / 10**j)
+            for v in (math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, math.inf)):
+                if v * float(10**j) == tie and Fraction(v) * 10**j != tie:
+                    near.append(v)
+                    odd += round(Fraction(v) * 10**j) % 2
+    # rint alone takes the even neighbour of k + 1/2; the odd ones need the
+    # exact product.
+    assert len(near) > 200 and odd > 100
+    values = np.array(edges + ties + near)
     values = np.concatenate([values, -values])
     assert _sci(values) == _formatted(values.tolist())
 
