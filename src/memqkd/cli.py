@@ -187,17 +187,20 @@ def _output_set(outdir: Path, names: tuple[str, ...]):
     """Yield {name: path} to write a set of output files at; they replace
     outdir/name only when the block completes, so a failure leaves none.
 
-    Each path is first checked not to be a directory. The files are staged
-    in a temporary directory in outdir, or in its nearest existing ancestor
-    when outdir does not exist yet (the same file system, so os.replace
-    moves each file whole); outdir is created only on success, and the
-    staging directory is removed whatever happens: on success it is empty.
+    Each path is first checked not to be a directory, and outdir's nearest
+    existing ancestor (outdir itself when it exists) to be one. The files
+    are staged in a temporary directory in that ancestor (the same file
+    system, so os.replace moves each file whole); outdir is created only on
+    success, and the staging directory is removed whatever happens: on
+    success it is empty.
     """
     for name in names:
         if (outdir / name).is_dir():
             path = str(outdir / name)
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
     base = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "output path is not a directory", str(base))
     stage = Path(tempfile.mkdtemp(prefix=".memqkd-", dir=base))
     try:
         yield {name: stage / name for name in names}
@@ -220,18 +223,17 @@ def _cmd_run(args) -> int:
         blocks = simulate_blocks(
             config, args.workers, DoubleClickPolicy.RANDOM, partial(block_outputs, config)
         )
-        # Rows are written in block order; the histogram, sample and photon
-        # totals are summed over the blocks (there is always at least one).
+        # Rows are written in block order; the totals are summed over the
+        # blocks (there is always at least one).
         with closing(blocks), paths["pulses.csv"].open("wb") as out:
             out.write(PULSE_CSV_HEADER.encode() + b"\n")
-            rows, *totals = next(blocks)
+            rows, totals = next(blocks)
             out.writelines(rows)
-            for rows, *block_totals in blocks:
+            for rows, block_totals in blocks:
                 out.writelines(rows)
-                totals = [a + b for a, b in zip(totals, block_totals)]
-        hist, sample, photons = totals
-        write_lines(paths["histogram.csv"], histogram_csv_lines(hist))
-        summary = summary_text(config, sample, photons, hist)
+                totals += block_totals
+        write_lines(paths["histogram.csv"], histogram_csv_lines(totals.histogram))
+        summary = summary_text(config, totals)
         paths["summary.txt"].write_text(summary)
     sys.stdout.write(summary)
     print(f"wrote {', '.join(str(outdir / name) for name in names)}")

@@ -7,8 +7,8 @@ key-rate grids.
 
 A run's outputs are reduced block by block (block_outputs, the reducer that
 memqkd run hands to simulation.simulate_blocks): each block, the RunResult
-of its pulses, becomes its pulses.csv rows and hands on its histogram and
-tallies, so no per-pulse array outlives its block.
+of its pulses, becomes its pulses.csv rows and hands on its BlockTotals, so
+no per-pulse array outlives its block.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
@@ -44,7 +44,7 @@ import numpy as np
 from .histogram import Histogram, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
 from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import PhotonTotals, RunResult, SiftedSample
+from .simulation import BlockTotals, RunResult
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -418,21 +418,11 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list
     return _csv_rows(fields)
 
 
-def block_outputs(
-    config, start: int, block: RunResult
-) -> tuple[list[bytes], Histogram, SiftedSample, PhotonTotals]:
-    """Reduce one block of a run to (pulses.csv rows, histogram, sample, photons).
-
-    The rows are bytes chunks in row order. Each of the last three adds
-    exactly across blocks, so a run's outputs are the rows in block order
-    and the sums of the rest.
-    """
-    return (
-        pulse_csv_rows(start, block, config.source.pulse_period_ns),
-        block.histogram,
-        block.sample,
-        block.photons,
-    )
+def block_outputs(config, start: int, block: RunResult) -> tuple[list[bytes], BlockTotals]:
+    """Reduce one block of a run to (pulses.csv rows, totals): the rows as
+    bytes chunks in row order, to be written in block order, and the
+    totals, which add exactly across blocks."""
+    return pulse_csv_rows(start, block, config.source.pulse_period_ns), block.totals
 
 
 def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:
@@ -523,16 +513,15 @@ def write_lines(path: Path, chunks: Iterable[bytes]) -> None:
         out.writelines(chunks)
 
 
-def summary_text(
-    config, sample: SiftedSample, photons: PhotonTotals, hist: Histogram
-) -> str:
+def summary_text(config, totals: BlockTotals) -> str:
     """Plain-text key = value block with counts, error rates, and SBR.
 
-    sample, photons and hist are the run's totals, summed over its blocks.
+    totals are the run's, summed over its blocks.
     """
     memory = config.memory
+    sample, photons = totals.sample, totals.photons
     hist_sbr = sbr_from_histogram(
-        hist,
+        totals.histogram,
         memory.retrieval_delay_ns,
         memory.roi_width_ns,
         config.analysis.background_region,

@@ -23,13 +23,14 @@ draws from that stream's first child. Workers take whole blocks and the
 block size never depends on the worker count, so a run is a pure function
 of its config whatever the number of workers.
 
-Each block is a RunResult of its own pulses. simulate_blocks streams a
-run: it hands each block to a caller-supplied reducer where the block is
-simulated (in a pool thread when there are several workers; numpy's array
-loops and random draws release the GIL) and yields the reduced blocks in
-block order, with at most _IN_FLIGHT_PER_WORKER blocks per worker
-submitted and not yet consumed. run_experiment keeps every block and joins
-them.
+Each block is a RunResult of its own pulses: arrays and a BlockTotals.
+simulate_blocks streams a run: it hands each block to a caller-supplied
+reducer where the block is simulated (in a pool thread when there are
+several workers; numpy's array loops and random draws release the GIL)
+and yields the reduced blocks in block order, with at most
+_IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
+run_experiment keeps every block, concatenates the arrays and adds up
+the totals.
 
 Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
 basis its index in BASES (Z, X).
@@ -92,11 +93,11 @@ class DoubleClickPolicy(Enum):
 
 
 def _fieldwise_sum(self, other):
-    """``__add__`` of a tally dataclass: the field-by-field sum, built by its constructor."""
+    """``__add__`` of a tally dataclass: built by its constructor from each field's own sum."""
     if not isinstance(other, type(self)):
         return NotImplemented
     return type(self)(
-        *(a + b for a, b in zip(dataclasses.astuple(self), dataclasses.astuple(other)))
+        *(getattr(self, f.name) + getattr(other, f.name) for f in dataclasses.fields(self))
     )
 
 
@@ -174,6 +175,19 @@ class PhotonTotals:
         if not (n_pulses and self.background_roi):
             return math.inf if self.retrieved else math.nan
         return (self.retrieved / n_pulses) / (self.background_roi / n_pulses)
+
+
+@dataclass(frozen=True)
+class BlockTotals:
+    """The tallies of a block or a run, which add exactly across blocks: the
+    histogram of every click (leakage, retrieved, background) by its
+    pulse-relative time, the sifted sample and the photons per stage."""
+
+    histogram: Histogram
+    sample: SiftedSample
+    photons: PhotonTotals
+
+    __add__ = _fieldwise_sum
 
 
 def _n_blocks(n_pulses: int) -> int:
@@ -352,11 +366,10 @@ class RunResult:
     Row i is the i-th pulse of the run or block. state and bob_basis hold
     array codes (see the module docstring); c0 and c1 count the bit-0 and
     bit-1 detectors of bob_basis inside the ROI; leak_clicks counts arrivals
-    in the leakage window (diagnostic only, never sifted). histogram bins
-    every click (leakage, retrieved, background) by its pulse-relative time
-    over the record window; like sample and photons, it adds exactly across
+    in the leakage window (diagnostic only, never sifted). totals holds the
+    histogram, sifted sample and photon ledger, which add exactly across
     blocks. Pulse i of the run is emitted at i * pulse_period_ns. The
-    counting SBR is photons.counting_sbr(n_pulses).
+    counting SBR is totals.photons.counting_sbr(n_pulses).
     """
 
     state: np.ndarray
@@ -367,9 +380,7 @@ class RunResult:
     leak_clicks: np.ndarray
     sifted: np.ndarray
     error: np.ndarray
-    histogram: Histogram
-    sample: SiftedSample
-    photons: PhotonTotals
+    totals: BlockTotals
 
 
 def _simulate_block(config, policy, reduce, block):
@@ -410,13 +421,15 @@ def _simulate_block(config, policy, reduce, block):
         leak_clicks=leak_clicks,
         sifted=sifted,
         error=error,
-        histogram=histogram,
-        sample=SiftedSample.from_flags(bob_basis, sifted, error),
-        photons=PhotonTotals(
-            retrieved=n_retrieved,
-            leaked=n_leaked,
-            lost=lost,
-            background_roi=n_roi - n_retrieved,
+        totals=BlockTotals(
+            histogram=histogram,
+            sample=SiftedSample.from_flags(bob_basis, sifted, error),
+            photons=PhotonTotals(
+                retrieved=n_retrieved,
+                leaked=n_leaked,
+                lost=lost,
+                background_roi=n_roi - n_retrieved,
+            ),
         ),
     )
     return reduce(start, result)
@@ -493,8 +506,7 @@ def run_experiment(
     blocks = list(simulate_blocks(config, workers, policy, _whole_block))
 
     def joined(name):
-        # Arrays concatenate in block order; histogram, sample and photons
-        # add exactly.
+        # Arrays concatenate in block order; the totals add exactly.
         parts = [getattr(block, name) for block in blocks]
         if isinstance(parts[0], np.ndarray):
             return np.concatenate(parts)

@@ -110,19 +110,19 @@ def test_criterion_02_boundary_solver():
 def test_criterion_03_high_photon_number_run():
     config = preset_config("experiment2", n_pulses=10_000, seed=2)
     result = run_experiment(config)
-    qber = result.sample.qber_mean
+    qber = result.totals.sample.qber_mean
     _verdict(
         3,
         "high-photon-number run keeps mean QBER below 1%",
         qber < 0.01,
-        f"qber_mean={qber:.5f} over {result.sample.n_sifted_z + result.sample.n_sifted_x} sifted",
+        f"qber_mean={qber:.5f} over {result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x} sifted",
     )
 
 
 def test_criterion_04_single_photon_level_run():
     config = preset_config("experiment3", n_pulses=100_000, seed=3)
     result = run_experiment(config)
-    qber = result.sample.qber_mean
+    qber = result.totals.sample.qber_mean
     _verdict(
         4,
         "single-photon-level run lands in the calibrated QBER window",
@@ -136,10 +136,10 @@ def test_criterion_05_noise_suppressed_rescaled_run():
     # at 1 photon rescales the ratio linearly to 20.
     config = preset_config("experiment4", n_pulses=100_000, seed=5, mu_memory=1.0)
     result = run_experiment(config)
-    qber = result.sample.qber_mean
+    qber = result.totals.sample.qber_mean
     rescaled_sbr = 26.0 / 1.3
     fidelity = fidelity_from_sbr(rescaled_sbr)
-    fidelity_measured = fidelity_from_sbr(result.photons.counting_sbr(100_000))
+    fidelity_measured = fidelity_from_sbr(result.totals.photons.counting_sbr(100_000))
     ok = (
         0.015 <= qber <= 0.035
         and abs(fidelity - 0.975) <= 0.01
@@ -190,9 +190,9 @@ def test_criterion_07_monte_carlo_matches_counting_oracle():
         )
         result = run_experiment(config)
         oracle = qber_oracle_from_sbr(sbr)
-        n_sifted = result.sample.n_sifted_z + result.sample.n_sifted_x
+        n_sifted = result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x
         se = math.sqrt(oracle * (1.0 - oracle) / n_sifted)
-        deviation = abs(result.sample.qber_mean - oracle)
+        deviation = abs(result.totals.sample.qber_mean - oracle)
         ok = ok and deviation <= 3 * se
         details.append(f"sbr={sbr}: dev={deviation:.5f} vs 3se={3 * se:.5f}")
     _verdict(7, "Monte Carlo QBER matches the counting oracle", ok, "; ".join(details))
@@ -256,7 +256,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
     # Shard/merge equality on click times drawn from a real pipeline histogram.
     config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
     run4 = run_experiment(config4)
-    times = click_times(run4.histogram, np.random.default_rng(1010))
+    times = click_times(run4.totals.histogram, np.random.default_rng(1010))
     layout = (config4.analysis.bin_width_ns, config4.analysis.window)
     whole = bin_clicks(times, *layout)
     shards = np.array_split(times, 9)
@@ -288,7 +288,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
 
     def preset_histogram_sbr(result, config):
         return sbr_from_histogram(
-            result.histogram,
+            result.totals.histogram,
             config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,

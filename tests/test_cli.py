@@ -515,14 +515,48 @@ def test_bad_flag_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_runtime_error_exit_code(tmp_path):
+def test_runtime_error_exit_code(tmp_path, capsys):
+    # An output directory at or under a regular file: the message names the
+    # file, not a staging directory, and nothing is left behind.
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    code = run_cli(
-        "run", "--preset", "experiment3", "--pulses", "10",
-        "--outdir", str(blocker / "sub"),
-    )
-    assert code == 2
+    for outdir in (blocker, blocker / "sub"):
+        code = run_cli(
+            "run", "--preset", "experiment3", "--pulses", "10", "--outdir", str(outdir),
+        )  # fmt: skip
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"output path is not a directory: {str(blocker)!r}" in err
+        assert ".memqkd-" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert blocker.read_text() == "x"
+
+
+def test_process_exit_codes(tmp_path):
+    # The installed memqkd command runs entry_point, as python -m memqkd.cli does.
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    run = ("run", "--preset", "experiment3", "--pulses", "100")
+    cases = [
+        (0, (*run, "--outdir", str(tmp_path / "out"))),
+        (1, ("run", "--preset", "nope")),
+        (2, (*run, "--outdir", str(blocker))),
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for code, argv in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "memqkd.cli", *argv],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == code, (argv, done.stderr)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "histogram.csv", "pulses.csv", "summary.txt",
+    ]  # fmt: skip
 
 
 def test_out_of_memory_is_runtime_error_without_output(tmp_path, monkeypatch, capsys):

@@ -341,8 +341,8 @@ def test_expected_clicks_match_a_run(preset, rel_fluctuation):
     result = run_experiment(config)
     # Arrivals plus every background click (each click is leaked, retrieved
     # or background).
-    photons = result.photons
-    clicks = result.histogram.counts.sum() + result.histogram.n_dropped
+    photons = result.totals.photons
+    clicks = result.totals.histogram.counts.sum() + result.totals.histogram.n_dropped
     background = clicks - photons.leaked - photons.retrieved
     per_pulse = (photons.arrived + background) / 40_000
     assert per_pulse == pytest.approx(config.expected_clicks_per_pulse, rel=0.02)
@@ -407,4 +407,4 @@ def test_negative_zero_is_stored_as_zero():
     )
     assert math.copysign(1.0, config.channel.rel_fluctuation) == 1.0
     assert math.copysign(1.0, config.memory.background_mean) == 1.0
-    assert run_experiment(config).photons.background_roi == 0
+    assert run_experiment(config).totals.photons.background_roi == 0

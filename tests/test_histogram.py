@@ -190,7 +190,7 @@ def test_sbr_rejects_overlapping_regions():
 def test_run_histogram_shows_two_peaks():
     config = preset_config("experiment3", n_pulses=20_000, seed=13)
     result = run_experiment(config)
-    times = click_times(result.histogram, np.random.default_rng(13))
+    times = click_times(result.totals.histogram, np.random.default_rng(13))
     h = bin_clicks(times, 10.0, (0.0, 2000.0))
     starts = h.bin_starts
     leak_region = h.counts[(starts >= 0.0) & (starts < 400.0)]
@@ -209,10 +209,10 @@ def test_roi_count_matches_pipeline_tally():
     # background from the pipeline exactly.
     config = preset_config("experiment3", n_pulses=5000, seed=21)
     result = run_experiment(config)
-    times = click_times(result.histogram, np.random.default_rng(21))
+    times = click_times(result.totals.histogram, np.random.default_rng(21))
     h = bin_clicks(times, 10.0, (0.0, 2000.0))
     roi_count = roi_integrate(h, 1000.0, 100.0)
-    assert roi_count == result.photons.retrieved + result.photons.background_roi
+    assert roi_count == result.totals.photons.retrieved + result.totals.photons.background_roi
 
 
 # --- click times derived from a histogram -------------------------------------
@@ -226,7 +226,7 @@ def _without_dropped(h):
 def test_click_times_bin_back_into_a_run_histogram(window_start_ns):
     config = preset_config("experiment2", n_pulses=20_000, seed=17)
     analysis = dataclasses.replace(config.analysis, window_start_ns=window_start_ns)
-    h = run_experiment(dataclasses.replace(config, analysis=analysis)).histogram
+    h = run_experiment(dataclasses.replace(config, analysis=analysis)).totals.histogram
     assert (h.n_dropped > 0) == (window_start_ns > 0)
     times = click_times(h, np.random.default_rng(17))
     assert times.size == h.counts.sum()
@@ -234,7 +234,7 @@ def test_click_times_bin_back_into_a_run_histogram(window_start_ns):
 
 
 def test_click_times_draw_from_the_callers_generator_only():
-    h = run_experiment(preset_config("experiment3", n_pulses=2000, seed=4)).histogram
+    h = run_experiment(preset_config("experiment3", n_pulses=2000, seed=4)).totals.histogram
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     assert np.array_equal(click_times(h, a), click_times(h, b))
     assert a.random() == b.random()

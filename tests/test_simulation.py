@@ -18,12 +18,15 @@ from memqkd.config import (
     SourceConfig,
     SourceMode,
 )
+from memqkd.histogram import Histogram
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of, bit_of
 from memqkd.simulation import (
     BLOCK_PULSES,
+    BlockTotals,
     DoubleClickPolicy,
+    PhotonTotals,
     RunResult,
     SiftedSample,
     apply_memory,
@@ -149,7 +152,7 @@ def test_memory_conservation_exact():
     # Every block draws photons into each of the memory's three outputs.
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=3)
     blocks = list(
-        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: block.photons)
+        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: block.totals.photons)
     )
     assert len(blocks) == 3
     for photons in blocks:
@@ -331,11 +334,11 @@ def test_noise_free_run_has_zero_qber():
         seed=99,
     )
     result = run_experiment(config)
-    assert result.sample.n_err_z == 0
-    assert result.sample.n_err_x == 0
-    assert result.sample.n_sifted_z + result.sample.n_sifted_x > 500
-    assert result.sample.qber_z == 0.0
-    assert result.sample.qber_x == 0.0
+    assert result.totals.sample.n_err_z == 0
+    assert result.totals.sample.n_err_x == 0
+    assert result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x > 500
+    assert result.totals.sample.qber_z == 0.0
+    assert result.totals.sample.qber_x == 0.0
 
 
 def test_run_arrivals_match_the_memory_input_mean():
@@ -345,7 +348,7 @@ def test_run_arrivals_match_the_memory_input_mean():
     channel = dataclasses.replace(config.channel, rel_fluctuation=0.0)
     config = dataclasses.replace(config, channel=channel)
     mean = config.source.n_pulses * config.source.mu_alice * channel.transmission
-    assert abs(run_experiment(config).photons.arrived - mean) < 4 * math.sqrt(mean)
+    assert abs(run_experiment(config).totals.photons.arrived - mean) < 4 * math.sqrt(mean)
 
 
 #: Per-pulse arrays of a RunResult.
@@ -359,8 +362,8 @@ def test_run_determinism_same_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
     b = run_experiment(config)
-    assert a.sample == b.sample
-    assert a.histogram == b.histogram
+    assert a.totals.sample == b.totals.sample
+    assert a.totals.histogram == b.totals.histogram
     for column in COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
@@ -369,7 +372,7 @@ def test_run_changes_with_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
     b = run_experiment(dataclasses.replace(config, seed=32))
-    assert a.sample != b.sample
+    assert a.totals.sample != b.totals.sample
 
 
 def test_worker_partition_invariance():
@@ -384,8 +387,8 @@ def test_worker_partition_invariance():
         solo = run_experiment(config, workers=1, policy=policy)
         split = run_experiment(config, workers=3, policy=policy)
         case = (preset, policy.name)
-        assert solo.sample == split.sample, case
-        assert solo.histogram == split.histogram, case
+        assert solo.totals.sample == split.totals.sample, case
+        assert solo.totals.histogram == split.totals.histogram, case
         for column in COLUMNS:
             assert np.array_equal(getattr(solo, column), getattr(split, column)), (
                 case,
@@ -397,7 +400,7 @@ def test_discard_policy_changes_only_ties():
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=6)
     keep = run_experiment(config)
     drop = run_experiment(config, policy=DoubleClickPolicy.DISCARD)
-    assert keep.histogram == drop.histogram
+    assert keep.totals.histogram == drop.totals.histogram
     for column in set(COLUMNS) - {"sifted", "error"}:
         assert np.array_equal(getattr(keep, column), getattr(drop, column)), column
     tie = keep.sifted & (keep.c0 == keep.c1)
@@ -409,8 +412,8 @@ def test_zero_pulse_run():
     config = preset_config("experiment3", n_pulses=0, seed=1)
     result = run_experiment(config)
     assert all(getattr(result, column).size == 0 for column in COLUMNS)
-    assert result.sample.n_sifted_z == 0
-    assert result.histogram.counts.sum() == result.histogram.n_dropped == 0
+    assert result.totals.sample.n_sifted_z == 0
+    assert result.totals.histogram.counts.sum() == result.totals.histogram.n_dropped == 0
 
 
 def test_basis_balance_in_run():
@@ -427,7 +430,7 @@ def test_run_sbr_estimator_consistency():
     expected = (
         memory.retrieval_efficiency * 1.6 / memory.effective_background
     )
-    assert result.photons.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
+    assert result.totals.photons.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
 
 
 def test_counting_sbr_without_background_is_inf_and_without_counts_nan():
@@ -440,10 +443,10 @@ def test_run_qber_converges_to_oracle():
     config = preset_config("experiment3", n_pulses=100_000, seed=12)
     result = run_experiment(config)
     oracle = qber_oracle_from_sbr(3.2017)
-    n_sifted = result.sample.n_sifted_z + result.sample.n_sifted_x
+    n_sifted = result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x
     se = math.sqrt(oracle * (1 - oracle) / n_sifted)
-    assert abs(result.sample.qber_mean - oracle) <= 3 * se
-    assert result.sample.qber_mean == pytest.approx(0.119, abs=0.005)
+    assert abs(result.totals.sample.qber_mean - oracle) <= 3 * se
+    assert result.totals.sample.qber_mean == pytest.approx(0.119, abs=0.005)
 
 
 def test_sifted_pulses_need_matched_basis():
@@ -589,7 +592,7 @@ def test_histogram_matches_closed_form_bin_means(geometry):
         seed=41,
     )
     result = run_experiment(config)
-    h, photons = result.histogram, result.photons
+    h, photons = result.totals.histogram, result.totals.photons
     memory, pulse_width = config.memory, config.source.pulse_width_ns
     window_lo, window_hi = config.analysis.window
     starts = window_lo + config.analysis.bin_width_ns * np.arange(h.n_bins)
@@ -634,7 +637,7 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
     result = run_experiment(config, workers=2)
     for field in dataclasses.fields(RunResult):
         parts = [getattr(block, field.name) for block in blocks]
-        if field.name in ("histogram", "sample", "photons"):
+        if field.name == "totals":
             assert sum(parts[1:], parts[0]) == getattr(result, field.name), field.name
         else:
             joined = np.concatenate(parts)
@@ -736,7 +739,7 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
 
     def reduce(start, block):
         seen.append(start)
-        return start, block.sample, block.histogram
+        return start, block.totals.sample, block.totals.histogram
 
     solo = list(simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, reduce))
     split = list(simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce))
@@ -769,12 +772,33 @@ def test_sifted_sample_sum_is_exact(samples):
         assert getattr(total, field) == sum(getattr(s, field) for s in samples)
 
 
+def _totals(window, counts, n_dropped, sample, photons):
+    hist = dataclasses.replace(
+        Histogram.empty(1.0, window), counts=np.array(counts), n_dropped=n_dropped
+    )
+    return BlockTotals(hist, SiftedSample(*sample), PhotonTotals(*photons))
+
+
+def test_block_totals_add_part_by_part():
+    a = _totals((0, 3), [1, 0, 2], 4, (5, 6, 1, 2), (7, 3, 2, 1))
+    b = _totals((0, 3), [0, 9, 1], 1, (2, 1, 2, 0), (1, 0, 5, 8))
+    total = a + b
+    assert total.histogram == a.histogram + b.histogram
+    assert np.array_equal(total.histogram.counts, [1, 9, 3]) and total.histogram.n_dropped == 5
+    assert total.sample == SiftedSample(7, 7, 3, 2)
+    assert total.photons == PhotonTotals(8, 3, 7, 9)
+    with pytest.raises(TypeError):
+        a + 0
+    with pytest.raises(ValueError, match="different layouts"):
+        a + _totals((1, 4), [1, 0, 2], 4, (5, 6, 1, 2), (7, 3, 2, 1))
+
+
 def test_block_samples_sum_to_the_run_sample():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
     samples = list(
-        simulate_blocks(config, 1, DoubleClickPolicy.DISCARD, lambda start, block: block.sample)
+        simulate_blocks(config, 1, DoubleClickPolicy.DISCARD, lambda start, block: block.totals.sample)
     )
     assert len(samples) == 3
     assert sum(samples[1:], samples[0]) == run_experiment(
         config, policy=DoubleClickPolicy.DISCARD
-    ).sample
+    ).totals.sample
