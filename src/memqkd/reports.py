@@ -175,12 +175,15 @@ _EXPONENT_BITS, _MANTISSA_BITS = 0x7FF << 52, (1 << 52) - 1
 _BINARY_DECADES = np.clip(
     np.floor((np.arange(2048) - 1023) * np.log10(2)) - _DECADE_MIN, 0, len(_DECADES) - 2
 ).astype(np.intp)
+#: _BINARY_DECADES as exponents of ten, and the least float of the next decade.
+_BINARY_EXPONENTS = _BINARY_DECADES + _DECADE_MIN
+_NEXT_DECADES = _DECADES[_BINARY_DECADES + 1]
 
 
 def _decimal_exponent(x: np.ndarray) -> np.ndarray:
     """floor(log10(x)), exactly, of each x in [1e-10, 1e17)."""
-    k = _BINARY_DECADES[x.view(np.int64) >> 52]
-    return k + (x >= _DECADES[k + 1]) + _DECADE_MIN
+    b = x.view(np.int64) >> 52
+    return _BINARY_EXPONENTS[b] + (x >= _NEXT_DECADES[b])
 
 
 def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

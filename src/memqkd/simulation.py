@@ -25,9 +25,10 @@ of its config whatever the number of workers.
 
 Each block is a RunResult of its own pulses: arrays and a BlockTotals.
 simulate_blocks streams a run: it hands each block to a caller-supplied
-reducer where the block is simulated (in a pool thread when there are
-several workers; numpy's array loops and random draws release the GIL)
-and yields the reduced blocks in block order, with at most
+reducer in the thread that simulated it (a pool thread when there are
+several workers; numpy's array loops and random draws release the GIL),
+once the simulation has returned it and freed its temporaries, and
+yields the reduced blocks in block order, with at most
 _IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
 run_experiment keeps every block, concatenates the arrays and adds up
 the totals.
@@ -383,8 +384,8 @@ class RunResult:
     totals: BlockTotals
 
 
-def _simulate_block(config, policy, reduce, block):
-    """Simulate one block and return reduce(start, the RunResult of its pulses).
+def _simulate_block(config, policy, block):
+    """Simulate one block: (start, the RunResult of its pulses).
 
     A pure function of its arguments; every draw comes from the block's own
     stream, in a fixed order.
@@ -432,7 +433,7 @@ def _simulate_block(config, policy, reduce, block):
             ),
         ),
     )
-    return reduce(start, result)
+    return start, result
 
 
 def _usable_cpus() -> int:
@@ -456,7 +457,8 @@ def simulate_blocks(
     reduce runs where its block is simulated: in the calling thread for one
     worker (or one block, or one usable CPU), otherwise in one of
     min(workers, blocks, usable CPUs) pool threads of this process, so it
-    must be safe to call from several threads at once. At most
+    must be safe to call from several threads at once. It runs once the
+    simulation has returned the block and freed its temporaries. At most
     _IN_FLIGHT_PER_WORKER blocks per thread are submitted and not yet
     consumed; the next block is submitted as each one is consumed. Every
     block is a pure function of (config, block), so the yielded sequence
@@ -465,23 +467,27 @@ def simulate_blocks(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_blocks = _n_blocks(config.source.n_pulses)
-    simulate = partial(_simulate_block, config, policy, reduce)
+    simulate = partial(_simulate_block, config, policy)
+
+    def reduced(block):
+        return reduce(*simulate(block))
+
     # More threads than CPUs only wait for one another, and a large workers
     # would ask the OS for that many threads.
     threads = min(workers, n_blocks, _usable_cpus())
     # Inline, not a one-thread pool: with one worker the pool ran experiment3
     # up to 6.3% slower (5 of 6 benchmark pairs, 2-core host), 0.4 MiB larger.
     if threads == 1:
-        yield from map(simulate, range(n_blocks))
+        yield from map(reduced, range(n_blocks))
         return
     blocks = iter(range(n_blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         in_flight = deque(
-            pool.submit(simulate, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
+            pool.submit(reduced, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
         )
         while in_flight:
             done = in_flight.popleft().result()
-            in_flight.extend(pool.submit(simulate, b) for b in islice(blocks, 1))
+            in_flight.extend(pool.submit(reduced, b) for b in islice(blocks, 1))
             yield done
 
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ def test_run_without_mallopt_writes_the_same_outputs(tmp_path, monkeypatch, libc
     assert opened == [None]
     for name in ("pulses.csv", "histogram.csv", "summary.txt"):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_main_sets_the_malloc_policy_before_any_pool_thread_starts(tmp_path, monkeypatch):
+    # glibc applies M_ARENA_MAX only to arenas made after the call, so it
+    # must come before the pool's threads allocate.
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, threading.active_count()))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    threads = threading.active_count()
+    argv = ("run", "--preset", "experiment3", "--pulses", str(2 * BLOCK_PULSES), "--seed", "5")
+    assert run_cli(*argv, "--workers", "2", "--outdir", str(tmp_path)) == 0
+    # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD and M_ARENA_MAX (malloc.h).
+    assert calls == [(-1, 2**30, threads), (-3, 2**25, threads), (-8, 1, threads)]
 
 
 def _sampler_digests():
