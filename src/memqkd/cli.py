@@ -19,13 +19,14 @@ import ctypes
 import dataclasses
 import errno
 import math
+import operator
 import os
 import re
 import shutil
 import sys
 import tempfile
 from contextlib import closing, contextmanager
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable
 
@@ -48,7 +49,7 @@ from .reports import (
     summary_text,
     write_lines,
 )
-from .simulation import DoubleClickPolicy, simulate_blocks
+from .simulation import BlockTotals, DoubleClickPolicy, map_blocks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,6 +217,14 @@ def _output_set(outdir: Path, names: tuple[str, ...]):
     stage.rmdir()
 
 
+def _write_rows(out, block) -> BlockTotals:
+    """Write a reduced block's rows to out and return its totals only, so
+    that no block's rows are held past their write."""
+    rows, totals = block
+    out.writelines(rows)
+    return totals
+
+
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
     if args.workers < 1:
@@ -223,18 +232,14 @@ def _cmd_run(args) -> int:
     outdir = resolve_output_dir(args.outdir, config)
     names = ("pulses.csv", "histogram.csv", "summary.txt")
     with _output_set(outdir, names) as paths:
-        blocks = simulate_blocks(
-            config, args.workers, DoubleClickPolicy.RANDOM, partial(block_outputs, config)
+        blocks = map_blocks(
+            config, args.workers, partial(block_outputs, config, DoubleClickPolicy.RANDOM)
         )
-        # Rows are written in block order; the totals are summed over the
-        # blocks (there is always at least one).
         with closing(blocks), paths["pulses.csv"].open("wb") as out:
             out.write(PULSE_CSV_HEADER.encode() + b"\n")
-            rows, totals = next(blocks)
-            out.writelines(rows)
-            for rows, block_totals in blocks:
-                out.writelines(rows)
-                totals += block_totals
+            # Rows are written in block order; the totals are summed over
+            # the blocks (there is always at least one).
+            totals = reduce(operator.add, map(partial(_write_rows, out), blocks))
         write_lines(paths["histogram.csv"], histogram_csv_lines(totals.histogram))
         summary = summary_text(config, totals)
         paths["summary.txt"].write_text(summary)

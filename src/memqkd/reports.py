@@ -5,10 +5,10 @@ printed plainly, floats through repr (exact round-trip) in per-pulse output
 and through fixed scientific notation (13 significant digits) in the
 key-rate grids.
 
-A run's outputs are reduced block by block (block_outputs, the reducer that
-memqkd run hands to simulation.simulate_blocks): each block, the RunResult
-of its pulses, becomes its pulses.csv rows and hands on its BlockTotals, so
-no per-pulse array outlives its block.
+A run's outputs are reduced block by block (block_outputs, the function
+memqkd run hands to simulation.map_blocks): each block is simulated, its
+RunResult becomes its pulses.csv rows and hands on its BlockTotals, and
+its per-pulse arrays are freed before its rows are assembled.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
@@ -44,7 +44,7 @@ import numpy as np
 from .histogram import Histogram, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
 from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import BlockTotals, RunResult
+from .simulation import BlockTotals, RunResult, simulate_block
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -84,18 +84,28 @@ _DIGIT_GROUPS = (
 
 def _put_digit_groups(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Write the last 4 * k digits of values[i] into row i of the (n, k) uint32
-    groups, as _DIGIT_GROUPS texts; return the quotient left above them."""
+    groups, as _DIGIT_GROUPS texts; return the quotient left above them.
+
+    One remainder array serves every group (values itself is not written).
+    """
+    rest = None
     for k in range(groups.shape[1] - 1, -1, -1):
+        # Division by a scalar is much faster than np.remainder or np.divmod.
         quotient = values // 10**4
-        groups[:, k] = _DIGIT_GROUPS[values - quotient * 10**4]
+        rest = np.multiply(quotient, 10**4, out=rest)
+        groups[:, k] = _DIGIT_GROUPS[np.subtract(values, rest, out=rest)]
         values = quotient
     return values
 
 
 def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Write the last len(rows) digits of each value into the column-major rows."""
+    """Write the last len(rows) digits of each value, values < 10**len(rows),
+    into the column-major rows."""
     groups = np.empty((len(values), -(-len(rows) // 4)), np.uint32)
-    _put_digit_groups(groups, values)
+    # The top group holds what is left below 10**4: one gather, no division
+    # (all of it for values below 10**4).
+    top = _put_digit_groups(groups[:, 1:], values)
+    groups[:, 0] = _DIGIT_GROUPS[top]
     rows[...] = groups.view(np.uint8)[:, -len(rows) :].T
 
 
@@ -119,15 +129,19 @@ def _int_field(values: np.ndarray) -> np.ndarray:
     the sign column is there only when some value is negative."""
     values = np.asarray(values, dtype=np.int64)
     signed = values.min(initial=0) < 0
-    # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63.
-    magnitude = (np.abs(values) if signed else values).view(np.uint64)
+    magnitude = np.abs(values) if signed else values
+    if signed and magnitude.min() < 0:
+        # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63. Only then
+        # are the digit groups, which index _DIGIT_GROUPS, cast to intp.
+        magnitude = magnitude.view(np.uint64)
     width = len(str(int(magnitude.max(initial=0))))
     slots = np.zeros((signed + width, len(values)), np.uint8)
     if signed:
         slots[0][values < 0] = ord("-")
     _put_digits(slots[-width:], magnitude)
     # Leading zeros, the places above a value's highest digit, become NUL.
-    slots[-width:-1] *= magnitude >= 10 ** np.arange(width - 1, 0, -1, dtype=np.uint64)[:, None]
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=magnitude.dtype)
+    slots[-width:-1] *= magnitude >= powers[:, None]
     return slots.T
 
 
@@ -139,9 +153,12 @@ def _text_field(strings) -> np.ndarray:
 
 def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dekker's split: values == high + low, each with at most 26 significant bits."""
-    scaled = values * (2.0**27 + 1)
-    high = scaled - (scaled - values)
-    return high, values - high
+    # scaled = values * (2**27 + 1), high = scaled - (scaled - values) and
+    # low = values - high, in two arrays.
+    high = values * (2.0**27 + 1)
+    low = np.subtract(high, values)
+    high -= low
+    return high, np.subtract(values, high, out=low)
 
 
 def _least_float_from(e: int) -> float:
@@ -183,7 +200,9 @@ _NEXT_DECADES = _DECADES[_BINARY_DECADES + 1]
 def _decimal_exponent(x: np.ndarray) -> np.ndarray:
     """floor(log10(x)), exactly, of each x in [1e-10, 1e17)."""
     b = x.view(np.int64) >> 52
-    return _BINARY_EXPONENTS[b] + (x >= _NEXT_DECADES[b])
+    e = _BINARY_EXPONENTS[b]
+    e += x >= _NEXT_DECADES[b]
+    return e
 
 
 def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +211,17 @@ def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole is the rounded float product and frac its exact error; j indexes
     _POW10, whose entries are exact.
     """
-    whole = v * _POW10[j]
+    whole = _POW10[j]
+    whole *= v
     high, low = _split(v)
     ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
-    return whole, ((high * ph - whole) + high * pl + low * ph) + low * pl
+    # frac = ((high * ph - whole) + high * pl + low * ph) + low * pl, in place.
+    frac = np.multiply(high, ph)
+    frac -= whole
+    frac += np.multiply(high, pl, out=high)
+    frac += np.multiply(low, ph, out=ph)
+    frac += np.multiply(low, pl, out=pl)
+    return whole, frac
 
 
 def _nearest_multiple(whole, frac, unit):
@@ -206,10 +232,16 @@ def _nearest_multiple(whole, frac, unit):
     about 16, which keeps every sum exact (see _shortest_digits).
     """
     quotient = whole // unit
-    rest = whole - quotient * unit
-    below = np.abs(np.minimum(rest, 16) + frac)
-    above = np.minimum(unit - rest, 16) - frac
-    return quotient + ((above < below) | ((above == below) & (quotient % 2 == 1)))
+    rest = quotient * unit
+    np.subtract(whole, rest, out=rest)
+    # rest < 10**16: min(rest, 16.0) is min(rest, 16) exactly.
+    below = np.minimum(rest, 16.0)
+    below += frac
+    np.abs(below, out=below)
+    above = np.minimum(np.subtract(unit, rest, out=rest), 16.0)
+    above -= frac
+    quotient += (above < below) | ((above == below) & (quotient % 2 == 1))
+    return quotient
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,27 +279,41 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bits = x.view(np.int64)
     ok = (x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA_BITS != 0)
     if not ok.all():
-        x, bits = x[ok], bits[ok]
-    j = 16 - _decimal_exponent(x)
+        x = x[ok]
+        bits = x.view(np.int64)
+    j = _decimal_exponent(x)
+    np.subtract(16, j, out=j)
     whole, frac = _times_pow10(x, j)
     # whole >= 1e16 is an even integral float, and frac its exact error; a
     # tie frac == 1/2 goes to the even neighbour.
     carry = np.rint(frac)
     frac -= carry
-    whole = whole.astype(np.int64) + carry.astype(np.int64)
-    half = ((bits & _EXPONENT_BITS) - (53 << 52)).view(np.float64) * _POW10[j]
+    whole = whole.astype(np.int64)
+    whole += carry.astype(np.int64)
+    # Below, carry's array is reused for 10**j and then top, and half's for
+    # frac - half and then room.
+    half = np.bitwise_and(bits, _EXPONENT_BITS)
+    half -= 53 << 52
+    half = half.view(np.float64)
+    half *= np.take(_POW10, j, out=carry)
     # 17 digits always read back (|frac| <= 1/2 < half, so room >= 1).
-    top = np.floor(frac + half)
-    room = top - np.ceil(frac - half) + 1
-    last = (whole + top.astype(np.int64)) % 100
-    shift = (last % 10 < room).astype(np.intp)
+    top = np.floor(np.add(frac, half, out=carry), out=carry)
+    room = np.subtract(top, np.ceil(np.subtract(frac, half, out=half), out=half), out=half)
+    room += 1
+    b = top.astype(np.int64)
+    b += whole
+    del top
+    last = b % 100
     rows = np.flatnonzero(last < room)
-    hundreds = (whole[rows] + top[rows].astype(np.int64)) // 100
+    hundreds = b[rows] // 100
+    del b
+    shift = np.less(np.remainder(last, 10, out=last), room, out=last)
+    del room
     shift[rows] = 2 + np.count_nonzero(hundreds[:, None] % _INT_POW10[1:15] == 0, axis=1)
     rows = np.flatnonzero(shift)
     unit = _INT_POW10[shift[rows]]
     whole[rows] = _nearest_multiple(whole[rows], frac[rows], unit)
-    return whole, j - shift, ok
+    return whole, np.subtract(j, shift, out=j), ok
 
 
 def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
@@ -284,7 +330,8 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     # 10**18 splits it as any larger power would.
     scale = _INT_POW10[np.clip(places, 0, 18)]
     integer = digits // scale
-    fraction = np.subtract(digits, integer * scale, out=digits)
+    fraction = np.subtract(digits, np.multiply(integer, scale, out=scale), out=digits)
+    del scale
     # places < 0: the value is the integer digits * 10**-places (< 1e16).
     integral = places < 0
     if integral.any():
@@ -294,9 +341,14 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     slots = np.zeros((1 + width, len(fraction)), np.uint8)
     slots[0] = ord(".")
     _put_digits(slots[1:], fraction)
+    del fraction
     # A value's fraction takes the last `decimals` places; the rest are NUL.
-    slots[1:] *= np.arange(width, 0, -1)[:, None] <= decimals
-    decided = np.hstack([_int_field(integer), slots.T])
+    for place, row in enumerate(slots[1:-1]):
+        row *= decimals >= width - place
+    del places, decimals
+    integer = _int_field(integer)
+    decided = np.hstack([integer, slots.T])
+    del integer, slots
     return _merge(ok, decided, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
 
 
@@ -397,6 +449,32 @@ def _csv_rows(fields) -> list[bytes]:
     return chunks
 
 
+def _pulse_fields(start: int, block: RunResult, pulse_period_ns: float) -> list[np.ndarray]:
+    """The pulses.csv slot fields of block's pulses, numbered from start.
+
+    mu_eff, whose formatting needs the most memory, is formatted first,
+    while no other field is held, and the row indices are dropped once their
+    field and the emit times are made.
+    """
+    mu_eff = _float_field(block.mu_eff, repr)
+    index = np.arange(start, start + len(block.state))
+    number = _int_field(index)
+    emit_times = index * pulse_period_ns
+    del index
+    return [
+        number,
+        _num_field(emit_times),
+        _STATE_CODES[block.state][:, None],
+        mu_eff,
+        _BASIS_CODES[block.bob_basis][:, None],
+        _int_field(block.c0),
+        _int_field(block.c1),
+        _int_field(block.leak_clicks),
+        _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
+        _FLAG_CODES[block.error.astype(np.intp)][:, None],
+    ]
+
+
 def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list[bytes]:
     """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
 
@@ -405,27 +483,22 @@ def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list
     byte matrix (module docstring) and returned as bytes chunks of at most
     _BATCH rows.
     """
-    index = np.arange(start, start + len(block.state))
-    fields = [
-        _int_field(index),
-        _num_field(index * pulse_period_ns),
-        _STATE_CODES[block.state][:, None],
-        _float_field(block.mu_eff, repr),
-        _BASIS_CODES[block.bob_basis][:, None],
-        _int_field(block.c0),
-        _int_field(block.c1),
-        _int_field(block.leak_clicks),
-        _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
-        _FLAG_CODES[block.error.astype(np.intp)][:, None],
-    ]
-    return _csv_rows(fields)
+    return _csv_rows(_pulse_fields(start, block, pulse_period_ns))
 
 
-def block_outputs(config, start: int, block: RunResult) -> tuple[list[bytes], BlockTotals]:
-    """Reduce one block of a run to (pulses.csv rows, totals): the rows as
-    bytes chunks in row order, to be written in block order, and the
-    totals, which add exactly across blocks."""
-    return pulse_csv_rows(start, block, config.source.pulse_period_ns), block.totals
+def block_outputs(config, policy, block: int) -> tuple[list[bytes], BlockTotals]:
+    """Simulate block `block` of a run and reduce it to (pulses.csv rows,
+    totals): the rows as pulse_csv_rows makes them, to be written in block
+    order, and the totals, which add exactly across blocks.
+
+    The block's RunResult is made and held here only, so its per-pulse
+    arrays are freed once the fields are made, before the rows are.
+    """
+    start, result = simulate_block(config, policy, block)
+    fields = _pulse_fields(start, result, config.source.pulse_period_ns)
+    totals = result.totals
+    del result
+    return _csv_rows(fields), totals
 
 
 def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:

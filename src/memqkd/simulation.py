@@ -23,15 +23,17 @@ draws from that stream's first child. Workers take whole blocks and the
 block size never depends on the worker count, so a run is a pure function
 of its config whatever the number of workers.
 
-Each block is a RunResult of its own pulses: arrays and a BlockTotals.
-simulate_blocks streams a run: it hands each block to a caller-supplied
-reducer in the thread that simulated it (a pool thread when there are
-several workers; numpy's array loops and random draws release the GIL),
-once the simulation has returned it and freed its temporaries, and
-yields the reduced blocks in block order, with at most
+Each block is a RunResult of its own pulses: arrays and a BlockTotals
+(simulate_block). map_blocks streams a run: it calls a caller-supplied
+function on each block index in a thread (a pool thread when there are
+several workers; numpy's array loops and random draws release the GIL)
+and yields the results in block order, with at most
 _IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
-run_experiment keeps every block, concatenates the arrays and adds up
-the totals.
+simulate_blocks simulates each block there and hands it to a reducer,
+once the simulation has returned it and freed its temporaries. A function
+that simulates its own block owns it, and can free its arrays before it
+returns (reports.block_outputs does). run_experiment keeps every block,
+concatenates the arrays and adds up the totals.
 
 Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
 basis its index in BASES (Z, X).
@@ -384,7 +386,7 @@ class RunResult:
     totals: BlockTotals
 
 
-def _simulate_block(config, policy, block):
+def simulate_block(config, policy, block):
     """Simulate one block: (start, the RunResult of its pulses).
 
     A pure function of its arguments; every draw comes from the block's own
@@ -443,6 +445,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def map_blocks(config, workers: int, fn: Callable) -> Iterator:
+    """Yield fn(block) for each block index of config's run, in block order.
+
+    fn runs in the calling thread for one worker (or one block, or one
+    usable CPU), otherwise in one of min(workers, blocks, usable CPUs) pool
+    threads of this process, so it must be safe to call from several
+    threads at once. At most _IN_FLIGHT_PER_WORKER blocks per thread are
+    submitted and not yet consumed; the next block is submitted as each
+    one is consumed, and a yielded result is no longer referenced here
+    once the next one is asked for.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n_blocks = _n_blocks(config.source.n_pulses)
+    # More threads than CPUs only wait for one another, and a large workers
+    # would ask the OS for that many threads.
+    threads = min(workers, n_blocks, _usable_cpus())
+    # Inline, not a one-thread pool: with one worker the pool ran experiment3
+    # up to 6.3% slower (5 of 6 benchmark pairs, 2-core host), 0.4 MiB larger.
+    if threads == 1:
+        yield from map(fn, range(n_blocks))
+        return
+    blocks = iter(range(n_blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        in_flight = deque(
+            pool.submit(fn, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
+        )
+        while in_flight:
+            done = in_flight.popleft().result()
+            in_flight.extend(pool.submit(fn, b) for b in islice(blocks, 1))
+            yield done
+            # The consumer may have dropped it: not held while the next
+            # block is awaited.
+            del done
+
+
 def simulate_blocks(
     config,
     workers: int,
@@ -452,48 +490,13 @@ def simulate_blocks(
     """Yield reduce(start, block) per block, in block order.
 
     start is the block's first pulse index and block the RunResult of the
-    block's pulses.
-
-    reduce runs where its block is simulated: in the calling thread for one
-    worker (or one block, or one usable CPU), otherwise in one of
-    min(workers, blocks, usable CPUs) pool threads of this process, so it
-    must be safe to call from several threads at once. It runs once the
-    simulation has returned the block and freed its temporaries. At most
-    _IN_FLIGHT_PER_WORKER blocks per thread are submitted and not yet
-    consumed; the next block is submitted as each one is consumed. Every
+    block's pulses. reduce runs where map_blocks runs its function, once the
+    simulation has returned the block and freed its temporaries. Every
     block is a pure function of (config, block), so the yielded sequence
     never depends on workers.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    n_blocks = _n_blocks(config.source.n_pulses)
-    simulate = partial(_simulate_block, config, policy)
-
-    def reduced(block):
-        return reduce(*simulate(block))
-
-    # More threads than CPUs only wait for one another, and a large workers
-    # would ask the OS for that many threads.
-    threads = min(workers, n_blocks, _usable_cpus())
-    # Inline, not a one-thread pool: with one worker the pool ran experiment3
-    # up to 6.3% slower (5 of 6 benchmark pairs, 2-core host), 0.4 MiB larger.
-    if threads == 1:
-        yield from map(reduced, range(n_blocks))
-        return
-    blocks = iter(range(n_blocks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = deque(
-            pool.submit(reduced, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
-        )
-        while in_flight:
-            done = in_flight.popleft().result()
-            in_flight.extend(pool.submit(reduced, b) for b in islice(blocks, 1))
-            yield done
-
-
-def _whole_block(start, block):
-    """The identity reducer: keeps the whole block."""
-    return block
+    simulate = partial(simulate_block, config, policy)
+    return map_blocks(config, workers, lambda block: reduce(*simulate(block)))
 
 
 def run_experiment(
@@ -506,10 +509,10 @@ def run_experiment(
     Outputs are a pure function of config: block b of BLOCK_PULSES pulses
     draws every layer, sifting ties included, from one stream keyed by
     (config.seed, b), and workers take whole blocks, so the worker count
-    never changes the result. Holds every block; simulate_blocks streams
-    them.
+    never changes the result. Holds every block; map_blocks streams them.
     """
-    blocks = list(simulate_blocks(config, workers, policy, _whole_block))
+    simulate = partial(simulate_block, config, policy)
+    blocks = [block for _, block in map_blocks(config, workers, simulate)]
 
     def joined(name):
         # Arrays concatenate in block order; the totals add exactly.

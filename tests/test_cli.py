@@ -181,7 +181,7 @@ def test_main_sets_the_malloc_policy_before_any_pool_thread_starts(tmp_path, mon
 
 def _sampler_digests():
     """sha256 of the output of each kind of Generator call a block makes
-    (_simulate_block and record_clicks), at the dtypes and mean regimes they
+    (simulate_block and record_clicks), at the dtypes and mean regimes they
     use, each drawn from its own stream keyed as a block's stream is."""
     draws = {
         "integers(4, int8)": lambda rng: rng.integers(4, size=1000, dtype=np.int8),
@@ -440,15 +440,15 @@ def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsy
 @pytest.mark.parametrize("existing", [False, True])
 def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing, workers):
     calls = []
-    real_pulse_csv_rows = reports.pulse_csv_rows
+    real_pulse_fields = reports._pulse_fields
 
-    def failing_pulse_csv_rows(*args):
+    def failing_pulse_fields(*args):
         calls.append(1)
         if len(calls) == 4:
             raise ValueError("injected failure in block 3")
-        return real_pulse_csv_rows(*args)
+        return real_pulse_fields(*args)
 
-    monkeypatch.setattr(reports, "pulse_csv_rows", failing_pulse_csv_rows)
+    monkeypatch.setattr(reports, "_pulse_fields", failing_pulse_fields)
     outdir = tmp_path / "out"
     if existing:
         outdir.mkdir()

@@ -3,13 +3,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from memqkd import reports
+from memqkd import cli, reports, simulation
 from memqkd.config import SourceMode
 from memqkd.presets import preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE
@@ -37,8 +38,8 @@ from memqkd.reports import (
 from memqkd.simulation import (
     BLOCK_PULSES,
     DoubleClickPolicy,
+    map_blocks,
     run_experiment,
-    simulate_blocks,
 )
 
 def _row_wise_rows(start, block, period):
@@ -171,7 +172,7 @@ def test_pulse_csv_matches_row_wise_formatting(case):
 def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
     # 2.5 blocks: rows of later blocks are numbered and timed from their start.
     config = _config(preset, 5 * BLOCK_PULSES // 2, **source)
-    blocks = list(simulate_blocks(config, 1, policy, partial(block_outputs, config)))
+    blocks = list(map_blocks(config, 1, partial(block_outputs, config, policy)))
     assert len(blocks) == 3
     rows, totals = zip(*blocks)
     result = run_experiment(config, policy=policy)
@@ -289,46 +290,85 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
 
 
 #: Bound on the tracemalloc peak of pulse_csv_rows over one 2**14-pulse
-#: experiment3 block: 1,954 KiB measured with numpy 2.4, plus 10%. With the
-#: loop that searched one digit count at a time, the peak was 2,611 KiB.
-ROWS_PEAK_KIB = 2150
+#: experiment3 block: 1,786 KiB measured with numpy 2.4, plus 10%. With the
+#: loop that searched one digit count at a time, the peak was 2,611 KiB, and
+#: before the field kernels computed in place, 1,954 KiB.
+ROWS_PEAK_KIB = 1965
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of call(), made once beforehand to warm up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_pulse_csv_rows_of_a_block_peak_below_their_bound():
     config = _config("experiment3", BLOCK_PULSES)
     result, period = run_experiment(config), config.source.pulse_period_ns
-    pulse_csv_rows(0, result, period)
-    tracemalloc.start()
-    try:
-        pulse_csv_rows(0, result, period)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: pulse_csv_rows(0, result, period))
     assert peak <= ROWS_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
-#: Bound on the tracemalloc peak of one 2**14-pulse experiment3 block
-#: through simulate_blocks and block_outputs, the rows and totals it yields
-#: included: 2,536 KiB measured with numpy 2.4, plus 10%. While the block's
-#: simulation temporaries stayed alive through the formatting, it was 2,921 KiB.
-BLOCK_PEAK_KIB = 2790
+#: Bound on the tracemalloc peak of one 2**14-pulse block through
+#: map_blocks and block_outputs, the rows and totals it yields included:
+#: 2,064 KiB measured with numpy 2.4 on experiment2 (2,006 on experiment3),
+#: plus 10%. While the block's simulation temporaries stayed alive through
+#: the formatting, it was 2,921 KiB on experiment3, and while its per-pulse
+#: arrays stayed alive through the row assembly and the field kernels made
+#: copies, 2,536 KiB (2,861 on experiment2).
+BLOCK_PEAK_KIB = 2270
 
 
-def test_a_simulated_and_formatted_block_peaks_below_its_bound():
-    config = _config("experiment3", BLOCK_PULSES)
-    reduce = partial(block_outputs, config)
-
-    def one_block():
-        return list(simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, reduce))
-
-    one_block()
-    tracemalloc.start()
-    try:
-        one_block()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
+def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
+    config = _config(preset, BLOCK_PULSES)
+    reduce = partial(block_outputs, config, DoubleClickPolicy.RANDOM)
+    peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
+
+
+class _OnDemandPool:
+    """Stand-in for ThreadPoolExecutor that runs each block in the calling
+    thread when its result is asked for: the pool path, one block at a time."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, block):
+        return SimpleNamespace(result=partial(fn, block))
+
+
+#: What a whole memqkd run adds to its blocks' peak: the argument parsing,
+#: the output files, the histogram and the summary (about 60 KiB measured).
+RUN_MARGIN_KIB = 128
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_streamed_run_peaks_as_one_block(workers, tmp_path, monkeypatch):
+    # Four blocks through memqkd run's write loop. With two workers the pool
+    # path runs each block only when the stream asks for it, so any block's
+    # rows held past their write, by the stream or by the loop, would add
+    # about 800 KiB to one block's peak.
+    if workers > 1:
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", _OnDemandPool)
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    argv = [
+        "run", "--preset", "experiment3", "--pulses", str(4 * BLOCK_PULSES), "--seed", "19",
+        "--workers", str(workers), "--outdir", str(tmp_path),
+    ]  # fmt: skip
+    peak = _traced_peak(lambda: cli.main(argv))
+    assert peak <= (BLOCK_PEAK_KIB + RUN_MARGIN_KIB) * 1024, f"{peak / 1024:.0f} KiB"
 
 
 #: A real 0-pulse result, whose per-pulse arrays the test below replaces.
@@ -650,13 +690,7 @@ KEYRATE_PEAK_KIB = 800
 def test_keyrate_csv_of_a_sweep_peaks_below_its_bound(tmp_path):
     grid = key_rate_map(np.linspace(0.05, 1.7, 400), np.linspace(0.0, 0.15, 400))
     path = tmp_path / "keyrate_map.csv"
-    write_lines(path, keyrate_csv_lines(grid))
-    tracemalloc.start()
-    try:
-        write_lines(path, keyrate_csv_lines(grid))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: write_lines(path, keyrate_csv_lines(grid)))
     assert peak <= KEYRATE_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import time
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -745,6 +747,35 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
     split = list(simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce))
     assert split == solo
     assert sorted(seen) == sorted(2 * [0, BLOCK_PULSES, 2 * BLOCK_PULSES])
+
+
+class _Token:
+    """A reduced block that a weak reference can watch."""
+
+
+def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
+    # Block 1's reducer, in a pool thread, waits for block 0's result to be
+    # collected. The consumer drops its own reference and asks for block 1,
+    # so only the stream could still hold block 0's result.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=2)
+    first = []
+
+    def reduce(start, block):
+        if start == 0:
+            return _Token()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if first and first[0]() is None:
+                return "collected"
+            time.sleep(0.001)
+        return "still held"
+
+    blocks = simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce)
+    token = next(blocks)
+    first.append(weakref.ref(token))
+    del token
+    assert next(blocks) == "collected"
 
 
 def test_stream_rejects_zero_workers():
