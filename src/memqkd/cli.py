@@ -14,20 +14,20 @@ is never reused by a block on another.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
 import dataclasses
 import errno
+import getopt
 import math
 import operator
 import os
-import re
 import shutil
 import sys
 import tempfile
 from contextlib import closing, contextmanager
 from functools import partial, reduce
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -52,70 +52,119 @@ from .reports import (
 from .simulation import BlockTotals, DoubleClickPolicy, map_blocks
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as configuration errors."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # A separate value that starts with "-" and a digit, such as the
-        # range "-1:2", is a value, not an option (argparse's own pattern
-        # admits only plain negative numbers).
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message: str):
-        raise ConfigError(message)
+def _preset(name: str) -> str:
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r} (choose from {', '.join(PRESET_NAMES)})")
+    return name
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="memqkd", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each command's help line and flags, which the parser and the usage text
+#: both read. A flag is (name, converter, default, required, excludes, help):
+#: excludes names the one flag it may not be given with, and a required flag
+#: with an excluded one needs one of the two. A flag's value is the
+#: attribute named after it (--mu-range: mu_range). A converter's ValueError
+#: is a configuration error that names the flag.
+# fmt: off
+_COMMANDS = {
+    "run": ("Simulate one run and write CSVs plus a summary.", (
+        ("--preset", _preset, None, True, "--config",
+         "named operating regime, one of\n" + ", ".join(PRESET_NAMES)),
+        ("--config", Path, None, True, "--preset", "INI-style config file"),
+        ("--seed", int, None, False, None, "64-bit simulation seed"),
+        ("--pulses", int, None, False, None, "number of pulses"),
+        ("--workers", int, 1, False, None,
+         "blocks simulated at once, one thread each, at most one per usable CPU"),
+        ("--outdir", str, None, False, None, "output directory"),
+    )),
+    "sweep-keyrate": ("Evaluate the key rate on a (mu, qber) grid.", (
+        ("--mu-range", str, None, True, None, "MIN:MAX (or a single value)"),
+        ("--qber-range", str, None, True, None, "MIN:MAX (or a single value)"),
+        ("--resolution", str, "50x50", False, None, "ROWSxCOLS, e.g. 50x50"),
+        ("--f", float, DEFAULT_EC_INEFFICIENCY, False, None,
+         "error-correction inefficiency factor"),
+        ("--tol", float, 1e-6, False, None, "boundary solver tolerance"),
+        ("--outdir", str, None, False, None, "output directory"),
+    )),
+    "calibrate": ("Background level that produces a target SBR.", (
+        ("--target-sbr", float, None, True, None, "signal-to-background ratio to reach"),
+        ("--mu", float, None, True, None, "mean at the memory input"),
+        ("--retrieval-efficiency", float, MemoryConfig.retrieval_efficiency, False, "--config",
+         "override the assumed retrieval efficiency"),
+        ("--config", Path, None, False, "--retrieval-efficiency",
+         "take retrieval efficiency from a config"),
+    )),
+}
+# fmt: on
 
-    run = sub.add_parser("run", help="Simulate one run and write CSVs plus a summary.")
-    which = run.add_mutually_exclusive_group(required=True)
-    which.add_argument("--preset", choices=PRESET_NAMES, help="named operating regime")
-    which.add_argument("--config", type=Path, help="INI-style config file")
-    run.add_argument("--seed", type=int, default=None, help="64-bit simulation seed")
-    run.add_argument("--pulses", type=int, default=None, help="number of pulses")
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="blocks simulated at once, one thread each, at most one per usable CPU",
-    )
-    run.add_argument("--outdir", default=None, help="output directory")
 
-    sweep = sub.add_parser(
-        "sweep-keyrate", help="Evaluate the key rate on a (mu, qber) grid."
-    )
-    sweep.add_argument("--mu-range", required=True, help="MIN:MAX (or a single value)")
-    sweep.add_argument("--qber-range", required=True, help="MIN:MAX (or a single value)")
-    sweep.add_argument("--resolution", default="50x50", help="ROWSxCOLS, e.g. 50x50")
-    sweep.add_argument(
-        "--f",
-        dest="ec_inefficiency",
-        type=float,
-        default=DEFAULT_EC_INEFFICIENCY,
-        help="error-correction inefficiency factor",
-    )
-    sweep.add_argument("--tol", type=float, default=1e-6, help="boundary solver tolerance")
-    sweep.add_argument("--outdir", default=None, help="output directory")
+def _help(command: str | None) -> str:
+    """Usage of memqkd (command None) or of one command, from _COMMANDS."""
+    if command is None:
+        lines = ["usage: memqkd COMMAND [FLAGS]", "", "commands:"]
+        lines += [f"  {name:15}{summary}" for name, (summary, _) in _COMMANDS.items()]
+        lines += [
+            "",
+            "'memqkd COMMAND --help' lists a command's flags. Exit codes: 0 success,",
+            "1 configuration error (bad flags, bad config file), 2 runtime error.",
+        ]
+        return "\n".join(lines)
+    summary, flags = _COMMANDS[command]
+    lines = [f"usage: memqkd {command} [FLAGS]", "", summary, "", "flags:"]
+    for name, _, default, required, excludes, text in flags:
+        notes = []
+        if required:
+            notes.append(f"this or {excludes} is required" if excludes else "required")
+        elif excludes:
+            notes.append(f"not with {excludes}")
+        if default is not None:
+            notes.append(f"default {default}")
+        if notes:
+            text += f"\n({'; '.join(notes)})"
+        lines.append(f"  {name:24}{text}".replace("\n", "\n" + " " * 26))
+    lines += [f"  {'-h, --help':24}print this help and exit", ""]
+    lines.append("Give values as --flag VALUE or --flag=VALUE; a unique prefix names a flag.")
+    return "\n".join(lines)
 
-    cal = sub.add_parser(
-        "calibrate", help="Background level that produces a target SBR."
-    )
-    cal.add_argument("--target-sbr", type=float, required=True)
-    cal.add_argument("--mu", type=float, required=True, help="mean at the memory input")
-    efficiency = cal.add_mutually_exclusive_group()
-    efficiency.add_argument(
-        "--retrieval-efficiency",
-        type=float,
-        default=MemoryConfig.retrieval_efficiency,
-        help="override the assumed retrieval efficiency (default %(default)s)",
-    )
-    efficiency.add_argument(
-        "--config", type=Path, help="take retrieval efficiency from a config"
-    )
-    return parser
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command line as a namespace of the command and its flags' values,
+    or None when -h/--help asked for the usage, which is then printed."""
+    try:
+        top, rest = getopt.getopt(argv, "h", ["help"])
+        if top:
+            print(_help(None))
+            return None
+        if not rest:
+            raise ConfigError(f"a command is required: {', '.join(_COMMANDS)}")
+        command, *rest = rest
+        if command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r} (choose from {', '.join(_COMMANDS)})")
+        flags = _COMMANDS[command][1]
+        names = [flag[0][2:] + "=" for flag in flags]
+        opts, stray = getopt.gnu_getopt(rest, "h", ["help", *names])
+    except getopt.GetoptError as exc:
+        raise ConfigError(str(exc))
+    # The last of a repeated flag wins.
+    given = dict(opts)
+    if "-h" in given or "--help" in given:
+        print(_help(command))
+        return None
+    if stray:
+        raise ConfigError(f"unexpected argument {stray[0]!r}")
+    args = SimpleNamespace(command=command)
+    for name, convert, default, required, excludes, _ in flags:
+        if name in given and excludes in given:
+            raise ConfigError(f"{name} cannot be given with {excludes}")
+        if required and name not in given and excludes not in given:
+            raise ConfigError(f"{name}{f' or {excludes}' if excludes else ''} is required")
+        value = default
+        if name in given:
+            try:
+                value = convert(given[name])
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}")
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
 
 
 def _one_or_two(text: str, sep: str, parse: Callable) -> tuple:
@@ -255,7 +304,7 @@ def _cmd_sweep(args) -> int:
     mu_axis = _axis(mu_lo, mu_hi, rows, "--mu-range")
     qber_axis = _axis(q_lo, q_hi, cols, "--qber-range")
     try:
-        grid = key_rate_map(mu_axis, qber_axis, args.ec_inefficiency, args.tol)
+        grid = key_rate_map(mu_axis, qber_axis, args.f, args.tol)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -266,7 +315,7 @@ def _cmd_sweep(args) -> int:
         write_lines(paths["keyrate_boundary.csv"], boundary_csv_lines(grid))
 
     def report_point(mu: float, qber: float, label: str) -> None:
-        rate = secret_key_rate(mu, qber, qber, args.ec_inefficiency)
+        rate = secret_key_rate(mu, qber, qber, args.f)
         region = "inside positive region" if rate > 0 else "outside positive region"
         print(f"{label} mu={mu:g} qber={qber:g}: rate={rate:.6f} ({region})")
 
@@ -319,9 +368,10 @@ def _keep_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep-keyrate":

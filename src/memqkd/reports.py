@@ -240,7 +240,7 @@ def _nearest_multiple(whole, frac, unit):
     np.abs(below, out=below)
     above = np.minimum(np.subtract(unit, rest, out=rest), 16.0)
     above -= frac
-    quotient += (above < below) | ((above == below) & (quotient % 2 == 1))
+    quotient += (above < below) | ((above == below) & ((quotient & 1) == 1))
     return quotient
 
 
@@ -303,11 +303,17 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     b = top.astype(np.int64)
     b += whole
     del top
-    last = b % 100
+    # numpy's remainder by a scalar is about twice as slow as b - b // d * d.
+    last = b // 100
+    last *= 100
+    np.subtract(b, last, out=last)
     rows = np.flatnonzero(last < room)
     hundreds = b[rows] // 100
     del b
-    shift = np.less(np.remainder(last, 10, out=last), room, out=last)
+    tens = last // 10
+    tens *= 10
+    shift = np.less(np.subtract(last, tens, out=last), room, out=last)
+    del tens
     del room
     shift[rows] = 2 + np.count_nonzero(hundreds[:, None] % _INT_POW10[1:15] == 0, axis=1)
     rows = np.flatnonzero(shift)

@@ -93,25 +93,32 @@ def test_run_with_workers_leaves_no_thread_behind(tmp_path):
     assert threading.active_count() == threads
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # Workers are threads: neither multiprocessing nor the process pool is
-    # imported, in a fresh interpreter that imports only the cli.
+    # imported, in a fresh interpreter that imports only the cli, and a run
+    # and a sweep through main import neither argparse nor locale (building
+    # argparse's parsers cost a cold call 2-3 ms, most of it importing locale).
     code = (
-        "import sys, memqkd.cli; "
+        "import sys, memqkd.cli\n"
+        "out = sys.argv[1]\n"
+        "assert memqkd.cli.main(['run', '--preset', 'experiment3', '--pulses', '100',"
+        " '--outdir', out + '/run']) == 0\n"
+        "assert memqkd.cli.main(['sweep-keyrate', '--mu-range', '0.5:2', '--qber-range',"
+        " '0:0.1', '--resolution', '3x3', '--outdir', out + '/sweep']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
-        "or m == 'concurrent.futures.process'))"
+        "or m in ('concurrent.futures.process', 'argparse', 'locale')))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     ).stdout
-    assert out == "[]\n"
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
@@ -528,9 +535,72 @@ def test_roi_centre_is_not_an_analysis_key(tmp_path, capsys):
     assert not outdir.exists()
 
 
-def test_bad_flag_is_config_error(capsys):
-    assert run_cli("run", "--preset", "experiment9") == 1
-    assert "configuration error" in capsys.readouterr().err
+#: Every flag of each command, as its --help must name them.
+COMMAND_FLAGS = {
+    "run": ("--preset", "--config", "--seed", "--pulses", "--workers", "--outdir"),
+    "sweep-keyrate": ("--mu-range", "--qber-range", "--resolution", "--f", "--tol", "--outdir"),
+    "calibrate": ("--target-sbr", "--mu", "--retrieval-efficiency", "--config"),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+def test_help_names_every_flag(tmp_path, monkeypatch, capsys, command, flag):
+    # No required flag is needed, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    argv = [flag] if command is None else [command, flag]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: memqkd")
+    for name in COMMAND_FLAGS if command is None else (*COMMAND_FLAGS[command], "--help"):
+        assert name in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pulses", [("--pulses=100",), ("--pul", "100"), ("--pul=100",)])
+def test_flag_value_after_equals_sign_or_a_unique_prefix(tmp_path, pulses):
+    argv = ("run", "--preset", "experiment3", *pulses, "--outdir", str(tmp_path))
+    assert run_cli(*argv) == 0
+    assert len((tmp_path / "pulses.csv").read_text().splitlines()) == 101
+
+
+def test_main_without_argv_reads_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["memqkd", "calibrate", "--target-sbr", "26", "--mu", "1.3"])
+    assert main() == 0
+    assert "[memory]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("run", "--preset", "experiment9"), "experiment9"),
+        (("run", "--preset", "experiment3", "--pulses", "2.5"), "--pulses"),
+        (("run", "--preset", "experiment3", "--p", "100"), "--p"),
+        (("bogus",), "'bogus'"),
+        (("run", "--preset", "experiment3", "--bogus", "1"), "--bogus"),
+        (("run", "--preset", "experiment3", "stray"), "stray"),
+        (("sweep-keyrate", "--mu-range", "0.5:2"), "--qber-range"),
+        (("run",), "--preset"),
+        (("run", "--preset", "experiment3", "--config", "run.ini"), "--config"),
+        (("run", "--preset", "experiment3", "--seed"), "--seed"),
+        ((), "command"),
+    ],
+)
+def test_bad_flag_is_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    outdir = tmp_path / "out"
+    flags = ("--outdir", str(outdir)) if argv else ()
+    # --outdir goes right after the command: a case's last flag may lack its value.
+    assert run_cli(*argv[:1], *flags, *argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -558,6 +628,8 @@ def test_process_exit_codes(tmp_path):
     cases = [
         (0, (*run, "--outdir", str(tmp_path / "out"))),
         (1, ("run", "--preset", "nope")),
+        (0, ("--help",)),
+        (0, ("run", "--help")),
         (2, (*run, "--outdir", str(blocker))),
     ]
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -769,7 +841,8 @@ def test_calibrate_rejects_zero_efficiency(tmp_path, capsys):
     ],
 )
 def test_sweep_range_may_start_with_a_minus_sign(tmp_path, capsys, flags, message):
-    # argparse used to read "-1:2" as an unknown option, not as the range.
+    # A flag takes the next argument as its value, even one that starts
+    # with a minus sign.
     outdir = tmp_path / "out"
     assert run_cli(
         "sweep-keyrate", "--mu-range", "0.5:2", "--qber-range", "0:0.1", *flags,
