@@ -49,7 +49,7 @@ from .reports import (
     summary_text,
     write_lines,
 )
-from .simulation import BlockTotals, DoubleClickPolicy, map_blocks
+from .simulation import BlockTotals, map_blocks
 
 
 def _preset(name: str) -> str:
@@ -281,9 +281,7 @@ def _cmd_run(args) -> int:
     outdir = resolve_output_dir(args.outdir, config)
     names = ("pulses.csv", "histogram.csv", "summary.txt")
     with _output_set(outdir, names) as paths:
-        blocks = map_blocks(
-            config, args.workers, partial(block_outputs, config, DoubleClickPolicy.RANDOM)
-        )
+        blocks = map_blocks(config, args.workers, partial(block_outputs, config))
         with closing(blocks), paths["pulses.csv"].open("wb") as out:
             out.write(PULSE_CSV_HEADER.encode() + b"\n")
             # Rows are written in block order; the totals are summed over

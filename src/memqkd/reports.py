@@ -481,26 +481,16 @@ def _pulse_fields(start: int, block: RunResult, pulse_period_ns: float) -> list[
     ]
 
 
-def pulse_csv_rows(start: int, block: RunResult, pulse_period_ns: float) -> list[bytes]:
-    """pulses.csv rows, each ending in a newline, of pulses start, start + 1, ...
-
-    block holds the pulses' per-pulse arrays; pulse i is emitted at
-    i * pulse_period_ns. Built as slot fields written into one _BATCH-row
-    byte matrix (module docstring) and returned as bytes chunks of at most
-    _BATCH rows.
-    """
-    return _csv_rows(_pulse_fields(start, block, pulse_period_ns))
-
-
-def block_outputs(config, policy, block: int) -> tuple[list[bytes], BlockTotals]:
+def block_outputs(config, block: int) -> tuple[list[bytes], BlockTotals]:
     """Simulate block `block` of a run and reduce it to (pulses.csv rows,
-    totals): the rows as pulse_csv_rows makes them, to be written in block
-    order, and the totals, which add exactly across blocks.
+    totals): the rows as bytes chunks of at most _BATCH rows, each row
+    ending in a newline, to be written in block order, and the totals,
+    which add exactly across blocks.
 
     The block's RunResult is made and held here only, so its per-pulse
     arrays are freed once the fields are made, before the rows are.
     """
-    start, result = simulate_block(config, policy, block)
+    start, result = simulate_block(config, block)
     fields = _pulse_fields(start, result, config.source.pulse_period_ns)
     totals = result.totals
     del result

@@ -18,10 +18,11 @@ block may be shorter). Each block draws every layer as whole arrays from one
 stream keyed by (config.seed, block_index), in a fixed order: the prepared
 states, the turbulent gain, Bob's basis, the leaked photons, the retrieved
 photons on the bit-0 and then the bit-1 detector, the background on each,
-the block's lost total (one count), and the sifting ties. Click timing
-draws from that stream's first child. Workers take whole blocks and the
-block size never depends on the worker count, so a run is a pure function
-of its config whatever the number of workers.
+the block's lost total (one count), and the fair bits of sifting ties.
+Click timing draws from that stream's first child. Workers take whole
+blocks and the block size never depends on the worker count, so a run is
+a pure function of its config, seed included, whatever the number of
+workers.
 
 Each block is a RunResult of its own pulses: arrays and a BlockTotals
 (simulate_block). map_blocks streams a run: it calls a caller-supplied
@@ -29,11 +30,9 @@ function on each block index in a thread (a pool thread when there are
 several workers; numpy's array loops and random draws release the GIL)
 and yields the results in block order, with at most
 _IN_FLIGHT_PER_WORKER blocks per worker submitted and not yet consumed.
-simulate_blocks simulates each block there and hands it to a reducer,
-once the simulation has returned it and freed its temporaries. A function
-that simulates its own block owns it, and can free its arrays before it
-returns (reports.block_outputs does). run_experiment keeps every block,
-concatenates the arrays and adds up the totals.
+A function that simulates its own block owns it, and can free its arrays
+before it returns (reports.block_outputs does). run_experiment keeps
+every block, concatenates the arrays and adds up the totals.
 
 Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
 basis its index in BASES (Z, X).
@@ -47,7 +46,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from itertools import islice
 from typing import Callable, Iterator
@@ -86,13 +84,6 @@ _P0 = np.array(
         for p in POLARIZATION_CYCLE
     ]
 )
-
-
-class DoubleClickPolicy(Enum):
-    """How a sifted pulse with equal counts on both detectors is resolved."""
-
-    RANDOM = "random"
-    DISCARD = "discard"
 
 
 def _fieldwise_sum(self, other):
@@ -286,14 +277,14 @@ def sift(
     c0: np.ndarray,
     c1: np.ndarray,
     rng: np.random.Generator,
-    policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pulse (sifted, error) flags.
 
     Matched-basis pulses with at least one ROI click are sifted. A pulse is
     an error when the detector with the larger ROI count decodes to the
-    wrong bit; equal counts fall to the tie policy (random draws a fair bit
-    from rng, discard drops the pulse from the sample).
+    wrong bit; equal counts get a fair bit from rng, the squashing model
+    that makes a four-detector receiver's double clicks a BB84 qubit
+    measurement (Beaudry, Moroder and Luetkenhaus, PRL 101, 093601).
     """
     if not len(state) == len(bob_basis) == len(c0) == len(c1):
         raise ValueError(
@@ -303,10 +294,7 @@ def sift(
     sifted = (_BASIS_OF_STATE[state] == bob_basis) & ((c0 > 0) | (c1 > 0))
     tie = sifted & (c0 == c1)
     bit = (c1 > c0).astype(np.int8)
-    if policy is DoubleClickPolicy.DISCARD:
-        sifted &= ~tie
-    else:
-        bit[tie] = rng.integers(2, size=np.count_nonzero(tie), dtype=np.int8)
+    bit[tie] = rng.integers(2, size=np.count_nonzero(tie), dtype=np.int8)
     return sifted, sifted & (bit != _BIT_OF_STATE[state])
 
 
@@ -386,7 +374,7 @@ class RunResult:
     totals: BlockTotals
 
 
-def simulate_block(config, policy, block):
+def simulate_block(config, block):
     """Simulate one block: (start, the RunResult of its pulses).
 
     A pure function of its arguments; every draw comes from the block's own
@@ -408,11 +396,11 @@ def simulate_block(config, policy, block):
     # The lost total only enters the photon ledger; drawn after every
     # per-pulse count, it moves none of them.
     lost = int(rng.poisson(mu_lost))
-    sifted, error = sift(state, bob_basis, c0, c1, rng, policy)
+    sifted, error = sift(state, bob_basis, c0, c1, rng)
     n_retrieved, n_leaked = int(retrieved.sum()), int(leaked.sum())
     n_roi = int(c0.sum() + c1.sum())
-    # Click timing draws from a child stream: the tie policy and any later
-    # change to the timing leave every draw above alone.
+    # Click timing draws from a child stream: a change to the timing leaves
+    # every draw above alone.
     leak_clicks, histogram = record_clicks(leaked, n_roi, config, rng.spawn(1)[0])
 
     result = RunResult(
@@ -481,29 +469,7 @@ def map_blocks(config, workers: int, fn: Callable) -> Iterator:
             del done
 
 
-def simulate_blocks(
-    config,
-    workers: int,
-    policy: DoubleClickPolicy,
-    reduce: Callable,
-) -> Iterator:
-    """Yield reduce(start, block) per block, in block order.
-
-    start is the block's first pulse index and block the RunResult of the
-    block's pulses. reduce runs where map_blocks runs its function, once the
-    simulation has returned the block and freed its temporaries. Every
-    block is a pure function of (config, block), so the yielded sequence
-    never depends on workers.
-    """
-    simulate = partial(simulate_block, config, policy)
-    return map_blocks(config, workers, lambda block: reduce(*simulate(block)))
-
-
-def run_experiment(
-    config,
-    workers: int = 1,
-    policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM,
-) -> RunResult:
+def run_experiment(config, workers: int = 1) -> RunResult:
     """Run the full pipeline for a RunConfig (which checks the ROI placement).
 
     Outputs are a pure function of config: block b of BLOCK_PULSES pulses
@@ -511,7 +477,7 @@ def run_experiment(
     (config.seed, b), and workers take whole blocks, so the worker count
     never changes the result. Holds every block; map_blocks streams them.
     """
-    simulate = partial(simulate_block, config, policy)
+    simulate = partial(simulate_block, config)
     blocks = [block for _, block in map_blocks(config, workers, simulate)]
 
     def joined(name):
@@ -529,17 +495,15 @@ def run_experiment(
 _GAIN_NODES = 64
 
 
-def expected_qber(config, policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM) -> float:
+def expected_qber(config) -> float:
     """Closed-form sifted error rate of the model run_experiment samples.
 
     A sifted pulse has matching bases, so given its turbulent gain g the
     correct detector counts C ~ Poisson(lam(g) + q/2) and the wrong one
     W ~ Poisson(q/2), independently, with lam(g) = mu_alice * transmission
-    * g * p_ret and q = effective_background. The error rate is a ratio of
-    expectations over g:
-
-    - RANDOM: E[P(W > C) + P(W = C >= 1) / 2] / E[P(C + W >= 1)];
-    - DISCARD: E[P(W > C)] / E[P(C + W >= 1) - P(W = C >= 1)].
+    * g * p_ret and q = effective_background. A tie is an error half the
+    time (sift's fair bit), so the error rate is a ratio of expectations
+    over g: E[P(W > C) + P(W = C >= 1) / 2] / E[P(C + W >= 1)].
 
     The gain is normal (mean 1, std rel_fluctuation) truncated at 0: its
     mass below 0 is a point mass at g = 0, and the rest is integrated by
@@ -576,8 +540,5 @@ def expected_qber(config, policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM) 
     none = np.exp(-(a + b))  # P(C = W = 0)
     tie = p_c @ p_w - none  # P(W = C >= 1)
     click = -np.expm1(-(a + b))  # P(C + W >= 1)
-    if policy is DoubleClickPolicy.DISCARD:
-        errors, sifted = weight @ wrong, weight @ (click - tie)
-    else:
-        errors, sifted = weight @ (wrong + tie / 2.0), weight @ click
+    errors, sifted = weight @ (wrong + tie / 2.0), weight @ click
     return float(errors / sifted) if sifted > 0 else math.nan

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from memqkd import cli, reports, simulation
 from memqkd.cli import main
 from memqkd.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, parse_config, serialize_config
-from memqkd.presets import preset_config
-from memqkd.simulation import BLOCK_PULSES
+from memqkd.histogram import Histogram, sbr_from_histogram
+from memqkd.keyrate import classical_bound_check, fidelity_from_sbr
+from memqkd.presets import PRESET_NAMES, preset_config
+from memqkd.simulation import BLOCK_PULSES, PhotonTotals
 
 
 def run_cli(*argv):
@@ -430,6 +432,72 @@ def test_summary_has_no_fidelity_outside_the_estimator_range(tmp_path):
     empty = summary(0)
     assert (empty["qber_z"], empty["sbr_counting"], empty["sbr_histogram"]) == ("n/a",) * 3
     assert (empty["fidelity"], empty["classical_bound"]) == no_fidelity
+
+
+def _rate(numerator, denominator):
+    """A summary ratio as summary.txt prints it: n/a at a zero denominator."""
+    return repr(numerator / denominator) if denominator else "n/a"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_summary_agrees_with_pulses_and_histogram_csv(tmp_path, monkeypatch, preset, workers):
+    # Every count of summary.txt is recounted from the other two files, and
+    # every ratio recomputed from the printed counts: a count printed under
+    # the wrong name, or from the wrong tally, fails here.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    pulses = 5 * BLOCK_PULSES // 2
+    assert run_cli(
+        "run", "--preset", preset, "--pulses", str(pulses), "--seed", "2016",
+        "--workers", str(workers), "--outdir", str(tmp_path),
+    ) == 0  # fmt: skip
+    text = (tmp_path / "summary.txt").read_text()
+    summary = dict(line.split(" = ", 1) for line in text.splitlines())
+    count = {key: int(value) for key, value in summary.items() if value.lstrip("-").isdigit()}
+
+    header, *lines = (tmp_path / "pulses.csv").read_text().splitlines()
+    columns = {name: i for i, name in enumerate(header.split(","))}
+    rows = [line.split(",") for line in lines]
+    assert (count["seed"], count["pulses"]) == (2016, len(rows)) == (2016, pulses)
+    for basis in "zx":
+        in_basis = [row for row in rows if row[columns["bob_basis"]] == basis.upper()]
+        for flag, key in (("sifted", "sifted"), ("error", "errors")):
+            flagged = sum(row[columns[flag]] == "1" for row in in_basis)
+            assert count[f"{key}_{basis}"] == flagged, (key, basis)
+    clicks = sum(int(row[columns["clicks_d0"]]) + int(row[columns["clicks_d1"]]) for row in rows)
+    assert count["photons_retrieved"] + count["background_roi_counts"] == clicks
+    parts = ("photons_retrieved", "photons_leaked", "photons_lost")
+    assert count["photons_arrived"] == sum(count[part] for part in parts)
+
+    sifted_z, sifted_x = count["sifted_z"], count["sifted_x"]
+    errors_z, errors_x = count["errors_z"], count["errors_x"]
+    assert summary["qber_z"] == _rate(errors_z, sifted_z)
+    assert summary["qber_x"] == _rate(errors_x, sifted_x)
+    assert summary["qber_mean"] == _rate(errors_z + errors_x, sifted_z + sifted_x)
+    photons = PhotonTotals(*(count[key] for key in (*parts, "background_roi_counts")))
+    counting = photons.counting_sbr(pulses)
+    assert summary["sbr_counting"] == ("n/a" if math.isnan(counting) else repr(counting))
+
+    config = preset_config(preset, n_pulses=pulses, seed=2016)
+    memory, analysis = config.memory, config.analysis
+    hist_header, *bins = (tmp_path / "histogram.csv").read_text().splitlines()
+    assert hist_header == "bin_start_ns,count"
+    histogram = Histogram.empty(analysis.bin_width_ns, analysis.window)
+    starts, counts = zip(*(line.split(",") for line in bins))
+    assert [float(start) for start in starts] == histogram.bin_starts.tolist()
+    histogram = dataclasses.replace(histogram, counts=np.array([int(c) for c in counts]))
+    sbr = sbr_from_histogram(
+        histogram, memory.retrieval_delay_ns, memory.roi_width_ns, analysis.background_region
+    )
+    assert summary["sbr_histogram"] == ("n/a" if math.isnan(sbr) else repr(sbr))
+
+    if summary["fidelity"].startswith("n/a"):
+        assert not 0.5 < counting < math.inf
+        assert summary["classical_bound"] == "n/a"
+    else:
+        fidelity = fidelity_from_sbr(counting)
+        assert summary["fidelity"] == repr(fidelity)
+        assert summary["classical_bound"] == ("pass" if classical_bound_check(fidelity) else "fail")
 
 
 def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsys):

@@ -16,7 +16,6 @@ ROOT_NAMES = [
     "run_experiment",
     "RunResult",
     "SiftedSample",
-    "DoubleClickPolicy",
     "bin_clicks",
     "Histogram",
     "sbr_from_histogram",

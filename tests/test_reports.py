@@ -22,25 +22,21 @@ from memqkd.reports import (
     _DECADES,
     _DIGIT_GROUPS,
     _EXPONENT_TEXT,
+    _csv_rows,
     _decimal_exponent,
     _float_field,
     _int_field,
     _num,
     _num_field,
+    _pulse_fields,
     _sci_field,
     block_outputs,
     boundary_csv_lines,
     histogram_csv_lines,
     keyrate_csv_lines,
-    pulse_csv_rows,
     write_lines,
 )
-from memqkd.simulation import (
-    BLOCK_PULSES,
-    DoubleClickPolicy,
-    map_blocks,
-    run_experiment,
-)
+from memqkd.simulation import BLOCK_PULSES, map_blocks, run_experiment
 
 def _row_wise_rows(start, block, period):
     """Reference: pulses.csv rows formatted one row and one field at a time."""
@@ -66,8 +62,8 @@ def _row_wise_rows(start, block, period):
 
 def _lines(text):
     # Compared as lists: pytest's report for two unequal multi-megabyte
-    # strings is a line diff that takes minutes. pulse_csv_rows returns a
-    # list of ASCII bytes chunks.
+    # strings is a line diff that takes minutes. _csv_rows returns a list
+    # of ASCII bytes chunks.
     if isinstance(text, list):
         text = b"".join(text)
     if isinstance(text, bytes):
@@ -90,10 +86,10 @@ def _config(preset="experiment3", n_pulses=PULSES, **source):
     return dataclasses.replace(config, source=dataclasses.replace(config.source, **source))
 
 
-def _run(preset="experiment3", n_pulses=PULSES, policy=DoubleClickPolicy.RANDOM, **source):
+def _run(preset="experiment3", n_pulses=PULSES, **source):
     """(result, pulse period) of a run."""
     config = _config(preset, n_pulses, **source)
-    return run_experiment(config, policy=policy), config.source.pulse_period_ns
+    return run_experiment(config), config.source.pulse_period_ns
 
 
 def _zero_mu_run():
@@ -144,10 +140,6 @@ CASES = {
     "bright": (lambda: _run("experiment2"), lambda c, p: c.c0.max() >= 10),
     "huge-clicks": (_huge_clicks_run, lambda c, p: c.c1.min() >= 2**62),
     "ordered": (lambda: _run(mode=SourceMode.ORDERED), None),
-    "discard": (
-        lambda: _run(policy=DoubleClickPolicy.DISCARD),
-        lambda c, p: c.sifted.any(),
-    ),
 }
 
 
@@ -158,24 +150,24 @@ def test_pulse_csv_matches_row_wise_formatting(case):
     if exercises is not None:
         assert exercises(result, period)
     expected = _row_wise_rows(0, result, period)
-    assert _lines(pulse_csv_rows(0, result, period)) == _lines(expected)
+    assert _lines(_csv_rows(_pulse_fields(0, result, period))) == _lines(expected)
 
 
 @pytest.mark.parametrize(
-    "preset,policy,source",
+    "preset,source",
     [
-        ("experiment3", DoubleClickPolicy.RANDOM, {}),
-        ("experiment2", DoubleClickPolicy.RANDOM, {}),
-        ("experiment1", DoubleClickPolicy.DISCARD, {"pulse_period_ns": 1234.5678}),
+        ("experiment3", {}),
+        ("experiment2", {}),
+        ("experiment1", {"pulse_period_ns": 1234.5678}),
     ],
 )
-def test_block_outputs_sum_to_the_whole_run(preset, policy, source):
+def test_block_outputs_sum_to_the_whole_run(preset, source):
     # 2.5 blocks: rows of later blocks are numbered and timed from their start.
     config = _config(preset, 5 * BLOCK_PULSES // 2, **source)
-    blocks = list(map_blocks(config, 1, partial(block_outputs, config, policy)))
+    blocks = list(map_blocks(config, 1, partial(block_outputs, config)))
     assert len(blocks) == 3
     rows, totals = zip(*blocks)
-    result = run_experiment(config, policy=policy)
+    result = run_experiment(config)
     period = config.source.pulse_period_ns
     assert _lines([chunk for chunks in rows for chunk in chunks]) == _lines(
         _row_wise_rows(0, result, period)
@@ -285,14 +277,15 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(reports, "repr", counting_repr, raising=False)
-    pulse_csv_rows(0, result, config.source.pulse_period_ns)
+    _csv_rows(_pulse_fields(0, result, config.source.pulse_period_ns))
     assert len(calls) <= 0.05 * BLOCK_PULSES
 
 
-#: Bound on the tracemalloc peak of pulse_csv_rows over one 2**14-pulse
-#: experiment3 block: 1,786 KiB measured with numpy 2.4, plus 10%. With the
-#: loop that searched one digit count at a time, the peak was 2,611 KiB, and
-#: before the field kernels computed in place, 1,954 KiB.
+#: Bound on the tracemalloc peak of the pulses.csv rows (_csv_rows of the
+#: _pulse_fields) of one 2**14-pulse experiment3 block: 1,786 KiB measured
+#: with numpy 2.4, plus 10%. With the loop that searched one digit count at
+#: a time, the peak was 2,611 KiB, and before the field kernels computed in
+#: place, 1,954 KiB.
 ROWS_PEAK_KIB = 1965
 
 
@@ -310,7 +303,7 @@ def _traced_peak(call):
 def test_pulse_csv_rows_of_a_block_peak_below_their_bound():
     config = _config("experiment3", BLOCK_PULSES)
     result, period = run_experiment(config), config.source.pulse_period_ns
-    peak = _traced_peak(lambda: pulse_csv_rows(0, result, period))
+    peak = _traced_peak(lambda: _csv_rows(_pulse_fields(0, result, period)))
     assert peak <= ROWS_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
@@ -327,7 +320,7 @@ BLOCK_PEAK_KIB = 2270
 @pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
 def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
     config = _config(preset, BLOCK_PULSES)
-    reduce = partial(block_outputs, config, DoubleClickPolicy.RANDOM)
+    reduce = partial(block_outputs, config)
     peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
@@ -405,7 +398,7 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
         error=column(st.booleans(), bool),
     )
     expected = _row_wise_rows(start, block, period)
-    assert _lines(pulse_csv_rows(start, block, period)) == _lines(expected)
+    assert _lines(_csv_rows(_pulse_fields(start, block, period))) == _lines(expected)
 
 
 def _sci(values):

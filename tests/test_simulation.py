@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 import math
 import os
 import time
 import weakref
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,20 +26,21 @@ from memqkd.histogram import Histogram
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of, bit_of
+from memqkd.reports import block_outputs
 from memqkd.simulation import (
     BLOCK_PULSES,
     BlockTotals,
-    DoubleClickPolicy,
     PhotonTotals,
     RunResult,
     SiftedSample,
     apply_memory,
     expected_qber,
+    map_blocks,
     measure,
     run_experiment,
     sample_arriving_photons,
     sift,
-    simulate_blocks,
+    simulate_block,
 )
 
 H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
@@ -153,9 +156,7 @@ def test_all_leaking_memory_retrieves_nothing():
 def test_memory_conservation_exact():
     # Every block draws photons into each of the memory's three outputs.
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=3)
-    blocks = list(
-        simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: block.totals.photons)
-    )
+    blocks = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals.photons))
     assert len(blocks) == 3
     for photons in blocks:
         assert min(photons.retrieved, photons.leaked, photons.lost) > 0
@@ -269,11 +270,11 @@ def test_basis_choice_is_balanced():
 # --- sifting ----------------------------------------------------------------
 
 
-def _sift(states, bases, c0, c1, policy=DoubleClickPolicy.RANDOM, rng=None):
+def _sift(states, bases, c0, c1, rng=None):
     """SiftedSample of pulses given as parallel lists."""
     bob_basis = np.array([BASES.index(b) for b in bases], dtype=np.int8)
     rng = np.random.default_rng(0) if rng is None else rng
-    sifted, error = sift(codes(*states), bob_basis, np.array(c0), np.array(c1), rng, policy)
+    sifted, error = sift(codes(*states), bob_basis, np.array(c0), np.array(c1), rng)
     return SiftedSample.from_flags(bob_basis, sifted, error)
 
 
@@ -306,16 +307,28 @@ def test_sift_majority_vote():
     assert _sift([H], [Basis.Z], [1], [3]).n_err_z == 1
 
 
-def test_tie_policy_discard_drops_pulse():
-    sample = _sift([H], [Basis.Z], [2], [2], policy=DoubleClickPolicy.DISCARD)
-    assert sample.n_sifted_z == 0
-
-
 def test_tie_policy_random_is_fair():
     n = 4000
     sample = _sift([H] * n, [Basis.Z] * n, [1] * n, [1] * n, rng=np.random.default_rng(123))
     assert sample.n_sifted_z == n
     assert abs(sample.n_err_z - n / 2) < 3 * math.sqrt(0.25 * n)
+
+
+@pytest.mark.parametrize("state", POLARIZATION_CYCLE)
+def test_a_tie_decodes_to_the_next_bits_of_the_stream(state):
+    # One bit per tie, in pulse order, whatever the state and basis: a tie
+    # is an error where that bit is not Alice's.
+    n = 4000
+    rng = np.random.default_rng(5)
+    bob_basis = np.full(n, BASES.index(basis_of(state)), dtype=np.int8)
+    counts = np.full(n, 2)
+    sifted, error = sift(codes(*[state] * n), bob_basis, counts, counts, rng)
+    stream = np.random.default_rng(5)
+    bits = stream.integers(2, size=n, dtype=np.int8)
+    assert sifted.all()
+    assert np.array_equal(error, bits != bit_of(state))
+    assert rng.bit_generator.state == stream.bit_generator.state
+    assert abs(np.count_nonzero(error) - n / 2) < 3 * math.sqrt(0.25 * n)
 
 
 def test_sift_length_mismatch_rejected():
@@ -377,37 +390,30 @@ def test_run_changes_with_seed():
     assert a.totals.sample != b.totals.sample
 
 
+def test_run_takes_no_input_but_config_block_and_workers():
+    # Output is a function of (config, seed) alone: no rule rides along.
+    for fn, names in (
+        (simulate_block, ["config", "block"]),
+        (block_outputs, ["config", "block"]),
+        (run_experiment, ["config", "workers"]),
+        (expected_qber, ["config"]),
+    ):
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+
 def test_worker_partition_invariance():
-    cases = [
-        ("experiment3", DoubleClickPolicy.RANDOM),
-        ("experiment1", DoubleClickPolicy.RANDOM),  # ordered source
-        ("experiment3", DoubleClickPolicy.DISCARD),
-    ]
-    for preset, policy in cases:
+    for preset in ("experiment3", "experiment1"):  # experiment1: ordered source
         # 3.5 blocks over 3 workers: two chunks of two blocks, a partial last.
         config = preset_config(preset, n_pulses=7 * BLOCK_PULSES // 2, seed=17)
-        solo = run_experiment(config, workers=1, policy=policy)
-        split = run_experiment(config, workers=3, policy=policy)
-        case = (preset, policy.name)
-        assert solo.totals.sample == split.totals.sample, case
-        assert solo.totals.histogram == split.totals.histogram, case
+        solo = run_experiment(config, workers=1)
+        split = run_experiment(config, workers=3)
+        assert solo.totals.sample == split.totals.sample, preset
+        assert solo.totals.histogram == split.totals.histogram, preset
         for column in COLUMNS:
             assert np.array_equal(getattr(solo, column), getattr(split, column)), (
-                case,
+                preset,
                 column,
             )
-
-
-def test_discard_policy_changes_only_ties():
-    config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=6)
-    keep = run_experiment(config)
-    drop = run_experiment(config, policy=DoubleClickPolicy.DISCARD)
-    assert keep.totals.histogram == drop.totals.histogram
-    for column in set(COLUMNS) - {"sifted", "error"}:
-        assert np.array_equal(getattr(keep, column), getattr(drop, column)), column
-    tie = keep.sifted & (keep.c0 == keep.c1)
-    assert tie.any()
-    assert np.array_equal(drop.sifted, keep.sifted & ~tie)
 
 
 def test_zero_pulse_run():
@@ -462,6 +468,23 @@ def test_sifted_pulses_need_matched_basis():
     assert not np.any(result.error & ~sifted)
 
 
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_a_run_decodes_by_the_larger_count_and_a_tie_by_a_fair_bit(preset):
+    config = preset_config(preset, n_pulses=2 * BLOCK_PULSES, seed=6)
+    result = run_experiment(config)
+    c0, c1, sifted = result.c0, result.c1, result.sifted
+    basis = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])
+    assert np.array_equal(sifted, (basis[result.state] == result.bob_basis) & (c0 + c1 > 0))
+    wrong = (c1 > c0) != ALICE_BITS[result.state]
+    decided = sifted & (c0 != c1)
+    assert np.array_equal(result.error[decided], wrong[decided])
+    # Two blocks hold 0 ties on experiment2 (bright) and 5 to 70 elsewhere.
+    tie = sifted & (c0 == c1)
+    n_tie, n_err = np.count_nonzero(tie), np.count_nonzero(result.error[tie])
+    assert binom.cdf(n_err, n_tie, 0.5) > norm.sf(QBER_Z_BOUND)
+    assert binom.sf(n_err - 1, n_tie, 0.5) > norm.sf(QBER_Z_BOUND)
+
+
 def test_roi_must_fit_in_window():
     # The config itself rejects it, before any pulse is drawn.
     with pytest.raises(ValueError, match="ROI"):
@@ -474,14 +497,13 @@ def test_roi_must_fit_in_window():
 # --- closed-form QBER oracle -------------------------------------------------
 
 
-def _qber_from_terms(a, b, policy):
+def _qber_from_terms(a, b):
     """Sifted error rate for C ~ Poisson(a) on the correct detector and W ~
-    Poisson(b) on the wrong one, as (numerator, denominator)."""
+    Poisson(b) on the wrong one, as (numerator, denominator); a tie is an
+    error half the time."""
     wrong = skellam.sf(0, b, a)  # P(W - C > 0)
     tie = skellam.pmf(0, b, a) - poisson.pmf(0, a + b)  # P(W = C >= 1)
     click = poisson.sf(0, a + b)  # P(C + W >= 1)
-    if policy is DoubleClickPolicy.DISCARD:
-        return wrong, click - tie
     return wrong + tie / 2, click
 
 
@@ -492,20 +514,18 @@ def _signal_and_background(config):
     return signal, memory.effective_background / 2
 
 
-@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_expected_qber_is_the_skellam_ratio_at_a_fixed_gain(preset, policy):
+def test_expected_qber_is_the_skellam_ratio_at_a_fixed_gain(preset):
     config = preset_config(preset)
     config = dataclasses.replace(config, channel=ChannelConfig(rel_fluctuation=0.0))
     signal, b = _signal_and_background(config)
-    numerator, denominator = _qber_from_terms(signal + b, b, policy)
-    assert expected_qber(config, policy) == pytest.approx(numerator / denominator, rel=1e-9)
+    numerator, denominator = _qber_from_terms(signal + b, b)
+    assert expected_qber(config) == pytest.approx(numerator / denominator, rel=1e-9)
 
 
-@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 @pytest.mark.parametrize("rel_fluctuation", [0.05, 0.7])
 @pytest.mark.parametrize("preset", ["experiment2", "experiment3", "experiment4"])
-def test_expected_qber_averages_over_the_truncated_gain(preset, rel_fluctuation, policy):
+def test_expected_qber_averages_over_the_truncated_gain(preset, rel_fluctuation):
     # At 0.7 about 8% of the gain's normal law lies below 0: a point mass at
     # g = 0, where nothing but background clicks.
     config = preset_config(preset)
@@ -515,15 +535,15 @@ def test_expected_qber_averages_over_the_truncated_gain(preset, rel_fluctuation,
     def expectation(term):
         def integrand(g):
             density = norm.pdf(g, 1.0, rel_fluctuation)
-            return density * _qber_from_terms(signal * g + b, b, policy)[term]
+            return density * _qber_from_terms(signal * g + b, b)[term]
 
         upper = 1.0 + 12.0 * rel_fluctuation
         spread = quad(integrand, 0.0, upper, points=[1.0], limit=200)[0]
-        at_zero = norm.cdf(0.0, 1.0, rel_fluctuation) * _qber_from_terms(b, b, policy)[term]
+        at_zero = norm.cdf(0.0, 1.0, rel_fluctuation) * _qber_from_terms(b, b)[term]
         return spread + at_zero
 
     reference = expectation(0) / expectation(1)
-    assert expected_qber(config, policy) == pytest.approx(reference, rel=1e-7)
+    assert expected_qber(config) == pytest.approx(reference, rel=1e-7)
 
 
 def test_expected_qber_is_nan_when_nothing_can_click():
@@ -540,22 +560,22 @@ QBER_Z_BOUND = 4.0
 ALICE_BITS = np.array([bit_of(p) for p in POLARIZATION_CYCLE])
 
 
-@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_monte_carlo_qber_matches_expected_qber(preset, policy):
+def test_monte_carlo_qber_matches_expected_qber(preset):
     config = preset_config(preset, n_pulses=400_000, seed=17)
-    expected = expected_qber(config, policy)
+    expected = expected_qber(config)
 
-    def tallies(start, block):
+    def tallies(b):
         # (sifted, errors) in Bob's Z and X bases and of Alice's bits 0 and
         # 1. A background excess on one detector moves errors from one bit
         # to the other, which the per-basis tallies pool away.
+        _, block = simulate_block(config, b)
         bit = ALICE_BITS[block.state]
         groups = (block.bob_basis == Z, block.bob_basis == X, bit == 0, bit == 1)
         flags = (block.sifted, block.error)
         return np.array([[np.count_nonzero(f & g) for f in flags] for g in groups])
 
-    totals = sum(simulate_blocks(config, 1, policy, tallies))
+    totals = sum(map_blocks(config, 1, tallies))
     for group, (n_sifted, n_err) in zip(("Z", "X", "bit 0", "bit 1"), totals.tolist()):
         below = binom.cdf(n_err, n_sifted, expected)
         above = binom.sf(n_err - 1, n_sifted, expected)
@@ -632,9 +652,7 @@ def test_histogram_matches_closed_form_bin_means(geometry):
 
 def test_run_experiment_joins_the_identity_reduced_blocks():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=23)
-    starts, blocks = zip(
-        *simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, lambda start, block: (start, block))
-    )
+    starts, blocks = zip(*map_blocks(config, 1, partial(simulate_block, config)))
     assert starts == (0, BLOCK_PULSES, 2 * BLOCK_PULSES)
     result = run_experiment(config, workers=2)
     for field in dataclasses.fields(RunResult):
@@ -679,9 +697,7 @@ def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks, cpus):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
-    for start in simulate_blocks(
-        config, workers, DoubleClickPolicy.RANDOM, lambda start, block: start
-    ):
+    for start in map_blocks(config, workers, lambda b: simulate_block(config, b)[0]):
         starts.append(start)
         # Two blocks per process are in flight: one is submitted as each is
         # consumed, until none are left.
@@ -720,7 +736,7 @@ def test_stream_starts_at_most_one_thread_per_usable_cpu(monkeypatch, affinity):
     monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
     config = preset_config("experiment3", n_pulses=8 * BLOCK_PULSES, seed=2)
     with pytest.raises(_StopRun):
-        next(simulate_blocks(config, 10**5, DoubleClickPolicy.RANDOM, lambda start, block: start))
+        next(map_blocks(config, 10**5, lambda b: simulate_block(config, b)[0]))
     assert sizes == [3]
 
 
@@ -729,7 +745,7 @@ def test_stream_on_one_usable_cpu_runs_inline(monkeypatch):
     monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES + 5, seed=2)
-    starts = list(simulate_blocks(config, 4, DoubleClickPolicy.RANDOM, lambda start, block: start))
+    starts = list(map_blocks(config, 4, lambda b: simulate_block(config, b)[0]))
     assert starts == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
     assert sizes == []
 
@@ -739,12 +755,13 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=31)
     seen = []
 
-    def reduce(start, block):
+    def reduce(b):
+        start, block = simulate_block(config, b)
         seen.append(start)
         return start, block.totals.sample, block.totals.histogram
 
-    solo = list(simulate_blocks(config, 1, DoubleClickPolicy.RANDOM, reduce))
-    split = list(simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce))
+    solo = list(map_blocks(config, 1, reduce))
+    split = list(map_blocks(config, 2, reduce))
     assert split == solo
     assert sorted(seen) == sorted(2 * [0, BLOCK_PULSES, 2 * BLOCK_PULSES])
 
@@ -761,8 +778,8 @@ def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES, seed=2)
     first = []
 
-    def reduce(start, block):
-        if start == 0:
+    def reduce(b):
+        if b == 0:
             return _Token()
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
@@ -771,7 +788,7 @@ def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
             time.sleep(0.001)
         return "still held"
 
-    blocks = simulate_blocks(config, 2, DoubleClickPolicy.RANDOM, reduce)
+    blocks = map_blocks(config, 2, reduce)
     token = next(blocks)
     first.append(weakref.ref(token))
     del token
@@ -781,7 +798,7 @@ def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
 def test_stream_rejects_zero_workers():
     config = preset_config("experiment3", n_pulses=10, seed=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        next(simulate_blocks(config, 0, DoubleClickPolicy.RANDOM, lambda start, block: block))
+        next(map_blocks(config, 0, partial(simulate_block, config)))
 
 
 _COUNTS = st.integers(0, 2**70)
@@ -826,10 +843,6 @@ def test_block_totals_add_part_by_part():
 
 def test_block_samples_sum_to_the_run_sample():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
-    samples = list(
-        simulate_blocks(config, 1, DoubleClickPolicy.DISCARD, lambda start, block: block.totals.sample)
-    )
+    samples = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals.sample))
     assert len(samples) == 3
-    assert sum(samples[1:], samples[0]) == run_experiment(
-        config, policy=DoubleClickPolicy.DISCARD
-    ).totals.sample
+    assert sum(samples[1:], samples[0]) == run_experiment(config).totals.sample
