@@ -97,18 +97,23 @@ def test_run_with_workers_leaves_no_thread_behind(tmp_path):
 
 def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # Workers are threads: neither multiprocessing nor the process pool is
-    # imported, in a fresh interpreter that imports only the cli, and a run
-    # and a sweep through main import neither argparse nor locale (building
-    # argparse's parsers cost a cold call 2-3 ms, most of it importing locale).
+    # imported, in a fresh interpreter that imports only the cli. A one-worker
+    # run, a two-worker run through the pool threads and a sweep through main
+    # import neither argparse nor locale (building argparse's parsers cost a
+    # cold call 2-3 ms, most of it importing locale), nor concurrent.futures
+    # and the logging and queue modules it brings (about 4-5 ms and 0.65 MiB).
     code = (
-        "import sys, memqkd.cli\n"
+        "import sys, memqkd.cli, memqkd.simulation\n"
+        "memqkd.simulation._usable_cpus = lambda: 2\n"
         "out = sys.argv[1]\n"
         "assert memqkd.cli.main(['run', '--preset', 'experiment3', '--pulses', '100',"
         " '--outdir', out + '/run']) == 0\n"
+        "assert memqkd.cli.main(['run', '--preset', 'experiment3', '--pulses',"
+        f" '{2 * BLOCK_PULSES}', '--workers', '2', '--outdir', out + '/pool']) == 0\n"
         "assert memqkd.cli.main(['sweep-keyrate', '--mu-range', '0.5:2', '--qber-range',"
         " '0:0.1', '--resolution', '3x3', '--outdir', out + '/sweep']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
-        "or m in ('concurrent.futures.process', 'argparse', 'locale')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing',"
+        " 'concurrent') or m in ('argparse', 'locale', 'logging', 'queue')))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -514,6 +519,8 @@ def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsy
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing, workers):
+    # With two workers the pool's threads are all joined before main returns.
+    threads = threading.active_count()
     calls = []
     real_pulse_fields = reports._pulse_fields
 
@@ -534,6 +541,7 @@ def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existin
     )  # fmt: skip
     assert code == 2
     assert len(calls) == 4
+    assert threading.active_count() == threads
     if existing:
         # The earlier output set is left as it was, with no temporary directory.
         assert [p.name for p in outdir.iterdir()] == ["summary.txt"]

@@ -326,10 +326,10 @@ def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
 
 
 class _OnDemandPool:
-    """Stand-in for ThreadPoolExecutor that runs each block in the calling
+    """Stand-in for simulation._Pool that runs each block in the calling
     thread when its result is asked for: the pool path, one block at a time."""
 
-    def __init__(self, max_workers):
+    def __init__(self, threads):
         pass
 
     def __enter__(self):
@@ -354,7 +354,7 @@ def test_a_streamed_run_peaks_as_one_block(workers, tmp_path, monkeypatch):
     # rows held past their write, by the stream or by the loop, would add
     # about 800 KiB to one block's peak.
     if workers > 1:
-        monkeypatch.setattr(simulation, "ThreadPoolExecutor", _OnDemandPool)
+        monkeypatch.setattr(simulation, "_Pool", _OnDemandPool)
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
     argv = [
         "run", "--preset", "experiment3", "--pulses", str(4 * BLOCK_PULSES), "--seed", "19",

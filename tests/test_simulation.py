@@ -2,10 +2,12 @@ import dataclasses
 import inspect
 import math
 import os
+import sys
+import threading
 import time
 import weakref
-from concurrent.futures import Future
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -665,12 +667,12 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
 
 
 class _InlinePool:
-    """Stand-in for ThreadPoolExecutor that runs each block when submitted
+    """Stand-in for simulation._Pool that runs each block when submitted
     and records how many blocks are submitted and not yet consumed."""
 
-    def __init__(self, max_workers, log):
+    def __init__(self, threads, log):
         self.log = log
-        log["processes"] = max_workers
+        log["processes"] = threads
 
     def __enter__(self):
         return self
@@ -679,21 +681,18 @@ class _InlinePool:
         return False
 
     def submit(self, fn, block):
-        future = Future()
-        future.set_result(fn(block))
+        value = fn(block)
         self.log["submitted"] = self.log.get("submitted", 0) + 1
-        return future
+        return SimpleNamespace(result=lambda: value)
 
 
 @pytest.mark.parametrize(
     "workers,n_blocks,cpus", [(2, 11, 8), (3, 4, 8), (8, 3, 8), (10**5, 11, 3)]
 )
 def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks, cpus):
-    # _InlinePool starts no thread, whatever max_workers it is given.
+    # _InlinePool starts no thread, whatever thread count it is given.
     log = {}
-    monkeypatch.setattr(
-        simulation, "ThreadPoolExecutor", lambda max_workers: _InlinePool(max_workers, log)
-    )
+    monkeypatch.setattr(simulation, "_Pool", lambda threads: _InlinePool(threads, log))
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
     starts = []
@@ -712,14 +711,14 @@ class _StopRun(Exception):
 
 
 def _record_pool_size(sizes):
-    """A ThreadPoolExecutor stand-in that records max_workers and stops the
-    run before any thread starts."""
+    """A simulation._Pool stand-in that records its thread count and stops
+    the run before any thread starts."""
 
-    def executor(max_workers):
-        sizes.append(max_workers)
+    def pool(threads):
+        sizes.append(threads)
         raise _StopRun
 
-    return executor
+    return pool
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -733,7 +732,7 @@ def test_stream_starts_at_most_one_thread_per_usable_cpu(monkeypatch, affinity):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sizes = []
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
+    monkeypatch.setattr(simulation, "_Pool", _record_pool_size(sizes))
     config = preset_config("experiment3", n_pulses=8 * BLOCK_PULSES, seed=2)
     with pytest.raises(_StopRun):
         next(map_blocks(config, 10**5, lambda b: simulate_block(config, b)[0]))
@@ -742,7 +741,7 @@ def test_stream_starts_at_most_one_thread_per_usable_cpu(monkeypatch, affinity):
 
 def test_stream_on_one_usable_cpu_runs_inline(monkeypatch):
     sizes = []
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _record_pool_size(sizes))
+    monkeypatch.setattr(simulation, "_Pool", _record_pool_size(sizes))
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES + 5, seed=2)
     starts = list(map_blocks(config, 4, lambda b: simulate_block(config, b)[0]))
@@ -764,6 +763,56 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
     split = list(map_blocks(config, 2, reduce))
     assert split == solo
     assert sorted(seen) == sorted(2 * [0, BLOCK_PULSES, 2 * BLOCK_PULSES])
+
+
+def test_stream_starts_blocks_in_order_on_pool_threads(monkeypatch):
+    # Two real pool threads take blocks from one FIFO: a pool that handed
+    # out blocks in any other order would start some block early. Each
+    # block sleeps, so both threads take blocks. A long switch interval
+    # keeps a thread from losing the GIL between taking its block and
+    # recording it, which only a forced switch could do.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    config = preset_config("experiment3", n_pulses=9 * BLOCK_PULSES, seed=2)
+    started = []
+
+    def reduce(b):
+        started.append(b)
+        time.sleep(0.002)
+        return b
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        yielded = list(map_blocks(config, 2, reduce))
+    finally:
+        sys.setswitchinterval(interval)
+    assert yielded == list(range(9))
+    assert started == list(range(9))
+
+
+def test_stream_runs_each_block_once_under_forced_switches(monkeypatch):
+    # More pool threads than cores share one job queue while the
+    # interpreter switches threads every few microseconds: a job taken
+    # twice, or lost, changes what the stream yields or hangs it.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+    n_blocks = 400
+    config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES, seed=2)
+    calls, yielded = [], []
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(
+            target=lambda: yielded.extend(map_blocks(config, 8, lambda b: calls.append(b) or b))
+        )
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert yielded == list(range(n_blocks))
+    assert sorted(calls) == list(range(n_blocks))
+    assert threading.active_count() == threads
 
 
 class _Token:
