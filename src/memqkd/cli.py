@@ -49,7 +49,7 @@ from .reports import (
     summary_text,
     write_lines,
 )
-from .simulation import BlockTotals, map_blocks
+from .simulation import BlockTotals, draw_histogram, map_blocks
 
 
 def _preset(name: str) -> str:
@@ -287,8 +287,9 @@ def _cmd_run(args) -> int:
             # Rows are written in block order; the totals are summed over
             # the blocks (there is always at least one).
             totals = reduce(operator.add, map(partial(_write_rows, out), blocks))
-        write_lines(paths["histogram.csv"], histogram_csv_lines(totals.histogram))
-        summary = summary_text(config, totals)
+        histogram = draw_histogram(config, totals.photons)
+        write_lines(paths["histogram.csv"], histogram_csv_lines(histogram))
+        summary = summary_text(config, totals, histogram)
         paths["summary.txt"].write_text(summary)
     sys.stdout.write(summary)
     print(f"wrote {', '.join(str(outdir / name) for name in names)}")

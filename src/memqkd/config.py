@@ -28,12 +28,12 @@ OUTPUT_DIR_ENV = "MEMQKD_OUTPUT_DIR"
 _MAX_SEED = 2**64 - 1
 
 #: Largest RunConfig.expected_clicks_per_pulse a run accepts. It bounds every
-#: Poisson mean a block draws and every multinomial total it spreads over the
-#: histogram bins (at most about 2000 * 2**14 clicks), far inside numpy's
-#: range. The brightest preset (experiment2) expects about 101.
+#: Poisson mean a block draws and the run's totals the histogram spreads over
+#: its bins (2000 clicks per pulse, in numpy's int64 for runs of up to 4e15
+#: pulses). The brightest preset (experiment2) expects about 101.
 MAX_CLICKS_PER_PULSE = 2000.0
 
-#: Most histogram bins (record window over bin width) a run accepts, per block.
+#: Most histogram bins (record window over bin width) a run accepts.
 MAX_BINS = 10**6
 
 

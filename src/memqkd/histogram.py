@@ -77,13 +77,8 @@ class Histogram:
             or self.t_end != other.t_end
         ):
             raise ValueError("cannot merge histograms with different layouts")
-        return Histogram(
-            self.bin_width,
-            self.t_start,
-            self.t_end,
-            self.counts + other.counts,
-            self.n_dropped + other.n_dropped,
-        )
+        counts, n_dropped = self.counts + other.counts, self.n_dropped + other.n_dropped
+        return dataclasses.replace(self, counts=counts, n_dropped=n_dropped)
 
 
 def bin_clicks(timestamps, bin_width: float, window: tuple[float, float]) -> Histogram:

@@ -585,15 +585,15 @@ def write_lines(path: Path, chunks: Iterable[bytes]) -> None:
         out.writelines(chunks)
 
 
-def summary_text(config, totals: BlockTotals) -> str:
+def summary_text(config, totals: BlockTotals, histogram: Histogram) -> str:
     """Plain-text key = value block with counts, error rates, and SBR.
 
-    totals are the run's, summed over its blocks.
+    totals (summed over the blocks) and histogram (drawn from them) are the run's.
     """
     memory = config.memory
     sample, photons = totals.sample, totals.photons
     hist_sbr = sbr_from_histogram(
-        totals.histogram,
+        histogram,
         memory.retrieval_delay_ns,
         memory.roi_width_ns,
         config.analysis.background_region,

@@ -19,10 +19,11 @@ stream keyed by (config.seed, block_index), in a fixed order: the prepared
 states, the turbulent gain, Bob's basis, the leaked photons, the retrieved
 photons on the bit-0 and then the bit-1 detector, the background on each,
 the block's lost total (one count), and the fair bits of sifting ties.
-Click timing draws from that stream's first child. Workers take whole
-blocks and the block size never depends on the worker count, so a run is
-a pure function of its config, seed included, whatever the number of
-workers.
+Leak-window background draws from that stream's first child; the histogram
+is drawn once per run, from the summed totals (draw_histogram). Workers
+take whole blocks and the block size never depends on the worker count,
+so a run is a pure function of its config, seed included, whatever the
+number of workers.
 
 Each block is a RunResult of its own pulses: arrays and a BlockTotals
 (simulate_block). map_blocks streams a run: it calls a caller-supplied
@@ -145,7 +146,8 @@ class SiftedSample:
 
 @dataclass(frozen=True)
 class PhotonTotals:
-    """Photons per stage over a block or a run; blocks add exactly.
+    """Photons per stage over a block or a run, and the background hits in
+    the leak window outside the ROI (leak_hits); blocks add exactly.
 
     The parts are drawn, not the whole: arrived is their sum.
     """
@@ -154,6 +156,7 @@ class PhotonTotals:
     leaked: int
     lost: int
     background_roi: int
+    leak_hits: int
 
     __add__ = _fieldwise_sum
 
@@ -176,10 +179,8 @@ class PhotonTotals:
 @dataclass(frozen=True)
 class BlockTotals:
     """The tallies of a block or a run, which add exactly across blocks: the
-    histogram of every click (leakage, retrieved, background) by its
-    pulse-relative time, the sifted sample and the photons per stage."""
+    sifted sample and the photons per stage."""
 
-    histogram: Histogram
     sample: SiftedSample
     photons: PhotonTotals
 
@@ -310,21 +311,27 @@ def _spread(total: int, overlaps: np.ndarray, length: float, rng) -> np.ndarray:
     return rng.multinomial(total, np.append(p / max(1.0, p.sum()), 0.0))
 
 
-def record_clicks(
-    leaked: np.ndarray, n_roi: int, config, rng: np.random.Generator
-) -> tuple[np.ndarray, Histogram]:
-    """Time tagging: per-pulse leak_clicks and the Histogram of every click.
+def _leak_hits_mean(config) -> float:
+    """Mean background hits per pulse in the leak window [0, pulse_width_ns),
+    inside the record window and outside the ROI (which lies inside it)."""
+    memory, pulse_width = config.memory, config.source.pulse_width_ns
+    (lo, hi), (roi_lo, roi_hi) = config.analysis.window, memory.roi
+    length = max(0.0, min(pulse_width, hi) - max(0.0, lo))
+    length -= max(0.0, min(pulse_width, roi_hi) - max(0.0, roi_lo))
+    return memory.effective_background * length / memory.roi_width_ns
+
+
+def draw_histogram(config, photons: PhotonTotals) -> Histogram:
+    """The Histogram of every click of a run, drawn from its photon totals.
 
     Each click is uniform over a known interval: leaked photons over the leak
-    window [0, pulse_width_ns), the n_roi retrieved and ROI background
-    photons over the ROI, and other background over the record window
-    outside the ROI, at effective_background per roi_width_ns. So bin counts
-    are drawn, never click times: a component's total is spread over the
-    bins by a multinomial on their overlaps with its interval. Background
-    hits in the leak window outside the ROI are drawn per pulse first, and
-    leak_clicks is leaked plus those hits; the remaining background is an
-    independent Poisson count per bin. Leaked photons outside the record
-    window are n_dropped.
+    window [0, pulse_width_ns), ROI photons over the ROI, leak_hits over the
+    leak window outside the ROI, other background over the rest of the
+    record window. Each total is spread over the bins by a multinomial on
+    their overlaps with its interval, the other background is a Poisson
+    count per bin, and leaked photons outside the record window are
+    n_dropped. Summed multinomials (of the same cells) and summed Poissons
+    are again such draws, so this one is distributed as per-block draws added.
     """
     memory, pulse_width = config.memory, config.source.pulse_width_ns
     h = Histogram.empty(config.analysis.bin_width_ns, config.analysis.window)
@@ -333,23 +340,18 @@ def record_clicks(
     roi = h.overlaps(roi_lo, roi_hi)
     leak_background = leak - h.overlaps(max(0.0, roi_lo), min(pulse_width, roi_hi))
     rest = np.maximum(h.overlaps(h.t_start, h.t_end) - roi - leak_background, 0.0)
-
-    def background(length):
-        # Mean background counts per pulse over length ns, in the order
-        # RunConfig.expected_clicks_per_pulse bounds.
-        return memory.effective_background * length / memory.roi_width_ns
-
-    leak_length = float(leak_background.sum())
-    hits = rng.poisson(background(leak_length), len(leaked))
-    leak_counts = _spread(int(leaked.sum()), leak, pulse_width, rng)
+    n_pulses, n_roi = config.source.n_pulses, photons.retrieved + photons.background_roi
+    # Keyed past every block. SeedSequence pads entropy with zeros, so a
+    # stream keyed [seed] alone would draw what block 0's [seed, 0] draws.
+    rng = np.random.default_rng([config.seed, _n_blocks(n_pulses)])
+    leak_counts = _spread(photons.leaked, leak, pulse_width, rng)
     counts = (
         leak_counts[:-1]
         + _spread(n_roi, roi, memory.roi_width_ns, rng)[:-1]
-        + _spread(int(hits.sum()), leak_background, leak_length, rng)[:-1]
-        + rng.poisson(background(rest) * len(leaked))
+        + _spread(photons.leak_hits, leak_background, float(leak_background.sum()), rng)[:-1]
+        + rng.poisson(memory.effective_background * rest / memory.roi_width_ns * n_pulses)
     )
-    histogram = dataclasses.replace(h, counts=counts, n_dropped=int(leak_counts[-1]))
-    return leaked + hits, histogram
+    return dataclasses.replace(h, counts=counts, n_dropped=int(leak_counts[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +362,10 @@ class RunResult:
     array codes (see the module docstring); c0 and c1 count the bit-0 and
     bit-1 detectors of bob_basis inside the ROI; leak_clicks counts arrivals
     in the leakage window (diagnostic only, never sifted). totals holds the
-    histogram, sifted sample and photon ledger, which add exactly across
-    blocks. Pulse i of the run is emitted at i * pulse_period_ns. The
-    counting SBR is totals.photons.counting_sbr(n_pulses).
+    sifted sample and photon ledger, which add exactly across blocks. Pulse
+    i of the run is emitted at i * pulse_period_ns. The counting SBR is
+    totals.photons.counting_sbr(n_pulses), and the run's histogram is
+    draw_histogram(config, totals.photons).
     """
 
     state: np.ndarray
@@ -401,9 +404,9 @@ def simulate_block(config, block):
     sifted, error = sift(state, bob_basis, c0, c1, rng)
     n_retrieved, n_leaked = int(retrieved.sum()), int(leaked.sum())
     n_roi = int(c0.sum() + c1.sum())
-    # Click timing draws from a child stream: a change to the timing leaves
-    # every draw above alone.
-    leak_clicks, histogram = record_clicks(leaked, n_roi, config, rng.spawn(1)[0])
+    # The leak-window background draws from a child stream: a change to it
+    # leaves every draw above alone.
+    hits = rng.spawn(1)[0].poisson(_leak_hits_mean(config), m)
 
     result = RunResult(
         state=state,
@@ -411,17 +414,17 @@ def simulate_block(config, block):
         bob_basis=bob_basis,
         c0=c0,
         c1=c1,
-        leak_clicks=leak_clicks,
+        leak_clicks=leaked + hits,
         sifted=sifted,
         error=error,
         totals=BlockTotals(
-            histogram=histogram,
             sample=SiftedSample.from_flags(bob_basis, sifted, error),
             photons=PhotonTotals(
                 retrieved=n_retrieved,
                 leaked=n_leaked,
                 lost=lost,
                 background_roi=n_roi - n_retrieved,
+                leak_hits=int(hits.sum()),
             ),
         ),
     )

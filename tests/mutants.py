@@ -70,8 +70,8 @@ MUTANTS = (
     (
         "leak-window hits +10%",
         "simulation.py",
-        "hits = rng.poisson(background(leak_length), len(leaked))",
-        "hits = rng.poisson(background(leak_length) * 1.1, len(leaked))",
+        "poisson(_leak_hits_mean(config), m)",
+        "poisson(_leak_hits_mean(config) * 1.1, m)",
     ),
     (
         "leaked photons +5%",
@@ -82,8 +82,8 @@ MUTANTS = (
     (
         "other background +5%",
         "simulation.py",
-        "rng.poisson(background(rest) * len(leaked))",
-        "rng.poisson(background(rest) * len(leaked) * 1.05)",
+        "rng.poisson(memory.effective_background * rest / memory.roi_width_ns * n_pulses)",
+        "rng.poisson(memory.effective_background * rest / memory.roi_width_ns * n_pulses * 1.05)",
     ),
     (
         "summary.txt printing errors_z from n_err_x",

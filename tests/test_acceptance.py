@@ -29,7 +29,7 @@ from memqkd.keyrate import (
 )
 from memqkd.presets import preset_config
 from memqkd.qubits import POLARIZATION_CYCLE
-from memqkd.simulation import run_experiment
+from memqkd.simulation import draw_histogram, run_experiment
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -256,7 +256,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
     # Shard/merge equality on click times drawn from a real pipeline histogram.
     config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
     run4 = run_experiment(config4)
-    times = click_times(run4.totals.histogram, np.random.default_rng(1010))
+    times = click_times(draw_histogram(config4, run4.totals.photons), np.random.default_rng(1010))
     layout = (config4.analysis.bin_width_ns, config4.analysis.window)
     whole = bin_clicks(times, *layout)
     shards = np.array_split(times, 9)
@@ -288,7 +288,7 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
 
     def preset_histogram_sbr(result, config):
         return sbr_from_histogram(
-            result.totals.histogram,
+            draw_histogram(config, result.totals.photons),
             config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,

@@ -195,7 +195,7 @@ def test_main_sets_the_malloc_policy_before_any_pool_thread_starts(tmp_path, mon
 
 def _sampler_digests():
     """sha256 of the output of each kind of Generator call a block makes
-    (simulate_block and record_clicks), at the dtypes and mean regimes they
+    (simulate_block and draw_histogram), at the dtypes and mean regimes they
     use, each drawn from its own stream keyed as a block's stream is."""
     draws = {
         "integers(4, int8)": lambda rng: rng.integers(4, size=1000, dtype=np.int8),
@@ -207,7 +207,7 @@ def _sampler_digests():
         "poisson(means from 10)": lambda rng: rng.poisson(np.linspace(10.0, 200.0, 1000)),
         "poisson(scalar mean, size)": lambda rng: rng.poisson(0.05, 1000),
         "poisson(scalar mean)": lambda rng: np.array(rng.poisson(3000.5)),
-        # The trailing cell takes what the others leave, as in record_clicks.
+        # The trailing cell takes what the others leave, as in _spread.
         "multinomial": lambda rng: rng.multinomial(5000, np.append(np.full(40, 0.02), 0.0)),
         "spawn(1)": lambda rng: rng.spawn(1)[0].poisson(2.0, 1000),
     }
@@ -259,8 +259,8 @@ def _which_moved():
 #: must say so and record the new digests.
 GOLDEN_DIGESTS = {
     "pulses.csv": "265e94952c32e684067b6195eb9994c59b0bfd3c01557055f49fbd44b98ea548",
-    "histogram.csv": "be4393bb101b7d2d30f90e62e5ed718260693779492e6bd03c2989a87fbc2517",
-    "summary.txt": "7eb2eecd2a001095f22fb98b041095db368a222ec476ed74a7df8293bc7edaa5",
+    "histogram.csv": "bc681f0eab67d321494b2c995f89cbb9de62c11bab80fe1efea81af70f4493c1",
+    "summary.txt": "d58cd68020b3c56f6dda483892e3592c0c9bbba98c0a491992c67e78c5fb702a",
 }
 
 
@@ -290,6 +290,30 @@ def test_bright_run_pulses_csv_matches_golden_digest(tmp_path):
     ) == 0  # fmt: skip
     digest = hashlib.sha256((tmp_path / "pulses.csv").read_bytes()).hexdigest()
     assert digest == EXPERIMENT2_PULSES_DIGEST, _which_moved()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_draws_its_histogram_once_whatever_its_blocks(tmp_path, monkeypatch, workers):
+    # Three spreads (leaked, ROI, leak-window hits) make one histogram draw;
+    # a draw per block would make three per block.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    calls, spread_counts = [], simulation._spread
+
+    def spread(*args):
+        calls.append(threading.current_thread())
+        return spread_counts(*args)
+
+    monkeypatch.setattr(simulation, "_spread", spread)
+    counts = []
+    for blocks in (1, 4):
+        calls.clear()
+        assert run_cli(
+            "run", "--preset", "experiment3", "--pulses", str(blocks * BLOCK_PULSES),
+            "--workers", str(workers), "--outdir", str(tmp_path),
+        ) == 0  # fmt: skip
+        counts.append(len(calls))
+        assert set(calls) == {threading.main_thread()}
+    assert counts == [3, 3]
 
 
 def test_run_config_file(tmp_path):
@@ -479,7 +503,9 @@ def test_summary_agrees_with_pulses_and_histogram_csv(tmp_path, monkeypatch, pre
     assert summary["qber_z"] == _rate(errors_z, sifted_z)
     assert summary["qber_x"] == _rate(errors_x, sifted_x)
     assert summary["qber_mean"] == _rate(errors_z + errors_x, sifted_z + sifted_x)
-    photons = PhotonTotals(*(count[key] for key in (*parts, "background_roi_counts")))
+    photons = PhotonTotals(
+        *(count[key] for key in (*parts, "background_roi_counts")), leak_hits=0
+    )
     counting = photons.counting_sbr(pulses)
     assert summary["sbr_counting"] == ("n/a" if math.isnan(counting) else repr(counting))
 

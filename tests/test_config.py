@@ -23,7 +23,7 @@ from memqkd.config import (
 )
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
-from memqkd.simulation import run_experiment
+from memqkd.simulation import draw_histogram, run_experiment
 
 #: (section, config class, field) for every float field.
 FLOAT_FIELDS = [
@@ -342,7 +342,8 @@ def test_expected_clicks_match_a_run(preset, rel_fluctuation):
     # Arrivals plus every background click (each click is leaked, retrieved
     # or background).
     photons = result.totals.photons
-    clicks = result.totals.histogram.counts.sum() + result.totals.histogram.n_dropped
+    histogram = draw_histogram(config, photons)
+    clicks = histogram.counts.sum() + histogram.n_dropped
     background = clicks - photons.leaked - photons.retrieved
     per_pulse = (photons.arrived + background) / 40_000
     assert per_pulse == pytest.approx(config.expected_clicks_per_pulse, rel=0.02)

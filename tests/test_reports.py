@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from memqkd import cli, reports, simulation
-from memqkd.config import SourceMode
+from memqkd.config import MAX_BINS, SourceMode
 from memqkd.presets import preset_config
 from memqkd.qubits import BASES, POLARIZATION_CYCLE
 from memqkd.histogram import Histogram
@@ -320,6 +320,18 @@ BLOCK_PEAK_KIB = 2270
 @pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
 def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
     config = _config(preset, BLOCK_PULSES)
+    reduce = partial(block_outputs, config)
+    peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
+    assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
+
+
+def test_a_block_peaks_below_its_bound_whatever_the_bin_count():
+    # At MAX_BINS one float per bin is about 8 MB: a block holds nothing per
+    # bin, only its totals.
+    config = _config("experiment3", BLOCK_PULSES)
+    analysis = dataclasses.replace(config.analysis, bin_width_ns=0.002)
+    config = dataclasses.replace(config, analysis=analysis)
+    assert Histogram.empty(analysis.bin_width_ns, analysis.window).n_bins == MAX_BINS
     reduce = partial(block_outputs, config)
     peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"

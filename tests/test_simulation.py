@@ -36,6 +36,7 @@ from memqkd.simulation import (
     RunResult,
     SiftedSample,
     apply_memory,
+    draw_histogram,
     expected_qber,
     map_blocks,
     measure,
@@ -380,7 +381,7 @@ def test_run_determinism_same_seed():
     a = run_experiment(config)
     b = run_experiment(config)
     assert a.totals.sample == b.totals.sample
-    assert a.totals.histogram == b.totals.histogram
+    assert draw_histogram(config, a.totals.photons) == draw_histogram(config, b.totals.photons)
     for column in COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
@@ -410,7 +411,9 @@ def test_worker_partition_invariance():
         solo = run_experiment(config, workers=1)
         split = run_experiment(config, workers=3)
         assert solo.totals.sample == split.totals.sample, preset
-        assert solo.totals.histogram == split.totals.histogram, preset
+        assert draw_histogram(config, solo.totals.photons) == draw_histogram(
+            config, split.totals.photons
+        ), preset
         for column in COLUMNS:
             assert np.array_equal(getattr(solo, column), getattr(split, column)), (
                 preset,
@@ -423,7 +426,8 @@ def test_zero_pulse_run():
     result = run_experiment(config)
     assert all(getattr(result, column).size == 0 for column in COLUMNS)
     assert result.totals.sample.n_sifted_z == 0
-    assert result.totals.histogram.counts.sum() == result.totals.histogram.n_dropped == 0
+    histogram = draw_histogram(config, result.totals.photons)
+    assert histogram.counts.sum() == histogram.n_dropped == 0
 
 
 def test_basis_balance_in_run():
@@ -444,9 +448,9 @@ def test_run_sbr_estimator_consistency():
 
 
 def test_counting_sbr_without_background_is_inf_and_without_counts_nan():
-    assert simulation.PhotonTotals(5, 1, 2, 0).counting_sbr(10) == math.inf
-    assert math.isnan(simulation.PhotonTotals(0, 1, 2, 0).counting_sbr(10))
-    assert math.isnan(simulation.PhotonTotals(0, 0, 0, 0).counting_sbr(0))
+    assert simulation.PhotonTotals(5, 1, 2, 0, 3).counting_sbr(10) == math.inf
+    assert math.isnan(simulation.PhotonTotals(0, 1, 2, 0, 3).counting_sbr(10))
+    assert math.isnan(simulation.PhotonTotals(0, 0, 0, 0, 0).counting_sbr(0))
 
 
 def test_run_qber_converges_to_oracle():
@@ -616,7 +620,8 @@ def test_histogram_matches_closed_form_bin_means(geometry):
         seed=41,
     )
     result = run_experiment(config)
-    h, photons = result.totals.histogram, result.totals.photons
+    photons = result.totals.photons
+    h = draw_histogram(config, photons)
     memory, pulse_width = config.memory, config.source.pulse_width_ns
     window_lo, window_hi = config.analysis.window
     starts = window_lo + config.analysis.bin_width_ns * np.arange(h.n_bins)
@@ -645,6 +650,7 @@ def test_histogram_matches_closed_form_bin_means(geometry):
     assert abs(h.n_dropped - dropped) <= 5 * spread
 
     hits = per_ns * leak_background_ns
+    assert photons.leak_hits == result.leak_clicks.sum() - photons.leaked
     mean = result.leak_clicks.mean()
     assert abs(mean - photons.leaked / n - hits) <= 5 * math.sqrt(hits / n)
 
@@ -757,7 +763,7 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
     def reduce(b):
         start, block = simulate_block(config, b)
         seen.append(start)
-        return start, block.totals.sample, block.totals.histogram
+        return start, block.totals.sample, block.totals.photons
 
     solo = list(map_blocks(config, 1, reduce))
     split = list(map_blocks(config, 2, reduce))
@@ -869,25 +875,25 @@ def test_sifted_sample_sum_is_exact(samples):
         assert getattr(total, field) == sum(getattr(s, field) for s in samples)
 
 
-def _totals(window, counts, n_dropped, sample, photons):
-    hist = dataclasses.replace(
+def _histogram(window, counts, n_dropped):
+    return dataclasses.replace(
         Histogram.empty(1.0, window), counts=np.array(counts), n_dropped=n_dropped
     )
-    return BlockTotals(hist, SiftedSample(*sample), PhotonTotals(*photons))
 
 
 def test_block_totals_add_part_by_part():
-    a = _totals((0, 3), [1, 0, 2], 4, (5, 6, 1, 2), (7, 3, 2, 1))
-    b = _totals((0, 3), [0, 9, 1], 1, (2, 1, 2, 0), (1, 0, 5, 8))
+    a = BlockTotals(SiftedSample(5, 6, 1, 2), PhotonTotals(7, 3, 2, 1, 4))
+    b = BlockTotals(SiftedSample(2, 1, 2, 0), PhotonTotals(1, 0, 5, 8, 6))
     total = a + b
-    assert total.histogram == a.histogram + b.histogram
-    assert np.array_equal(total.histogram.counts, [1, 9, 3]) and total.histogram.n_dropped == 5
     assert total.sample == SiftedSample(7, 7, 3, 2)
-    assert total.photons == PhotonTotals(8, 3, 7, 9)
+    assert total.photons == PhotonTotals(8, 3, 7, 9, 10)
     with pytest.raises(TypeError):
         a + 0
+    # Histograms add bin by bin, and only in one layout.
+    h = _histogram((0, 3), [1, 0, 2], 4) + _histogram((0, 3), [0, 9, 1], 1)
+    assert np.array_equal(h.counts, [1, 9, 3]) and h.n_dropped == 5
     with pytest.raises(ValueError, match="different layouts"):
-        a + _totals((1, 4), [1, 0, 2], 4, (5, 6, 1, 2), (7, 3, 2, 1))
+        _histogram((0, 3), [1, 0, 2], 4) + _histogram((1, 4), [1, 0, 2], 4)
 
 
 def test_block_samples_sum_to_the_run_sample():
