@@ -42,6 +42,7 @@ from .keyrate import (
 from .presets import PRESET_NAMES, background_mean_for_sbr, preset_config
 from .reports import (
     PULSE_CSV_HEADER,
+    _csv_rows,
     block_outputs,
     boundary_csv_lines,
     histogram_csv_lines,
@@ -267,10 +268,11 @@ def _output_set(outdir: Path, names: tuple[str, ...]):
 
 
 def _write_rows(out, block) -> BlockTotals:
-    """Write a reduced block's rows to out and return its totals only, so
-    that no block's rows are held past their write."""
-    rows, totals = block
-    out.writelines(rows)
+    """Make a reduced block's pulses.csv rows from its fields and write each
+    chunk of them to out as it is made (_csv_rows); return the block's totals
+    only, so that neither its fields nor its rows are held past their write."""
+    fields, totals = block
+    out.writelines(_csv_rows(fields))
     return totals
 
 

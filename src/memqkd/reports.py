@@ -7,16 +7,18 @@ key-rate grids.
 
 A run's outputs are reduced block by block (block_outputs, the function
 memqkd run hands to simulation.map_blocks): each block is simulated, its
-RunResult becomes its pulses.csv rows and hands on its BlockTotals, and
-its per-pulse arrays are freed before its rows are assembled.
+RunResult becomes its pulses.csv slot fields and hands on its BlockTotals,
+and its per-pulse arrays are freed before its widest field, mu_eff, is
+formatted. memqkd run's writer makes the block's rows from the fields and
+writes them as they are made.
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
 has a sign. Each slice of _BATCH rows of the slots is written into one
 _BATCH-row matrix between comma and newline columns, and one bytes.replace
-of every NUL leaves those rows (_csv_rows). pulses.csv gets a list of such
-chunks per block, all made in the one matrix. States, bases and flags are
-looked up by their array codes.
+of every NUL leaves each _SLICE rows of it as a bytes chunk (_csv_rows, a
+generator), so only one slice's rows are held at a time. States, bases and
+flags are looked up by their array codes.
 
 Every number's digits are written four at a time by one kernel,
 _put_digit_groups, after _shortest_digits (repr) or _sci_field (".12e")
@@ -44,7 +46,7 @@ import numpy as np
 from .histogram import Histogram, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
 from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import BlockTotals, RunResult, simulate_block
+from .simulation import BlockTotals, simulate_block
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -66,6 +68,12 @@ def _num(value: float) -> str:
 #: 700, 1,379 and 2,737 KiB. While bytes.translate dropped it, 2**14 rows
 #: wrote 20-29% fewer sweep cells/s and ran experiment2 4-12% fewer pulses/s.
 _BATCH = 2**12
+
+#: Rows per bytes chunk _csv_rows hands on: each of a _BATCH-row matrix's
+#: slices of this many rows is copied out and its NUL padding dropped as the
+#: chunk is asked for, so only one slice's two copies are held at a time.
+#: A module constant, not a fraction of _BATCH, which tests patch down to 1.
+_SLICE = 2**10
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
 _STATE_CODES = np.frombuffer("".join(p.value for p in POLARIZATION_CYCLE).encode(), np.uint8)
@@ -344,18 +352,24 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
         integer[integral] *= _INT_POW10[-places[integral]]
     decimals = np.maximum(places, 1, out=places)
     width = int(decimals.max(initial=1))
-    slots = np.zeros((1 + width, len(fraction)), np.uint8)
-    slots[0] = ord(".")
-    _put_digits(slots[1:], fraction)
+    # One slot array: the integer digits, the point and the fraction. The
+    # decided values are at least 1e-4, so no integer part is negative.
+    point = len(str(int(integer.max(initial=0))))
+    slots = np.zeros((point + 1 + width, len(fraction)), np.uint8)
+    _put_digits(slots[:point], integer)
+    # Leading zeros, the places above an integer part's highest digit, become
+    # NUL; its units digit stays.
+    for place, row in enumerate(slots[: point - 1]):
+        row *= integer >= _INT_POW10[point - 1 - place]
+    del integer
+    slots[point] = ord(".")
+    _put_digits(slots[point + 1 :], fraction)
     del fraction
     # A value's fraction takes the last `decimals` places; the rest are NUL.
-    for place, row in enumerate(slots[1:-1]):
+    for place, row in enumerate(slots[point + 1 : -1]):
         row *= decimals >= width - place
     del places, decimals
-    integer = _int_field(integer)
-    decided = np.hstack([integer, slots.T])
-    del integer, slots
-    return _merge(ok, decided, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
+    return _merge(ok, slots.T, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
 
 
 def _num_field(values: np.ndarray) -> np.ndarray:
@@ -431,70 +445,64 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     return field if np.signbit(values).any() else field[:, 1:]
 
 
-def _csv_rows(fields) -> list[bytes]:
+def _csv_rows(fields) -> Iterator[bytes]:
     """The rows of (n, w) slot fields, comma-separated, each ending in a newline,
-    as bytes chunks of at most _BATCH rows.
+    as bytes chunks of at most _SLICE rows, each made when it is asked for.
 
     Each _BATCH-row slice of the fields is written into the same byte
     matrix between comma and newline columns, and one bytes.replace of every
-    NUL leaves its rows. A matrix of every row (0.8 MB on a 2**14-pulse
-    experiment3 block) needed a free region that large for each block, and
-    grew the heap in some warm calls when glibc had none left.
+    NUL leaves each _SLICE rows of it. A matrix of every row (0.8 MB on a
+    2**14-pulse experiment3 block) needed a free region that large for each
+    block, and grew the heap in some warm calls when glibc had none left.
     """
     # Each field's first column; a comma or, last, a newline follows it.
     columns = np.cumsum([0] + [field.shape[1] + 1 for field in fields])
     n = len(fields[0])
     matrix = np.full((min(n, _BATCH), columns[-1]), ord(","), np.uint8)
     matrix[:, -1] = ord("\n")
-    chunks = []
     for start in range(0, n, _BATCH):
         rows = matrix[: n - start]
         for field, column in zip(fields, columns):
             rows[:, column : column + field.shape[1]] = field[start : start + _BATCH]
-        chunks.append(rows.tobytes().replace(b"\0", b""))
-    return chunks
+        for first in range(0, len(rows), _SLICE):
+            yield rows[first : first + _SLICE].tobytes().replace(b"\0", b"")
 
 
-def _pulse_fields(start: int, block: RunResult, pulse_period_ns: float) -> list[np.ndarray]:
-    """The pulses.csv slot fields of block's pulses, numbered from start.
-
-    mu_eff, whose formatting needs the most memory, is formatted first,
-    while no other field is held, and the row indices are dropped once their
-    field and the emit times are made.
-    """
-    mu_eff = _float_field(block.mu_eff, repr)
-    index = np.arange(start, start + len(block.state))
-    number = _int_field(index)
-    emit_times = index * pulse_period_ns
-    del index
-    return [
-        number,
-        _num_field(emit_times),
-        _STATE_CODES[block.state][:, None],
-        mu_eff,
-        _BASIS_CODES[block.bob_basis][:, None],
-        _int_field(block.c0),
-        _int_field(block.c1),
-        _int_field(block.leak_clicks),
-        _FLAG_CODES[block.sifted.astype(np.intp)][:, None],
-        _FLAG_CODES[block.error.astype(np.intp)][:, None],
-    ]
-
-
-def block_outputs(config, block: int) -> tuple[list[bytes], BlockTotals]:
-    """Simulate block `block` of a run and reduce it to (pulses.csv rows,
-    totals): the rows as bytes chunks of at most _BATCH rows, each row
-    ending in a newline, to be written in block order, and the totals,
+def block_outputs(config, block: int) -> tuple[list[np.ndarray], BlockTotals]:
+    """Simulate block `block` of a run and reduce it to (pulses.csv fields,
+    totals): the (n, w) slot fields of its rows in column order, whose rows
+    _csv_rows makes, numbered from the block's first pulse, and the totals,
     which add exactly across blocks.
 
-    The block's RunResult is made and held here only, so its per-pulse
-    arrays are freed once the fields are made, before the rows are.
+    The block's RunResult is made and held here only. Its narrow fields are
+    formatted first; then it is dropped, so its other per-pulse arrays are
+    freed before mu_eff, whose formatting needs the most memory, is
+    formatted. The row indices come last, dropped once their field and the
+    emit times are made.
     """
     start, result = simulate_block(config, block)
-    fields = _pulse_fields(start, result, config.source.pulse_period_ns)
-    totals = result.totals
+    fields = [
+        None,  # index, made last
+        None,  # emit_time_ns, made last
+        _STATE_CODES[result.state][:, None],
+        None,  # mu_eff, made once the RunResult is dropped
+        _BASIS_CODES[result.bob_basis][:, None],
+        _int_field(result.c0),
+        _int_field(result.c1),
+        _int_field(result.leak_clicks),
+        _FLAG_CODES[result.sifted.astype(np.intp)][:, None],
+        _FLAG_CODES[result.error.astype(np.intp)][:, None],
+    ]
+    mu_eff, totals = result.mu_eff, result.totals
     del result
-    return _csv_rows(fields), totals
+    fields[3] = _float_field(mu_eff, repr)
+    del mu_eff
+    index = np.arange(start, start + len(fields[2]))
+    fields[0] = _int_field(index)
+    emit_times = index * config.source.pulse_period_ns
+    del index
+    fields[1] = _num_field(emit_times)
+    return fields, totals
 
 
 def _csv_chunks(header: str, n: int, fields_of: Callable) -> Iterator[bytes]:

@@ -100,8 +100,8 @@ MUTANTS = (
     (
         "pulses.csv clicks_d0 and clicks_d1 swapped",
         "reports.py",
-        "_int_field(block.c0),\n        _int_field(block.c1),",
-        "_int_field(block.c1),\n        _int_field(block.c0),",
+        "_int_field(result.c0),\n        _int_field(result.c1),",
+        "_int_field(result.c1),\n        _int_field(result.c0),",
     ),
     (
         "histogram.csv bin starts shifted by one bin",

@@ -548,15 +548,15 @@ def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existin
     # With two workers the pool's threads are all joined before main returns.
     threads = threading.active_count()
     calls = []
-    real_pulse_fields = reports._pulse_fields
+    real_simulate_block = reports.simulate_block
 
-    def failing_pulse_fields(*args):
+    def failing_simulate_block(*args):
         calls.append(1)
         if len(calls) == 4:
             raise ValueError("injected failure in block 3")
-        return real_pulse_fields(*args)
+        return real_simulate_block(*args)
 
-    monkeypatch.setattr(reports, "_pulse_fields", failing_pulse_fields)
+    monkeypatch.setattr(reports, "simulate_block", failing_simulate_block)
     outdir = tmp_path / "out"
     if existing:
         outdir.mkdir()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -28,7 +29,6 @@ from memqkd.reports import (
     _int_field,
     _num,
     _num_field,
-    _pulse_fields,
     _sci_field,
     block_outputs,
     boundary_csv_lines,
@@ -62,13 +62,28 @@ def _row_wise_rows(start, block, period):
 
 def _lines(text):
     # Compared as lists: pytest's report for two unequal multi-megabyte
-    # strings is a line diff that takes minutes. _csv_rows returns a list
-    # of ASCII bytes chunks.
-    if isinstance(text, list):
+    # strings is a line diff that takes minutes. _csv_rows yields ASCII
+    # bytes chunks.
+    if not isinstance(text, (str, bytes)):
         text = b"".join(text)
     if isinstance(text, bytes):
         text = text.decode("ascii")
     return text.split("\n")
+
+
+def _block_fields(start, block, period):
+    """block_outputs' pulses.csv fields of a given RunResult, numbered from start."""
+    config = SimpleNamespace(source=SimpleNamespace(pulse_period_ns=period))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "simulate_block", lambda config, block_index: (start, block))
+        fields, _ = block_outputs(config, 0)
+    return fields
+
+
+def _write_to_nothing(block):
+    """memqkd run's write of a reduced block, into a sink that keeps no row:
+    each chunk is made, written and dropped before the next is made."""
+    return cli._write_rows(SimpleNamespace(writelines=partial(deque, maxlen=0)), block)
 
 
 def _slots(matrix):
@@ -150,7 +165,7 @@ def test_pulse_csv_matches_row_wise_formatting(case):
     if exercises is not None:
         assert exercises(result, period)
     expected = _row_wise_rows(0, result, period)
-    assert _lines(_csv_rows(_pulse_fields(0, result, period))) == _lines(expected)
+    assert _lines(_csv_rows(_block_fields(0, result, period))) == _lines(expected)
 
 
 @pytest.mark.parametrize(
@@ -166,10 +181,10 @@ def test_block_outputs_sum_to_the_whole_run(preset, source):
     config = _config(preset, 5 * BLOCK_PULSES // 2, **source)
     blocks = list(map_blocks(config, 1, partial(block_outputs, config)))
     assert len(blocks) == 3
-    rows, totals = zip(*blocks)
+    fields, totals = zip(*blocks)
     result = run_experiment(config)
     period = config.source.pulse_period_ns
-    assert _lines([chunk for chunks in rows for chunk in chunks]) == _lines(
+    assert _lines([chunk for block in fields for chunk in _csv_rows(block)]) == _lines(
         _row_wise_rows(0, result, period)
     )
     assert sum(totals[1:], totals[0]) == result.totals
@@ -269,7 +284,6 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
     # A slide back to one repr per pulse would still print the same bytes;
     # count the module's repr calls while one block's rows are built.
     config = _config(preset, BLOCK_PULSES)
-    result = run_experiment(config)
     calls = []
 
     def counting_repr(value):
@@ -277,16 +291,19 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(reports, "repr", counting_repr, raising=False)
-    _csv_rows(_pulse_fields(0, result, config.source.pulse_period_ns))
+    _write_to_nothing(block_outputs(config, 0))
     assert len(calls) <= 0.05 * BLOCK_PULSES
 
 
-#: Bound on the tracemalloc peak of the pulses.csv rows (_csv_rows of the
-#: _pulse_fields) of one 2**14-pulse experiment3 block: 1,786 KiB measured
-#: with numpy 2.4, plus 10%. With the loop that searched one digit count at
-#: a time, the peak was 2,611 KiB, and before the field kernels computed in
-#: place, 1,954 KiB.
-ROWS_PEAK_KIB = 1965
+#: Bound on the tracemalloc peak of the pulses.csv rows of one 2**14-pulse
+#: experiment3 block, its fields made by block_outputs and its rows written
+#: chunk by chunk as memqkd run writes them: 1,541 KiB measured with numpy
+#: 2.4, plus 10%. While all of a block's rows were made before the first
+#: was written, and mu_eff's integer and fraction slots were joined by a
+#: copy, it was 1,786 KiB; with the loop that searched one digit count at
+#: a time, 2,611 KiB, and before the field kernels computed in place,
+#: 1,954 KiB.
+ROWS_PEAK_KIB = 1695
 
 
 def _traced_peak(call):
@@ -303,25 +320,29 @@ def _traced_peak(call):
 def test_pulse_csv_rows_of_a_block_peak_below_their_bound():
     config = _config("experiment3", BLOCK_PULSES)
     result, period = run_experiment(config), config.source.pulse_period_ns
-    peak = _traced_peak(lambda: _csv_rows(_pulse_fields(0, result, period)))
+    peak = _traced_peak(lambda: _write_to_nothing((_block_fields(0, result, period), None)))
     assert peak <= ROWS_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
 #: Bound on the tracemalloc peak of one 2**14-pulse block through
-#: map_blocks and block_outputs, the rows and totals it yields included:
-#: 2,064 KiB measured with numpy 2.4 on experiment2 (2,006 on experiment3),
-#: plus 10%. While the block's simulation temporaries stayed alive through
-#: the formatting, it was 2,921 KiB on experiment3, and while its per-pulse
-#: arrays stayed alive through the row assembly and the field kernels made
-#: copies, 2,536 KiB (2,861 on experiment2).
-BLOCK_PEAK_KIB = 2270
+#: map_blocks and block_outputs, its rows written as memqkd run writes them:
+#: 1,775 KiB measured with numpy 2.4 on experiment2 (1,542 on experiment3),
+#: plus 10%. On experiment2 the peak is _shortest_digits' own transient.
+#: While the block's per-pulse arrays stayed alive through mu_eff's
+#: formatting and all of its rows were made before the first was written,
+#: it was 2,062 KiB (2,005 on experiment3); while its simulation
+#: temporaries stayed alive through the formatting, 2,921 KiB on
+#: experiment3, and while its per-pulse arrays stayed alive through the row
+#: assembly and the field kernels made copies, 2,536 KiB (2,861 on
+#: experiment2).
+BLOCK_PEAK_KIB = 1950
 
 
 @pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
 def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
     config = _config(preset, BLOCK_PULSES)
     reduce = partial(block_outputs, config)
-    peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
+    peak = _traced_peak(lambda: list(map(_write_to_nothing, map_blocks(config, 1, reduce))))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
@@ -333,7 +354,7 @@ def test_a_block_peaks_below_its_bound_whatever_the_bin_count():
     config = dataclasses.replace(config, analysis=analysis)
     assert Histogram.empty(analysis.bin_width_ns, analysis.window).n_bins == MAX_BINS
     reduce = partial(block_outputs, config)
-    peak = _traced_peak(lambda: list(map_blocks(config, 1, reduce)))
+    peak = _traced_peak(lambda: list(map(_write_to_nothing, map_blocks(config, 1, reduce))))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
@@ -363,8 +384,8 @@ RUN_MARGIN_KIB = 128
 def test_a_streamed_run_peaks_as_one_block(workers, tmp_path, monkeypatch):
     # Four blocks through memqkd run's write loop. With two workers the pool
     # path runs each block only when the stream asks for it, so any block's
-    # rows held past their write, by the stream or by the loop, would add
-    # about 800 KiB to one block's peak.
+    # fields held past their write, by the stream or by the loop, would add
+    # about 640 KiB to one block's peak.
     if workers > 1:
         monkeypatch.setattr(simulation, "_Pool", _OnDemandPool)
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
@@ -410,7 +431,7 @@ def test_pulse_csv_matches_row_wise_formatting_on_random_columns(data):
         error=column(st.booleans(), bool),
     )
     expected = _row_wise_rows(start, block, period)
-    assert _lines(_csv_rows(_pulse_fields(start, block, period))) == _lines(expected)
+    assert _lines(_csv_rows(_block_fields(start, block, period))) == _lines(expected)
 
 
 def _sci(values):
@@ -591,15 +612,19 @@ def test_csv_rows_drop_the_nul_padding_as_translate_does(data):
     for field in fields:
         field[blank_rows] = 0
     batch = data.draw(st.integers(1, 8), label="batch")
+    # A chunk is at most _SLICE rows of one _BATCH-row matrix.
+    slice_rows = data.draw(st.integers(1, 9), label="slice")
     separators = [np.full((n, 1), ord(c), np.uint8) for c in "," * (len(fields) - 1) + "\n"]
     matrix = np.hstack([part for pair in zip(fields, separators) for part in pair])
     expected = [
-        matrix[start : start + batch].tobytes().translate(None, b"\0")
+        matrix[first : min(first + slice_rows, start + batch)].tobytes().translate(None, b"\0")
         for start in range(0, n, batch)
+        for first in range(start, min(start + batch, n), slice_rows)
     ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reports, "_BATCH", batch)
-        assert reports._csv_rows(list(fields)) == expected
+        patch.setattr(reports, "_SLICE", slice_rows)
+        assert list(reports._csv_rows(list(fields))) == expected
 
 
 #: (mu range, qber range, rows, cols) of sweeps checked against f-strings.
@@ -716,6 +741,29 @@ def test_histogram_csv_matches_num(bin_width, window):
         for start, count in zip(hist.bin_starts, hist.counts)
     )
     assert _lines(b"".join(histogram_csv_lines(hist))) == _lines(expected)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 7])
+def test_csv_rows_match_row_wise_formatting_at_any_batch(batch, monkeypatch):
+    # A chunk is at most _SLICE rows, a constant: a step taken as a fraction
+    # of _BATCH would reach 0 at these sizes.
+    monkeypatch.setattr(reports, "_BATCH", batch)
+    result, period = _run(n_pulses=23, pulse_period_ns=1234.5678)
+    chunks = list(_csv_rows(_block_fields(0, result, period)))
+    assert max(chunk.count(b"\n") for chunk in chunks) <= batch
+    assert _lines(chunks) == _lines(_row_wise_rows(0, result, period))
+    hist = Histogram.empty(0.3, (-2.5, 4.0))
+    hist = dataclasses.replace(hist, counts=np.arange(hist.n_bins, dtype=np.int64) * 7919)
+    expected = "bin_start_ns,count\n" + "".join(
+        f"{_num(float(start))},{int(count)}\n"
+        for start, count in zip(hist.bin_starts, hist.counts)
+    )
+    assert _lines(histogram_csv_lines(hist)) == _lines(expected)
+    grid = key_rate_map(np.linspace(0.05, 1.7, 11), np.linspace(0.0, 0.15, 5))
+    expected = "mu,qber_star\n" + "".join(
+        f"{m:.12e},{q:.12e}\n" for m, q in zip(grid.mu_axis, grid.q_star) if not math.isnan(q)
+    )
+    assert _lines(boundary_csv_lines(grid)) == _lines(expected)
 
 
 def test_sweep_cells_rarely_reach_format(monkeypatch):
