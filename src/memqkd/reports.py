@@ -45,8 +45,7 @@ import numpy as np
 
 from .histogram import Histogram, sbr_from_histogram
 from .keyrate import KeyRateMap, classical_bound_check, fidelity_from_sbr
-from .qubits import BASES, POLARIZATION_CYCLE
-from .simulation import BlockTotals, simulate_block
+from .simulation import BASES, STATES, BlockTotals, simulate_block
 
 PULSE_CSV_HEADER = (
     "index,emit_time_ns,state,mu_eff,bob_basis,clicks_d0,clicks_d1,"
@@ -76,8 +75,8 @@ _BATCH = 2**12
 _SLICE = 2**10
 
 #: ASCII code of each state, basis and flag, indexed by its array code.
-_STATE_CODES = np.frombuffer("".join(p.value for p in POLARIZATION_CYCLE).encode(), np.uint8)
-_BASIS_CODES = np.frombuffer("".join(b.value for b in BASES).encode(), np.uint8)
+_STATE_CODES = np.frombuffer("".join(letter for letter, _, _ in STATES).encode(), np.uint8)
+_BASIS_CODES = np.frombuffer("".join(BASES).encode(), np.uint8)
 _FLAG_CODES = np.frombuffer(b"01", np.uint8)
 
 #: The ASCII digits of 00 .. 99 as uint16 and of 0000 .. 9999 as uint32,

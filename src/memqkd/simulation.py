@@ -37,8 +37,9 @@ A function that simulates its own block owns it, and can free its arrays
 before it returns (reports.block_outputs does). run_experiment keeps
 every block, concatenates the arrays and adds up the totals.
 
-Array codes: a state is its index in POLARIZATION_CYCLE (H, V, D, A) and a
-basis its index in BASES (Z, X).
+Array codes: a state is its index in STATES (H, V, D, A), the one table of
+each state's letter, basis code and key bit, and a basis its index in
+BASES (Z, X). Every lookup table over state codes is built from the two.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ import numpy as np
 
 from .config import ChannelConfig, MemoryConfig, SourceMode
 from .histogram import Histogram
-from .qubits import (
-    BASES,
-    BASIS_MEMBERS,
-    POLARIZATION_CYCLE,
-    Basis,
-    basis_of,
-    bit_of,
-    detection_probability,
-)
 
 #: Pulses per random stream. A constant of the stream layout: changing it
 #: changes every seeded output.
@@ -76,16 +68,20 @@ BLOCK_PULSES = 2**14
 #: while memory stays bounded whatever the run length.
 _IN_FLIGHT_PER_WORKER = 2
 
-# Lookup tables over state codes, built from the scalar definitions in qubits.
-_BASIS_OF_STATE = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])
-_BIT_OF_STATE = np.array([bit_of(p) for p in POLARIZATION_CYCLE])
+#: The four polarization states as (letter, basis code, key bit); a state's
+#: array code is its index. D and A are the balanced superpositions of H and V.
+STATES = (("H", 0, 0), ("V", 0, 1), ("D", 1, 0), ("A", 1, 1))
+#: The letters of the bases; a basis code is its index. Z holds the
+#: detectors of H and V, X those of D and A, each as (bit 0, bit 1).
+BASES = ("Z", "X")
+
+_BASIS_OF_STATE = np.array([basis for _, basis, _ in STATES])
+_BIT_OF_STATE = np.array([bit for _, _, bit in STATES])
 #: _P0[state, bob_basis]: probability that a signal photon fires the bit-0
-#: detector of bob_basis.
-_P0 = np.array(
-    [
-        [detection_probability(p, b, BASIS_MEMBERS[b][0]) for b in BASES]
-        for p in POLARIZATION_CYCLE
-    ]
+#: detector of bob_basis. A matched basis projects deterministically onto the
+#: state; the conjugate basis splits 50/50.
+_P0 = np.where(
+    _BASIS_OF_STATE[:, None] == np.arange(len(BASES)), 1.0 - _BIT_OF_STATE[:, None], 0.5
 )
 
 
@@ -119,7 +115,7 @@ class SiftedSample:
         cls, bob_basis: np.ndarray, sifted: np.ndarray, error: np.ndarray
     ) -> SiftedSample:
         """Tally per-pulse (sifted, error) flags by Bob's basis."""
-        in_z = bob_basis == BASES.index(Basis.Z)
+        in_z = bob_basis == BASES.index("Z")
         n_sifted_z = int(np.count_nonzero(sifted & in_z))
         n_err_z = int(np.count_nonzero(error & in_z))
         return cls(
@@ -203,8 +199,8 @@ def _draw_states(
     """State codes of pulses [start, stop); the first draw of a block stream."""
     # Ordered mode consumes no randomness so the cycle is exact.
     if mode is SourceMode.ORDERED:
-        return (np.arange(start, stop) % 4).astype(np.int8)
-    return rng.integers(4, size=stop - start, dtype=np.int8)
+        return (np.arange(start, stop) % len(STATES)).astype(np.int8)
+    return rng.integers(len(STATES), size=stop - start, dtype=np.int8)
 
 
 def sample_arriving_photons(
@@ -393,7 +389,7 @@ def simulate_block(config, block):
     state = _draw_states(source.mode, start, stop, rng)
     mu_eff = sample_arriving_photons(source.mu_alice, config.channel, rng, m)
     # Bob's basis is a fair coin (the 50/50 splitter).
-    bob_basis = rng.integers(2, size=m, dtype=np.int8)
+    bob_basis = rng.integers(len(BASES), size=m, dtype=np.int8)
     mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, memory, rng)
     c0, c1, retrieved = measure(
         state, bob_basis, mu_retrieved, memory.effective_background, rng
@@ -591,8 +587,10 @@ def expected_qber(config) -> float:
     NaN when no pulse can click.
     """
     s = config.channel.rel_fluctuation
-    if s > 0:
-        lo, hi = max(0.0, 1.0 - 8.0 * s), 1.0 + 8.0 * s
+    lo, hi = max(0.0, 1.0 - 8.0 * s), 1.0 + 8.0 * s
+    # Below about 7e-18, 1 +- 8s rounds to 1: the interval has no width, and
+    # the gain is 1 to double precision.
+    if hi > lo:
         x, w = np.polynomial.legendre.leggauss(_GAIN_NODES)
         gain = lo + (hi - lo) * (x + 1.0) / 2.0
         density = np.exp(-0.5 * ((gain - 1.0) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))

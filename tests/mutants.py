@@ -34,7 +34,7 @@ DIGEST_TESTS = (
     "tests/test_cli.py::test_sweep_outputs_match_golden_digests",
 )
 
-#: (name, file under src/memqkd, text, replacement): eight physics mutants,
+#: (name, file under src/memqkd, text, replacement): nine physics mutants,
 #: then four output mutants.
 MUTANTS = (
     (
@@ -58,8 +58,14 @@ MUTANTS = (
     (
         "H's bit-0 probability scaled by 0.97",
         "simulation.py",
-        "\n)\n\n\ndef _fieldwise_sum(",
-        "\n)\n_P0[0] *= 0.97\n\n\ndef _fieldwise_sum(",
+        "1.0 - _BIT_OF_STATE[:, None], 0.5\n)\n",
+        "1.0 - _BIT_OF_STATE[:, None], 0.5\n)\n_P0[0] *= 0.97\n",
+    ),
+    (
+        "D's key bit 1 in the encoding table",
+        "simulation.py",
+        '("D", 1, 0)',
+        '("D", 1, 1)',
     ),
     (
         "ties always given bit 0",

@@ -488,6 +488,20 @@ def test_summary_agrees_with_pulses_and_histogram_csv(tmp_path, monkeypatch, pre
     columns = {name: i for i, name in enumerate(header.split(","))}
     rows = [line.split(",") for line in lines]
     assert (count["seed"], count["pulses"]) == (2016, len(rows)) == (2016, pulses)
+    # Each row decodes by its letters: H and V are measured in Z, D and A in
+    # X, and H and D encode bit 0. A tie's bit is a coin, so only untied
+    # sifted rows fix their error flag.
+    basis_of = {"H": "Z", "V": "Z", "D": "X", "A": "X"}
+    bit_of = {"H": 0, "V": 1, "D": 0, "A": 1}
+    for row in rows:
+        state, c0, c1 = (row[columns[name]] for name in ("state", "clicks_d0", "clicks_d1"))
+        c0, c1 = int(c0), int(c1)
+        sifted = basis_of[state] == row[columns["bob_basis"]] and c0 + c1 > 0
+        assert row[columns["sifted"]] == str(int(sifted)), row
+        if not sifted:
+            assert row[columns["error"]] == "0", row
+        elif c0 != c1:
+            assert row[columns["error"]] == str(int((c1 > c0) != bit_of[state])), row
     for basis in "zx":
         in_basis = [row for row in rows if row[columns["bob_basis"]] == basis.upper()]
         for flag, key in (("sifted", "sifted"), ("error", "errors")):

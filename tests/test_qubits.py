@@ -1,67 +1,72 @@
+"""The encoding table of simulation and the detection probabilities built from it.
+
+Every expectation is written out here: one read from simulation.STATES
+would agree with any table.
+"""
+
+import numpy as np
 import pytest
 
-from memqkd.qubits import (
-    BASIS_MEMBERS,
-    Basis,
-    Polarization,
-    basis_of,
-    bit_of,
-    detection_probability,
-)
+from memqkd.simulation import _BASIS_OF_STATE, _BIT_OF_STATE, _P0, BASES, STATES
 
-H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
+H, V, D, A = range(4)
+Z, X = range(2)
 
 
-def test_basis_of():
-    assert basis_of(H) is Basis.Z
-    assert basis_of(V) is Basis.Z
-    assert basis_of(D) is Basis.X
-    assert basis_of(A) is Basis.X
+def test_states_and_bases_in_array_code_order():
+    assert STATES == (("H", 0, 0), ("V", 0, 1), ("D", 1, 0), ("A", 1, 1))
+    assert BASES == ("Z", "X")
+
+
+def test_basis_of_state():
+    # H and V are measured deterministically in Z, D and A in X.
+    assert _BASIS_OF_STATE.tolist() == [Z, Z, X, X]
+    assert _BASIS_OF_STATE.dtype == np.int64
 
 
 def test_bit_convention():
-    assert bit_of(H) == 0
-    assert bit_of(V) == 1
-    assert bit_of(D) == 0
-    assert bit_of(A) == 1
+    # H and D encode bit 0, V and A bit 1.
+    assert _BIT_OF_STATE.tolist() == [0, 1, 0, 1]
+    assert _BIT_OF_STATE.dtype == np.int64
 
 
 def test_detection_probability_table():
-    assert detection_probability(H, Basis.Z, H) == 1.0
-    assert detection_probability(H, Basis.Z, V) == 0.0
-    assert detection_probability(H, Basis.X, D) == 0.5
-    assert detection_probability(A, Basis.X, A) == 1.0
-    assert detection_probability(A, Basis.Z, V) == 0.5
+    # _P0[state, basis]: the bit-0 detector of Z is H's, that of X is D's.
+    assert _P0.tolist() == [[1.0, 0.5], [0.0, 0.5], [0.5, 1.0], [0.5, 0.0]]
+    assert _P0.dtype == np.float64
 
 
-def test_detector_must_belong_to_basis():
-    with pytest.raises(ValueError):
-        detection_probability(H, Basis.Z, D)
-    with pytest.raises(ValueError):
-        detection_probability(D, Basis.X, H)
+def test_matched_basis_is_deterministic():
+    for state, basis, p0 in ((H, Z, 1.0), (V, Z, 0.0), (D, X, 1.0), (A, X, 0.0)):
+        assert _P0[state, basis] == p0
 
 
-@pytest.mark.parametrize("state", list(Polarization))
-@pytest.mark.parametrize("basis", list(Basis))
+def test_conjugate_basis_splits_evenly():
+    for state, basis in ((H, X), (V, X), (D, Z), (A, Z)):
+        assert _P0[state, basis] == 0.5
+
+
+@pytest.mark.parametrize("state", [H, V, D, A], ids=list("HVDA"))
+@pytest.mark.parametrize("basis", [Z, X], ids=list("ZX"))
 def test_probabilities_sum_to_one(state, basis):
-    d0, d1 = BASIS_MEMBERS[basis]
-    total = detection_probability(state, basis, d0) + detection_probability(
-        state, basis, d1
-    )
-    assert total == 1.0
+    # measure sends the rest of the retrieved mean to the bit-1 detector, so
+    # the two are probabilities only while _P0 lies in [0, 1].
+    p0 = _P0[state, basis]
+    p1 = 1.0 - p0
+    assert p0 >= 0.0 and p1 >= 0.0 and p0 + p1 == 1.0
 
 
 def test_exchange_symmetry():
-    # Swapping H<->V together with D<->A leaves the projection table unchanged.
-    swap = {H: V, V: H, D: A, A: D}
-    for state in Polarization:
-        for basis in Basis:
-            for det in BASIS_MEMBERS[basis]:
-                assert detection_probability(state, basis, det) == detection_probability(
-                    swap[state], basis, swap[det]
-                )
+    # Swapping H<->V together with D<->A swaps the two detectors of each
+    # basis: the bit-0 probability of a state is the bit-1 probability of
+    # its partner.
+    swap = [V, H, A, D]
+    for state in (H, V, D, A):
+        for basis in (Z, X):
+            assert _P0[state, basis] == 1.0 - _P0[swap[state], basis]
 
 
 def test_serialized_as_single_characters():
-    assert [p.value for p in Polarization] == ["H", "V", "D", "A"]
-    assert [b.value for b in Basis] == ["Z", "X"]
+    letters = [letter for letter, _, _ in STATES]
+    assert letters == ["H", "V", "D", "A"]
+    assert all(len(letter) == 1 for letter in [*letters, *BASES])

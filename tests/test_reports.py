@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from memqkd import cli, reports, simulation
 from memqkd.config import MAX_BINS, SourceMode
 from memqkd.presets import preset_config
-from memqkd.qubits import BASES, POLARIZATION_CYCLE
 from memqkd.histogram import Histogram
 from memqkd.keyrate import key_rate_map
 from memqkd.reports import (
@@ -45,9 +44,9 @@ def _row_wise_rows(start, block, period):
             (
                 str(start + i),
                 _num((start + i) * period),
-                POLARIZATION_CYCLE[block.state[i]].value,
+                "HVDA"[block.state[i]],
                 repr(float(block.mu_eff[i])),
-                BASES[block.bob_basis[i]].value,
+                "ZX"[block.bob_basis[i]],
                 str(int(block.c0[i])),
                 str(int(block.c1[i])),
                 str(int(block.leak_clicks[i])),

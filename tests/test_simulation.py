@@ -27,7 +27,6 @@ from memqkd.config import (
 from memqkd.histogram import Histogram
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
-from memqkd.qubits import BASES, POLARIZATION_CYCLE, Basis, Polarization, basis_of, bit_of
 from memqkd.reports import block_outputs
 from memqkd.simulation import (
     BLOCK_PULSES,
@@ -46,13 +45,19 @@ from memqkd.simulation import (
     simulate_block,
 )
 
-H, V, D, A = Polarization.H, Polarization.V, Polarization.D, Polarization.A
-Z, X = BASES.index(Basis.Z), BASES.index(Basis.X)
+# The encoding, written out: a state's array code is its place in "HVDA"
+# and a basis code its place in "ZX"; H and V are measured in Z, D and A in
+# X, and H and D encode bit 0.
+H, V, D, A = "HVDA"
+Z, X = 0, 1
+#: Alice's basis code and key bit of each state code.
+ALICE_BASIS = np.array([Z, Z, X, X])
+ALICE_BITS = np.array([0, 1, 0, 1])
 
 
 def codes(*states):
-    """Array codes of the given polarizations."""
-    return np.array([POLARIZATION_CYCLE.index(s) for s in states])
+    """Array codes of the given state letters."""
+    return np.array(["HVDA".index(s) for s in states])
 
 
 # --- source -----------------------------------------------------------------
@@ -264,7 +269,7 @@ def test_basis_choice_is_balanced():
     result = run_experiment(config)
     n = len(result.state)
     z = int(np.count_nonzero(result.bob_basis == Z))
-    alice_basis = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])[result.state]
+    alice_basis = ALICE_BASIS[result.state]
     matched = int(np.count_nonzero(alice_basis == result.bob_basis))
     for count in (z, matched):
         assert abs(count - n / 2) < 3 * math.sqrt(0.25 * n)
@@ -275,7 +280,7 @@ def test_basis_choice_is_balanced():
 
 def _sift(states, bases, c0, c1, rng=None):
     """SiftedSample of pulses given as parallel lists."""
-    bob_basis = np.array([BASES.index(b) for b in bases], dtype=np.int8)
+    bob_basis = np.array(["ZX".index(b) for b in bases], dtype=np.int8)
     rng = np.random.default_rng(0) if rng is None else rng
     sifted, error = sift(codes(*states), bob_basis, np.array(c0), np.array(c1), rng)
     return SiftedSample.from_flags(bob_basis, sifted, error)
@@ -283,7 +288,7 @@ def _sift(states, bases, c0, c1, rng=None):
 
 def test_sift_arithmetic():
     # 10 matched-basis pulses, one decoded wrong -> qber 0.1
-    sample = _sift([H] * 10, [Basis.Z] * 10, [1] * 9 + [0], [0] * 9 + [1])
+    sample = _sift([H] * 10, ["Z"] * 10, [1] * 9 + [0], [0] * 9 + [1])
     assert sample.n_sifted_z == 10
     assert sample.n_err_z == 1
     assert sample.qber_z == pytest.approx(0.1)
@@ -294,9 +299,9 @@ def test_sift_drops_mismatched_basis_and_empty_pulses():
     sample = _sift(
         [H, H, D],
         [
-            Basis.X,  # wrong basis
-            Basis.Z,  # no ROI click
-            Basis.X,  # sifted, correct
+            "X",  # wrong basis
+            "Z",  # no ROI click
+            "X",  # sifted, correct
         ],
         [1, 0, 1],
         [0, 0, 0],
@@ -306,30 +311,30 @@ def test_sift_drops_mismatched_basis_and_empty_pulses():
 
 
 def test_sift_majority_vote():
-    assert _sift([H], [Basis.Z], [3], [1]).n_err_z == 0
-    assert _sift([H], [Basis.Z], [1], [3]).n_err_z == 1
+    assert _sift([H], ["Z"], [3], [1]).n_err_z == 0
+    assert _sift([H], ["Z"], [1], [3]).n_err_z == 1
 
 
 def test_tie_policy_random_is_fair():
     n = 4000
-    sample = _sift([H] * n, [Basis.Z] * n, [1] * n, [1] * n, rng=np.random.default_rng(123))
+    sample = _sift([H] * n, ["Z"] * n, [1] * n, [1] * n, rng=np.random.default_rng(123))
     assert sample.n_sifted_z == n
     assert abs(sample.n_err_z - n / 2) < 3 * math.sqrt(0.25 * n)
 
 
-@pytest.mark.parametrize("state", POLARIZATION_CYCLE)
+@pytest.mark.parametrize("state", [H, V, D, A])
 def test_a_tie_decodes_to_the_next_bits_of_the_stream(state):
     # One bit per tie, in pulse order, whatever the state and basis: a tie
     # is an error where that bit is not Alice's.
     n = 4000
     rng = np.random.default_rng(5)
-    bob_basis = np.full(n, BASES.index(basis_of(state)), dtype=np.int8)
+    bob_basis = np.full(n, ALICE_BASIS[codes(state)[0]], dtype=np.int8)
     counts = np.full(n, 2)
     sifted, error = sift(codes(*[state] * n), bob_basis, counts, counts, rng)
     stream = np.random.default_rng(5)
     bits = stream.integers(2, size=n, dtype=np.int8)
     assert sifted.all()
-    assert np.array_equal(error, bits != bit_of(state))
+    assert np.array_equal(error, bits != ALICE_BITS[codes(state)[0]])
     assert rng.bit_generator.state == stream.bit_generator.state
     assert abs(np.count_nonzero(error) - n / 2) < 3 * math.sqrt(0.25 * n)
 
@@ -469,7 +474,7 @@ def test_sifted_pulses_need_matched_basis():
     sifted = result.sifted
     assert sifted.any()
     for state, bob_basis in zip(result.state[sifted], result.bob_basis[sifted]):
-        assert BASES[bob_basis] is basis_of(POLARIZATION_CYCLE[state])
+        assert bob_basis == ALICE_BASIS[state]
     assert np.all(result.c0[sifted] + result.c1[sifted] >= 1)
     assert not np.any(result.error & ~sifted)
 
@@ -479,8 +484,8 @@ def test_a_run_decodes_by_the_larger_count_and_a_tie_by_a_fair_bit(preset):
     config = preset_config(preset, n_pulses=2 * BLOCK_PULSES, seed=6)
     result = run_experiment(config)
     c0, c1, sifted = result.c0, result.c1, result.sifted
-    basis = np.array([BASES.index(basis_of(p)) for p in POLARIZATION_CYCLE])
-    assert np.array_equal(sifted, (basis[result.state] == result.bob_basis) & (c0 + c1 > 0))
+    matched = ALICE_BASIS[result.state] == result.bob_basis
+    assert np.array_equal(sifted, matched & (c0 + c1 > 0))
     wrong = (c1 > c0) != ALICE_BITS[result.state]
     decided = sifted & (c0 != c1)
     assert np.array_equal(result.error[decided], wrong[decided])
@@ -520,10 +525,12 @@ def _signal_and_background(config):
     return signal, memory.effective_background / 2
 
 
+# A std below about 7e-18 leaves 1 +- 8 std equal to 1: the gain is fixed.
+@pytest.mark.parametrize("rel_fluctuation", [0.0, 5e-324, 1e-18, 6e-18])
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_expected_qber_is_the_skellam_ratio_at_a_fixed_gain(preset):
+def test_expected_qber_is_the_skellam_ratio_at_a_fixed_gain(preset, rel_fluctuation):
     config = preset_config(preset)
-    config = dataclasses.replace(config, channel=ChannelConfig(rel_fluctuation=0.0))
+    config = dataclasses.replace(config, channel=ChannelConfig(rel_fluctuation=rel_fluctuation))
     signal, b = _signal_and_background(config)
     numerator, denominator = _qber_from_terms(signal + b, b)
     assert expected_qber(config) == pytest.approx(numerator / denominator, rel=1e-9)
@@ -562,8 +569,6 @@ def test_expected_qber_is_nan_when_nothing_can_click():
 #: norm.sf(4). The exact binomial tails stay valid where the expected count
 #: is far below one (experiment2).
 QBER_Z_BOUND = 4.0
-#: Alice's key bit of each state code.
-ALICE_BITS = np.array([bit_of(p) for p in POLARIZATION_CYCLE])
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
