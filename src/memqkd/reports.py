@@ -10,7 +10,11 @@ memqkd run hands to simulation.map_blocks): each block is simulated, its
 RunResult becomes its pulses.csv slot fields and hands on its BlockTotals,
 and its per-pulse arrays are freed before its widest field, mu_eff, is
 formatted. memqkd run's writer makes the block's rows from the fields and
-writes them as they are made.
+writes them as they are made. A 2**14-pulse block peaks (traced) while its
+last field, the emit times, is formatted with every other field held:
+about 1,090 KiB on experiment3 and 1,140 on experiment2. mu_eff's
+_shortest_digits, at most six block-length arrays of eight-byte values,
+comes next (about 1,030 and 1,080), then the simulation (930).
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
@@ -33,6 +37,10 @@ is whole mu rows, and the qber slots, commas and newlines stay in place in
 one matrix from chunk to chunk: only the rates are formatted per chunk, and
 each row's mu and rate slots are copied in as whole items of a record view
 of that matrix (keyrate_csv_lines).
+
+The digit groups are uint32 items of a record view of the row-major slots,
+looked up in _GROUP_TEXTS, whose copies with leading zeros as NUL bytes
+leave no zero to mask afterwards.
 """
 
 from __future__ import annotations
@@ -79,41 +87,74 @@ _STATE_CODES = np.frombuffer("".join(letter for letter, _, _ in STATES).encode()
 _BASIS_CODES = np.frombuffer("".join(BASES).encode(), np.uint8)
 _FLAG_CODES = np.frombuffer(b"01", np.uint8)
 
-#: The ASCII digits of 00 .. 99 as uint16 and of 0000 .. 9999 as uint32,
-#: each in the byte order of its text.
+#: The ASCII digits of 00 .. 99 as uint16, in the byte order of their text.
 _DIGIT_PAIRS = (
     (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint16)
 )
-_DIGIT_GROUPS = (
-    np.stack(np.broadcast_arrays(_DIGIT_PAIRS, _DIGIT_PAIRS.T), -1).view(np.uint32).ravel()
+#: The texts of 0000 .. 9999 as uint32 in the byte order of their text,
+#: then twice with their leading zeros as NUL bytes: 0 is all NUL in the
+#: first of these lead copies, "0" in the second, the units copy. A group is
+#: looked up in a copy where no digit of its value lies above it, the units
+#: copy for the units group.
+_GROUP_TEXTS = np.concatenate(
+    [np.stack(np.broadcast_arrays(_DIGIT_PAIRS, _DIGIT_PAIRS.T), -1).view(np.uint32).ravel()] * 3
 )
+_LEAD_TEXTS = _GROUP_TEXTS[10**4 :].view(np.uint8).reshape(2, 10**4, 4)
+_LEAD_TEXTS *= np.arange(10**4)[:, None] >= [1000, 100, 10, 1]
+_LEAD_TEXTS[1, 0, 3] = ord("0")
+del _LEAD_TEXTS
 
 
-def _put_digit_groups(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _put_digit_groups(
+    groups: np.ndarray, values: np.ndarray, lead: bool = False, overwrite: bool = False
+) -> np.ndarray:
     """Write the last 4 * k digits of values[i] into row i of the (n, k) uint32
-    groups, as _DIGIT_GROUPS texts; return the quotient left above them.
+    groups, as _GROUP_TEXTS texts; return the quotient left above them.
 
-    One remainder array serves every group (values itself is not written).
+    With lead, the places above values[i]'s highest digit are NUL, but the
+    units digit of 0 stays. values itself is written only with overwrite;
+    two int64 arrays, three without overwrite from the second group on,
+    serve every group.
     """
-    rest = None
+    free = rest = None
+    # A group with no digit above it is looked up in a lead copy: the units
+    # copy for the units group, the last one, which is written first.
+    lead_copy = 2 * 10**4
     for k in range(groups.shape[1] - 1, -1, -1):
         # Division by a scalar is much faster than np.remainder or np.divmod.
-        quotient = values // 10**4
+        quotient = np.floor_divide(values, 10**4, out=free)
         rest = np.multiply(quotient, 10**4, out=rest)
-        groups[:, k] = _DIGIT_GROUPS[np.subtract(values, rest, out=rest)]
-        values = quotient
+        np.subtract(values, rest, out=rest)
+        if lead:
+            np.add(rest, lead_copy, out=rest, where=quotient == 0)
+        groups[:, k] = _GROUP_TEXTS[rest]
+        free = values if overwrite else None
+        values, overwrite, lead_copy = quotient, True, 10**4
     return values
 
 
-def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
-    """Write the last len(rows) digits of each value, values < 10**len(rows),
-    into the column-major rows."""
-    groups = np.empty((len(values), -(-len(rows) // 4)), np.uint32)
-    # The top group holds what is left below 10**4: one gather, no division
-    # (all of it for values below 10**4).
-    top = _put_digit_groups(groups[:, 1:], values)
-    groups[:, 0] = _DIGIT_GROUPS[top]
-    rows[...] = groups.view(np.uint8)[:, -len(rows) :].T
+def _put_digits(
+    slots: np.ndarray, values: np.ndarray, lead: bool = True, overwrite: bool = False
+) -> None:
+    """Write the last w digits of each value, values < 10**w, into the (n, w)
+    uint8 slots, whose rows are contiguous; with lead, its places above the
+    highest digit are NUL (0 prints as "0").
+
+    The groups below the top one are written through a record view of the
+    slots, as uint32 items; the top one holds the last 1 to 4 places.
+    overwrite: values may be overwritten.
+    """
+    n, w = slots.shape
+    full = (w - 1) // 4
+    top = values
+    if full:
+        record = {"names": ["groups"], "formats": [(np.uint32, full)], "offsets": [w - 4 * full]}
+        groups = slots.view({**record, "itemsize": w})[:, 0]["groups"]
+        top = _put_digit_groups(groups, values, lead, overwrite)
+    # What is left is below 10**4: one gather, no division. With lead it is
+    # looked up in a lead copy, the units copy when it is the only group.
+    texts = _GROUP_TEXTS[(10**4 if full else 2 * 10**4) if lead else 0 :]
+    slots[:, : w - 4 * full] = texts[top].view(np.uint8).reshape(n, 4)[:, 4 * full - w :]
 
 
 def _merge(ok: np.ndarray, decided: np.ndarray, others: Callable) -> np.ndarray:
@@ -131,25 +172,27 @@ def _merge(ok: np.ndarray, decided: np.ndarray, others: Callable) -> np.ndarray:
     return field
 
 
-def _int_field(values: np.ndarray) -> np.ndarray:
+def _int_field(values: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """(n, w) uint8 slots: each int64 as str prints it, NUL-padded on the left;
-    the sign column is there only when some value is negative."""
+    the sign column is there only when some value is negative.
+
+    overwrite: values, when int64, may be overwritten.
+    """
     values = np.asarray(values, dtype=np.int64)
-    signed = values.min(initial=0) < 0
-    magnitude = np.abs(values) if signed else values
-    if signed and magnitude.min() < 0:
-        # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63. Only then
-        # are the digit groups, which index _DIGIT_GROUPS, cast to intp.
-        magnitude = magnitude.view(np.uint64)
-    width = len(str(int(magnitude.max(initial=0))))
-    slots = np.zeros((signed + width, len(values)), np.uint8)
+    signed = int(values.min(initial=0) < 0)
+    magnitude = values
     if signed:
-        slots[0][values < 0] = ord("-")
-    _put_digits(slots[-width:], magnitude)
-    # Leading zeros, the places above a value's highest digit, become NUL.
-    powers = 10 ** np.arange(width - 1, 0, -1, dtype=magnitude.dtype)
-    slots[-width:-1] *= magnitude >= powers[:, None]
-    return slots.T
+        magnitude, overwrite = np.abs(values), True
+        if magnitude.min() < 0:
+            # abs(-2**63) wraps to -2**63, whose uint64 view is 2**63. Only
+            # then are the digit groups, which index _GROUP_TEXTS, cast to intp.
+            magnitude = magnitude.view(np.uint64)
+    width = len(str(int(magnitude.max(initial=0))))
+    slots = np.empty((len(values), signed + width), np.uint8)
+    if signed:
+        slots[:, 0] = (values < 0) * np.uint8(ord("-"))
+    _put_digits(slots[:, signed:], magnitude, overwrite=overwrite)
+    return slots
 
 
 def _text_field(strings) -> np.ndarray:
@@ -221,32 +264,39 @@ def _times_pow10(v: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole = _POW10[j]
     whole *= v
     high, low = _split(v)
-    ph, pl = _POW10_HIGH[j], _POW10_LOW[j]
-    # frac = ((high * ph - whole) + high * pl + low * ph) + low * pl, in place.
-    frac = np.multiply(high, ph)
+    # frac = ((high * ph - whole) + high * pl + low * ph) + low * pl, in
+    # place, with ph and pl the splits of 10**j; one array holds pl, and
+    # high's array ph once high * pl is added. (np.take's default mode
+    # copies out; j is in range.)
+    frac = _POW10_HIGH[j]
+    frac *= high
     frac -= whole
+    pl = _POW10_LOW[j]
     frac += np.multiply(high, pl, out=high)
-    frac += np.multiply(low, ph, out=ph)
-    frac += np.multiply(low, pl, out=pl)
+    frac += np.multiply(low, np.take(_POW10_HIGH, j, out=high, mode="clip"), out=high)
+    frac += np.multiply(low, pl, out=low)
     return whole, frac
 
 
-def _nearest_multiple(whole, frac, unit):
-    """k such that k * unit is the multiple of unit nearest y = whole + frac.
+def _as_int64(values: np.ndarray) -> np.ndarray:
+    """values, a float64 array of integers below 2**63 in magnitude, as int64
+    in values' own array, which it overwrites."""
+    ints = values.view(np.int64)
+    np.copyto(ints, values, casting="unsafe")
+    return ints
+
+
+def _nearest_multiple_of_10(whole, frac):
+    """k such that 10 * k is the multiple of 10 nearest y = whole + frac.
 
     Of two equally near, the even multiple is taken, as repr takes the even
-    digit. The nearest lies within 16 of y, and a distance past 16 reads as
-    about 16, which keeps every sum exact (see _shortest_digits).
+    digit. Both distances, below 10 plus or minus frac, are exact sums (see
+    _shortest_digits). whole is overwritten.
     """
-    quotient = whole // unit
-    rest = quotient * unit
-    np.subtract(whole, rest, out=rest)
-    # rest < 10**16: min(rest, 16.0) is min(rest, 16) exactly.
-    below = np.minimum(rest, 16.0)
-    below += frac
-    np.abs(below, out=below)
-    above = np.minimum(np.subtract(unit, rest, out=rest), 16.0)
-    above -= frac
+    quotient = whole // 10
+    rest = np.subtract(whole, quotient * 10, out=whole)
+    below = np.abs(rest + frac)
+    above = np.subtract(10, rest, out=rest) - frac
     quotient += (above < below) | ((above == below) & ((quotient & 1) == 1))
     return quotient
 
@@ -254,9 +304,9 @@ def _nearest_multiple(whole, frac, unit):
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(digits, places, ok): repr(x[ok][i]) is digits[i] / 10**places[i].
 
-    digits and places cover the ok rows only, in order. ok holds where repr
-    prints x positionally (1e-4 <= x < 1e16) and x is not a power of two,
-    whose round-trip interval is lopsided.
+    digits (int64) and places (int8) cover the ok rows only, in order. ok
+    holds where repr prints x positionally (1e-4 <= x < 1e16) and x is not a
+    power of two, whose round-trip interval is lopsided.
 
     repr prints the fewest significant digits that read back as x, and of
     those the nearest to x. With e the decimal exponent of x, y = x * 10**j,
@@ -270,10 +320,12 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     No search is needed. The integers that close to y are the `room` (1 to
     23) integers up to b = whole + floor(frac + half), and the largest
     multiple of 10**s among them is b - b % 10**s, so one lies among them
-    exactly when b % 10**s < room. That decides s >= 1 and s >= 2; fewer
+    exactly when b % 10**s < room. That decides s >= 1 and s >= 2. Fewer
     than 100 integers hold at most one multiple of 100, so when s >= 2 that
-    one, 100 * (b // 100), is the only candidate, and s counts its trailing
-    zeros.
+    one, 100 * (b // 100), is the only candidate and the nearest to y: s
+    counts its trailing zeros, found in four halving steps, and its digits
+    are b // 100 with them dropped. Only at s = 1 is the nearest of up to
+    three multiples of 10 sought (_nearest_multiple_of_10).
 
     Every comparison is exact: y is a multiple of ulp(x) * 2**j >= 2**-46,
     so frac +- half (below 12) fits in 53 bits, and half is a power of two
@@ -282,6 +334,9 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     two floats is either an odd integer above 2**53, where the integer x is
     nearer, or has 17 or more significant digits. So whether b or the
     lowest integer counted lies at exactly half does not change the answer.
+
+    At most six arrays of len(x) eight-byte values are held at once (those
+    of _times_pow10); each is freed or reused after its last use.
     """
     bits = x.view(np.int64)
     ok = (x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA_BITS != 0)
@@ -295,38 +350,48 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # tie frac == 1/2 goes to the even neighbour.
     carry = np.rint(frac)
     frac -= carry
-    whole = whole.astype(np.int64)
-    whole += carry.astype(np.int64)
+    whole = _as_int64(whole)
+    whole += _as_int64(carry)
     # Below, carry's array is reused for 10**j and then top, and half's for
     # frac - half and then room.
     half = np.bitwise_and(bits, _EXPONENT_BITS)
     half -= 53 << 52
     half = half.view(np.float64)
-    half *= np.take(_POW10, j, out=carry)
+    half *= np.take(_POW10, j, out=carry, mode="clip")
+    places = j.astype(np.int8)
+    del j
     # 17 digits always read back (|frac| <= 1/2 < half, so room >= 1).
     top = np.floor(np.add(frac, half, out=carry), out=carry)
     room = np.subtract(top, np.ceil(np.subtract(frac, half, out=half), out=half), out=half)
     room += 1
-    b = top.astype(np.int64)
+    room = room.astype(np.int8)
+    del half
+    b = _as_int64(top)
     b += whole
-    del top
-    # numpy's remainder by a scalar is about twice as slow as b - b // d * d.
-    last = b // 100
-    last *= 100
-    np.subtract(b, last, out=last)
-    rows = np.flatnonzero(last < room)
-    hundreds = b[rows] // 100
+    del top, carry
+    # s >= 2 on the rows where b % 100 < room, s >= 1 where b % 10 < room
+    # (both remainders and room fit in int8).
+    hundreds = b // 100
+    b -= hundreds * 100
+    last = b.astype(np.int8)
     del b
-    tens = last // 10
-    tens *= 10
-    shift = np.less(np.subtract(last, tens, out=last), room, out=last)
-    del tens
+    rows = np.flatnonzero(last < room)
+    hundreds = hundreds[rows]
+    shift = np.less(np.remainder(last, 10, out=last), room, out=last)
     del room
-    shift[rows] = 2 + np.count_nonzero(hundreds[:, None] % _INT_POW10[1:15] == 0, axis=1)
-    rows = np.flatnonzero(shift)
-    unit = _INT_POW10[shift[rows]]
-    whole[rows] = _nearest_multiple(whole[rows], frac[rows], unit)
-    return whole, np.subtract(j, shift, out=j), ok
+    # There s is 2 plus the trailing zeros of hundreds, which the digits drop.
+    s = np.full(len(rows), 2, np.int8)
+    for p in (8, 4, 2, 1):
+        quotient = hundreds // 10**p
+        exact = quotient * 10**p == hundreds
+        np.copyto(hundreds, quotient, where=exact)
+        np.add(s, p, out=s, where=exact)
+    shift[rows] = s
+    whole[rows] = hundreds
+    del rows, hundreds, s, quotient, exact
+    rows = np.flatnonzero(shift == 1)
+    whole[rows] = _nearest_multiple_of_10(whole[rows], frac[rows])
+    return whole, np.subtract(places, shift, out=places), ok
 
 
 def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
@@ -353,28 +418,35 @@ def _float_field(values: np.ndarray, fallback: Callable[[float], str]) -> np.nda
     width = int(decimals.max(initial=1))
     # One slot array: the integer digits, the point and the fraction. The
     # decided values are at least 1e-4, so no integer part is negative.
+    # The integer part's leading zeros are NUL; its units digit stays.
     point = len(str(int(integer.max(initial=0))))
-    slots = np.zeros((point + 1 + width, len(fraction)), np.uint8)
-    _put_digits(slots[:point], integer)
-    # Leading zeros, the places above an integer part's highest digit, become
-    # NUL; its units digit stays.
-    for place, row in enumerate(slots[: point - 1]):
-        row *= integer >= _INT_POW10[point - 1 - place]
+    slots = np.empty((len(fraction), point + 1 + width), np.uint8)
+    _put_digits(slots[:, :point], integer, overwrite=True)
     del integer
-    slots[point] = ord(".")
-    _put_digits(slots[point + 1 :], fraction)
+    slots[:, point] = ord(".")
+    _put_digits(slots[:, point + 1 :], fraction, lead=False, overwrite=True)
     del fraction
-    # A value's fraction takes the last `decimals` places; the rest are NUL.
-    for place, row in enumerate(slots[point + 1 : -1]):
-        row *= decimals >= width - place
+    # A value's fraction takes the last `decimals` places; the rest are NUL
+    # (none of the last min(decimals)).
+    for place in range(width - int(decimals.min(initial=width))):
+        slots[:, point + 1 + place] *= decimals >= width - place
     del places, decimals
-    return _merge(ok, slots.T, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
+    return _merge(ok, slots, lambda: _text_field([fallback(v) for v in values[~ok].tolist()]))
 
 
 def _num_field(values: np.ndarray) -> np.ndarray:
-    """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63."""
-    exact = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
-    ints = _int_field((values if exact.all() else values[exact]).astype(np.int64))
+    """(n, w) uint8 slots of _num of each float; _int_field prints integral ones < 2**63.
+
+    values is overwritten: when every value is integral, their int64 values
+    are made in values' own array, not in a copy.
+    """
+    scratch = np.trunc(values)
+    exact = scratch == values
+    exact &= np.abs(values, out=scratch) < 2.0**63
+    del scratch
+    if exact.all():
+        return _int_field(_as_int64(values), overwrite=True)
+    ints = _int_field(_as_int64(values[exact]), overwrite=True)
     # _num of a non-integral float is its repr.
     return _merge(exact, ints, lambda: _float_field(values[~exact], _num))
 
@@ -432,7 +504,7 @@ def _sci_field(values: np.ndarray) -> np.ndarray:
     slots = np.empty(len(v), _SCI_SLOT)
     slots["sign"] = (kept < 0) * ord("-")
     slots["point"] = ord(".")
-    slots["lead"] = _put_digit_groups(slots["groups"], n) + ord("0")
+    slots["lead"] = _put_digit_groups(slots["groups"], n, overwrite=True) + ord("0")
     slots["exponent"] = _EXPONENT_TEXT[e - _DECADE_MIN]
     slots = slots.view(np.uint8).reshape(len(v), _SCI_SLOT.itemsize)
 
@@ -500,6 +572,7 @@ def block_outputs(config, block: int) -> tuple[list[np.ndarray], BlockTotals]:
     fields[0] = _int_field(index)
     emit_times = index * config.source.pulse_period_ns
     del index
+    # Their int64 values are made in the emit times' own array.
     fields[1] = _num_field(emit_times)
     return fields, totals
 

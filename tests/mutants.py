@@ -40,8 +40,8 @@ MUTANTS = (
     (
         "one detector's background at q/1.8",
         "simulation.py",
-        "c1 = signal_d1 + rng.poisson(background_mean / 2.0, len(state))",
-        "c1 = signal_d1 + rng.poisson(background_mean / 1.8, len(state))",
+        "c1 += rng.poisson(background_mean / 2.0, len(state))",
+        "c1 += rng.poisson(background_mean / 1.8, len(state))",
     ),
     (
         "the lost mean ignoring the leak",
@@ -82,8 +82,8 @@ MUTANTS = (
     (
         "leaked photons +5%",
         "simulation.py",
-        "leaked = rng.poisson(mu_eff * leak)",
-        "leaked = rng.poisson(mu_eff * leak * 1.05)",
+        "mu = np.multiply(mu_eff, leak)",
+        "mu = np.multiply(mu_eff, leak * 1.05)",
     ),
     (
         "other background +5%",

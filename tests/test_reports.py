@@ -20,8 +20,8 @@ from memqkd.reports import (
     _BINARY_DECADES,
     _DECADE_MIN,
     _DECADES,
-    _DIGIT_GROUPS,
     _EXPONENT_TEXT,
+    _GROUP_TEXTS,
     _csv_rows,
     _decimal_exponent,
     _float_field,
@@ -35,7 +35,7 @@ from memqkd.reports import (
     keyrate_csv_lines,
     write_lines,
 )
-from memqkd.simulation import BLOCK_PULSES, map_blocks, run_experiment
+from memqkd.simulation import BLOCK_PULSES, map_blocks, run_experiment, simulate_block
 
 def _row_wise_rows(start, block, period):
     """Reference: pulses.csv rows formatted one row and one field at a time."""
@@ -200,7 +200,8 @@ _INT64 = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
 @given(arrays(np.float64, st.integers(0, 40), elements=_FLOATS))
 def test_num_field_matches_num_on_any_times(times):
     # Non-integral, past 2**63, nan and inf: every time prints as _num does.
-    assert _slots(_num_field(times)) == [_num(t) for t in times.tolist()]
+    # _num_field overwrites its argument.
+    assert _slots(_num_field(times.copy())) == [_num(t) for t in times.tolist()]
 
 
 #: Every digit count and sign of an int64: 10**k - 1, 10**k and their
@@ -267,6 +268,20 @@ def _float_edges():
     return np.concatenate([edges, -edges])
 
 
+@settings(deadline=None)
+@given(
+    start=st.floats(-1e4, 1e9, allow_nan=False) | st.sampled_from([0.0, -2.5, 0.1]),
+    width=st.floats(1e-4, 1e6) | st.sampled_from([0.002, 0.1, 0.3, 0.5, 1e16]),
+    n=st.integers(1, 2000),
+)
+def test_float_field_is_repr_on_bin_start_grids(start, width, n):
+    # Bin starts are start + width * k: many round to few digits, so the
+    # trailing zeros of short decimals and the nearest multiple of 10 are
+    # taken on most rows.
+    starts = start + width * np.arange(n)
+    assert _float_field_text(starts) == list(map(repr, starts.tolist()))
+
+
 def test_float_field_is_repr_on_random_bit_patterns_and_edges():
     rng = np.random.default_rng(9)
     # Bit patterns of positional values, 1e-4 <= x < 1e16, which the digit
@@ -296,13 +311,9 @@ def test_mu_eff_of_a_block_rarely_reaches_repr(preset, monkeypatch):
 
 #: Bound on the tracemalloc peak of the pulses.csv rows of one 2**14-pulse
 #: experiment3 block, its fields made by block_outputs and its rows written
-#: chunk by chunk as memqkd run writes them: 1,541 KiB measured with numpy
-#: 2.4, plus 10%. While all of a block's rows were made before the first
-#: was written, and mu_eff's integer and fraction slots were joined by a
-#: copy, it was 1,786 KiB; with the loop that searched one digit count at
-#: a time, 2,611 KiB, and before the field kernels computed in place,
-#: 1,954 KiB.
-ROWS_PEAK_KIB = 1695
+#: chunk by chunk as memqkd run writes them: 1,092 KiB measured with numpy
+#: 2.4, plus 10%.
+ROWS_PEAK_KIB = 1201
 
 
 def _traced_peak(call):
@@ -325,16 +336,15 @@ def test_pulse_csv_rows_of_a_block_peak_below_their_bound():
 
 #: Bound on the tracemalloc peak of one 2**14-pulse block through
 #: map_blocks and block_outputs, its rows written as memqkd run writes them:
-#: 1,775 KiB measured with numpy 2.4 on experiment2 (1,542 on experiment3),
-#: plus 10%. On experiment2 the peak is _shortest_digits' own transient.
-#: While the block's per-pulse arrays stayed alive through mu_eff's
-#: formatting and all of its rows were made before the first was written,
-#: it was 2,062 KiB (2,005 on experiment3); while its simulation
-#: temporaries stayed alive through the formatting, 2,921 KiB on
-#: experiment3, and while its per-pulse arrays stayed alive through the row
-#: assembly and the field kernels made copies, 2,536 KiB (2,861 on
-#: experiment2).
-BLOCK_PEAK_KIB = 1950
+#: 1,141 KiB measured with numpy 2.4 on experiment2 (1,093 on experiment3),
+#: plus 10%. On both the peak is the emit times' _int_field, while every
+#: other field is held.
+BLOCK_PEAK_KIB = 1255
+
+#: Bound on the tracemalloc peak of simulate_block alone on a 2**14-pulse
+#: block: 930 KiB measured with numpy 2.4 on experiment3 and experiment2,
+#: under a round 1,000 KiB.
+SIMULATION_PEAK_KIB = 1000
 
 
 @pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
@@ -343,6 +353,13 @@ def test_a_simulated_and_formatted_block_peaks_below_its_bound(preset):
     reduce = partial(block_outputs, config)
     peak = _traced_peak(lambda: list(map(_write_to_nothing, map_blocks(config, 1, reduce))))
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
+
+
+@pytest.mark.parametrize("preset", ["experiment3", "experiment2"])
+def test_a_block_simulation_peaks_below_its_bound(preset):
+    config = _config(preset, BLOCK_PULSES)
+    peak = _traced_peak(lambda: simulate_block(config, 0))
+    assert peak <= SIMULATION_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
 def test_a_block_peaks_below_its_bound_whatever_the_bin_count():
@@ -513,7 +530,13 @@ def test_sci_field_cases(value, text):
 
 
 def test_digit_groups_are_four_digit_text():
-    assert _DIGIT_GROUPS.view("S4").tolist() == [b"%04d" % k for k in range(10**4)]
+    texts = [b"%04d" % k for k in range(10**4)]
+    lead = [b"\0" * (4 - len(b"%d" % k)) + b"%d" % k for k in range(10**4)]
+    copies = _GROUP_TEXTS.view("V4").reshape(3, 10**4)
+    assert [bytes(t) for t in copies[0]] == texts
+    # 0 is all NUL in the first lead copy and "0" in the units copy.
+    assert [bytes(t) for t in copies[1]] == [b"\0" * 4] + lead[1:]
+    assert [bytes(t) for t in copies[2]] == lead
 
 
 def test_exponent_text_is_formats_exponent():

@@ -344,6 +344,34 @@ def test_sift_length_mismatch_rejected():
         sift(codes(), np.array([Z]), np.array([1]), np.array([0]), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("background", [0.0, 0.7])
+def test_no_layer_writes_into_its_callers_arrays(background):
+    # The layers compute in arrays they allocate themselves: every input
+    # array keeps its values, and no output shares memory with an input.
+    rng = np.random.default_rng(23)
+    n = 500
+    channel = ChannelConfig(transmission=0.59, rel_fluctuation=0.4)
+    memory = MemoryConfig(leak_fraction=0.2, retrieval_efficiency=0.5)
+    state = rng.integers(4, size=n, dtype=np.int8)
+    bob_basis = rng.integers(2, size=n, dtype=np.int8)
+
+    def call(layer, *args):
+        arrays = [arg for arg in args if isinstance(arg, np.ndarray)]
+        copies = [array.copy() for array in arrays]
+        result = layer(*args)
+        for array, copy in zip(arrays, copies):
+            assert np.array_equal(array, copy), layer.__name__
+        for out in result if isinstance(result, tuple) else [result]:
+            if isinstance(out, np.ndarray):
+                assert not any(np.shares_memory(out, a) for a in arrays), layer.__name__
+        return result
+
+    mu_eff = call(sample_arriving_photons, 3.0, channel, rng, n)
+    mu_retrieved, _, _ = call(apply_memory, mu_eff, memory, rng)
+    c0, c1, _ = call(measure, state, bob_basis, mu_retrieved, background, rng)
+    call(sift, state, bob_basis, c0, c1, rng)
+
+
 # --- full pipeline ----------------------------------------------------------
 
 
