@@ -1,6 +1,6 @@
 """Monte Carlo simulator and analysis toolkit for memory-assisted free-space BB84.
 
-The package root exports the twelve names of ``__all__``; every other name
+The package root exports the eleven names of ``__all__``; every other name
 is imported from its module (``memqkd.simulation``, ``memqkd.config``, ...).
 """
 
@@ -8,7 +8,7 @@ from .config import MemoryConfig, RunConfig
 from .histogram import Histogram, bin_clicks, sbr_from_histogram
 from .keyrate import binary_entropy, positive_rate_boundary, secret_key_rate
 from .presets import preset_config
-from .simulation import RunResult, SiftedSample, run_experiment
+from .simulation import RunResult, run_experiment
 
 __all__ = [
     "preset_config",
@@ -16,7 +16,6 @@ __all__ = [
     "MemoryConfig",
     "run_experiment",
     "RunResult",
-    "SiftedSample",
     "bin_clicks",
     "Histogram",
     "sbr_from_histogram",

@@ -289,7 +289,7 @@ def _cmd_run(args) -> int:
             # Rows are written in block order; the totals are summed over
             # the blocks (there is always at least one).
             totals = reduce(operator.add, map(partial(_write_rows, out), blocks))
-        histogram = draw_histogram(config, totals.photons)
+        histogram = draw_histogram(config, totals)
         write_lines(paths["histogram.csv"], histogram_csv_lines(histogram))
         summary = summary_text(config, totals, histogram)
         paths["summary.txt"].write_text(summary)

@@ -116,7 +116,9 @@ def positive_rate_boundary(
             q_star = np.where(found, mid, np.nan)
             return q_star if q_star.ndim else float(q_star)
         h = binary_entropy(mid)
-        positive = _rate(mu, h, h, ec_inefficiency) > 0.0
+        # A rate that overflows to -inf is still not positive.
+        with np.errstate(over="ignore"):
+            positive = _rate(mu, h, h, ec_inefficiency) > 0.0
         lo = np.where(active & positive, mid, lo)
         hi = np.where(active & ~positive, mid, hi)
 
@@ -146,7 +148,8 @@ def key_rate_map(
 
     Each cell equals the pointwise secret_key_rate value, and q_star is
     positive_rate_boundary of mu_axis at boundary_tol; secret_key_rate checks
-    the axis values.
+    the axis values. Raises ValueError, naming the first such cell, where a
+    rate overflows.
     """
     mu_axis = np.asarray(mu_axis, dtype=float)
     qber_axis = np.asarray(qber_axis, dtype=float)
@@ -155,7 +158,13 @@ def key_rate_map(
             raise ValueError(f"{name} must not be empty")
         if np.any(np.diff(axis) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-    rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
+    with np.errstate(over="ignore"):
+        rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
+    non_finite = ~np.isfinite(rates)
+    if non_finite.any():
+        i, j = np.argwhere(non_finite)[0]
+        mu, qber = float(mu_axis[i]), float(qber_axis[j])
+        raise ValueError(f"key rate is not finite at mu={mu!r}, qber={qber!r}: {rates[i, j]}")
     q_star = positive_rate_boundary(mu_axis, ec_inefficiency, boundary_tol)
     return KeyRateMap(mu_axis, qber_axis, rates, q_star)
 

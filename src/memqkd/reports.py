@@ -14,7 +14,7 @@ writes them as they are made. A 2**14-pulse block peaks (traced) while its
 last field, the emit times, is formatted with every other field held:
 about 1,090 KiB on experiment3 and 1,140 on experiment2. mu_eff's
 _shortest_digits, at most six block-length arrays of eight-byte values,
-comes next (about 1,030 and 1,080), then the simulation (930).
+comes next (about 1,030 and 1,080), then the simulation (808).
 
 Every CSV is laid out as (rows, width) byte matrices: each field is a
 column slot padded with NUL bytes, with a sign column only where some value
@@ -666,12 +666,12 @@ def write_lines(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def summary_text(config, totals: BlockTotals, histogram: Histogram) -> str:
-    """Plain-text key = value block with counts, error rates, and SBR.
+    """Plain-text key = value block: the counts of totals (all but
+    leak_hits, which only the histogram shows), error rates, and SBR.
 
     totals (summed over the blocks) and histogram (drawn from them) are the run's.
     """
     memory = config.memory
-    sample, photons = totals.sample, totals.photons
     hist_sbr = sbr_from_histogram(
         histogram,
         memory.retrieval_delay_ns,
@@ -679,7 +679,7 @@ def summary_text(config, totals: BlockTotals, histogram: Histogram) -> str:
         config.analysis.background_region,
     )
     n_pulses = config.source.n_pulses
-    counting = photons.counting_sbr(n_pulses)
+    counting = totals.counting_sbr(n_pulses)
 
     def rate(value: float) -> str:
         return "n/a" if math.isnan(value) else repr(value)
@@ -687,18 +687,18 @@ def summary_text(config, totals: BlockTotals, histogram: Histogram) -> str:
     lines = [
         f"seed = {config.seed}",
         f"pulses = {n_pulses}",
-        f"photons_arrived = {photons.arrived}",
-        f"photons_retrieved = {photons.retrieved}",
-        f"photons_leaked = {photons.leaked}",
-        f"photons_lost = {photons.lost}",
-        f"background_roi_counts = {photons.background_roi}",
-        f"sifted_z = {sample.n_sifted_z}",
-        f"sifted_x = {sample.n_sifted_x}",
-        f"errors_z = {sample.n_err_z}",
-        f"errors_x = {sample.n_err_x}",
-        f"qber_z = {rate(sample.qber_z)}",
-        f"qber_x = {rate(sample.qber_x)}",
-        f"qber_mean = {rate(sample.qber_mean)}",
+        f"photons_arrived = {totals.arrived}",
+        f"photons_retrieved = {totals.retrieved}",
+        f"photons_leaked = {totals.leaked}",
+        f"photons_lost = {totals.lost}",
+        f"background_roi_counts = {totals.background_roi}",
+        f"sifted_z = {totals.n_sifted_z}",
+        f"sifted_x = {totals.n_sifted_x}",
+        f"errors_z = {totals.n_err_z}",
+        f"errors_x = {totals.n_err_x}",
+        f"qber_z = {rate(totals.qber_z)}",
+        f"qber_x = {rate(totals.qber_x)}",
+        f"qber_mean = {rate(totals.qber_mean)}",
         f"sbr_counting = {rate(counting)}",
         f"sbr_histogram = {rate(hist_sbr)}",
     ]

@@ -16,7 +16,7 @@ allocates its own outputs and writes into no array of its caller's; within
 a layer one array serves several steps (a mean becomes the next mean, a
 detector's signal count its whole count), and simulate_block frees each
 array after its last use, so a 2**14-pulse block's traced peak is about
-930 KiB, of which its RunResult keeps 576.
+808 KiB, of which its RunResult keeps 576.
 
 Pulses are simulated in blocks of BLOCK_PULSES consecutive pulses (the last
 block may be shorter). Each block draws every layer as whole arrays from one
@@ -80,8 +80,8 @@ STATES = (("H", 0, 0), ("V", 0, 1), ("D", 1, 0), ("A", 1, 1))
 #: detectors of H and V, X those of D and A, each as (bit 0, bit 1).
 BASES = ("Z", "X")
 
-_BASIS_OF_STATE = np.array([basis for _, basis, _ in STATES])
-_BIT_OF_STATE = np.array([bit for _, _, bit in STATES])
+_BASIS_OF_STATE = np.array([basis for _, basis, _ in STATES], np.int8)
+_BIT_OF_STATE = np.array([bit for _, _, bit in STATES], np.int8)
 #: _P0[state, bob_basis]: probability that a signal photon fires the bit-0
 #: detector of bob_basis. A matched basis projects deterministically onto the
 #: state; the conjugate basis splits 50/50.
@@ -90,36 +90,43 @@ _P0 = np.where(
 )
 
 
-def _fieldwise_sum(self, other):
-    """``__add__`` of a tally dataclass: built by its constructor from each field's own sum."""
-    if not isinstance(other, type(self)):
-        return NotImplemented
-    return type(self)(
-        *(getattr(self, f.name) + getattr(other, f.name) for f in dataclasses.fields(self))
-    )
-
-
 @dataclass(frozen=True)
-class SiftedSample:
-    """Post-sifting tallies and error rates for both bases."""
+class BlockTotals:
+    """The counts of a block or a run, which add exactly across blocks:
+    the sifted pulses and errors per basis, the photons per stage, and the
+    background hits in the leak window outside the ROI (leak_hits).
 
-    n_sifted_z: int
-    n_sifted_x: int
-    n_err_z: int
-    n_err_x: int
+    The photon parts are drawn, not the whole: arrived is their sum.
+    """
+
+    n_sifted_z: int = 0
+    n_sifted_x: int = 0
+    n_err_z: int = 0
+    n_err_x: int = 0
+    retrieved: int = 0
+    leaked: int = 0
+    lost: int = 0
+    background_roi: int = 0
+    leak_hits: int = 0
 
     def __post_init__(self) -> None:
         if self.n_err_z > self.n_sifted_z or self.n_err_x > self.n_sifted_x:
             raise ValueError("errors cannot exceed sifted counts")
 
-    #: Tallies of two disjoint samples, such as two blocks of one run.
-    __add__ = _fieldwise_sum
+    def __add__(self, other: BlockTotals) -> BlockTotals:
+        """The totals of two disjoint samples, such as two blocks of one run."""
+        if not isinstance(other, BlockTotals):
+            return NotImplemented
+        return BlockTotals(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in dataclasses.fields(self))
+        )
 
     @classmethod
     def from_flags(
-        cls, bob_basis: np.ndarray, sifted: np.ndarray, error: np.ndarray
-    ) -> SiftedSample:
-        """Tally per-pulse (sifted, error) flags by Bob's basis."""
+        cls, bob_basis: np.ndarray, sifted: np.ndarray, error: np.ndarray, **counts: int
+    ) -> BlockTotals:
+        """Tally per-pulse (sifted, error) flags by Bob's basis; every other
+        count is given by name."""
         in_z = bob_basis == BASES.index("Z")
         n_sifted_z = int(np.count_nonzero(sifted & in_z))
         n_err_z = int(np.count_nonzero(error & in_z))
@@ -128,6 +135,7 @@ class SiftedSample:
             n_sifted_x=int(np.count_nonzero(sifted)) - n_sifted_z,
             n_err_z=n_err_z,
             n_err_x=int(np.count_nonzero(error)) - n_err_z,
+            **counts,
         )
 
     @property
@@ -144,23 +152,6 @@ class SiftedSample:
         n = self.n_sifted_z + self.n_sifted_x
         return (self.n_err_z + self.n_err_x) / n if n else math.nan
 
-
-@dataclass(frozen=True)
-class PhotonTotals:
-    """Photons per stage over a block or a run, and the background hits in
-    the leak window outside the ROI (leak_hits); blocks add exactly.
-
-    The parts are drawn, not the whole: arrived is their sum.
-    """
-
-    retrieved: int
-    leaked: int
-    lost: int
-    background_roi: int
-    leak_hits: int
-
-    __add__ = _fieldwise_sum
-
     @property
     def arrived(self) -> int:
         return self.retrieved + self.leaked + self.lost
@@ -175,17 +166,6 @@ class PhotonTotals:
         if not (n_pulses and self.background_roi):
             return math.inf if self.retrieved else math.nan
         return (self.retrieved / n_pulses) / (self.background_roi / n_pulses)
-
-
-@dataclass(frozen=True)
-class BlockTotals:
-    """The tallies of a block or a run, which add exactly across blocks: the
-    sifted sample and the photons per stage."""
-
-    sample: SiftedSample
-    photons: PhotonTotals
-
-    __add__ = _fieldwise_sum
 
 
 def _n_blocks(n_pulses: int) -> int:
@@ -259,8 +239,8 @@ def measure(
     mu_retrieved: np.ndarray,
     background_mean: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Four-detector measurement in Bob's basis: (c0, c1, retrieved) per pulse.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Four-detector measurement in Bob's basis: (c0, c1, retrieved).
 
     Retrieved photons route by the ideal projection table, and unpolarized
     ROI background (background_mean per pulse) 50/50 within bob_basis. By
@@ -268,7 +248,8 @@ def measure(
     independent Poissons: signal at mu_retrieved * P0 and mu_retrieved *
     (1 - P0), with P0 = _P0[state, bob_basis], and background at
     background_mean / 2 on each. c0 and c1 count the bit-0 and bit-1
-    detectors of bob_basis; retrieved is the signal part of c0 + c1.
+    detectors of bob_basis per pulse; retrieved is the signal part of
+    their total over all pulses.
     Detectors are ideal and photon-number resolving within the ROI.
     """
     # One array holds the bit-0 detector's mean, then the bit-1 detector's;
@@ -278,7 +259,7 @@ def measure(
     c0 = rng.poisson(mu)
     c1 = rng.poisson(np.subtract(mu_retrieved, mu, out=mu))
     del mu
-    retrieved = c0 + c1
+    retrieved = int(c0.sum()) + int(c1.sum())
     c0 += rng.poisson(background_mean / 2.0, len(state))
     c1 += rng.poisson(background_mean / 2.0, len(state))
     return c0, c1, retrieved
@@ -331,8 +312,8 @@ def _leak_hits_mean(config) -> float:
     return memory.effective_background * length / memory.roi_width_ns
 
 
-def draw_histogram(config, photons: PhotonTotals) -> Histogram:
-    """The Histogram of every click of a run, drawn from its photon totals.
+def draw_histogram(config, totals: BlockTotals) -> Histogram:
+    """The Histogram of every click of a run, drawn from its totals.
 
     Each click is uniform over a known interval: leaked photons over the leak
     window [0, pulse_width_ns), ROI photons over the ROI, leak_hits over the
@@ -350,15 +331,15 @@ def draw_histogram(config, photons: PhotonTotals) -> Histogram:
     roi = h.overlaps(roi_lo, roi_hi)
     leak_background = leak - h.overlaps(max(0.0, roi_lo), min(pulse_width, roi_hi))
     rest = np.maximum(h.overlaps(h.t_start, h.t_end) - roi - leak_background, 0.0)
-    n_pulses, n_roi = config.source.n_pulses, photons.retrieved + photons.background_roi
+    n_pulses, n_roi = config.source.n_pulses, totals.retrieved + totals.background_roi
     # Keyed past every block. SeedSequence pads entropy with zeros, so a
     # stream keyed [seed] alone would draw what block 0's [seed, 0] draws.
     rng = np.random.default_rng([config.seed, _n_blocks(n_pulses)])
-    leak_counts = _spread(photons.leaked, leak, pulse_width, rng)
+    leak_counts = _spread(totals.leaked, leak, pulse_width, rng)
     counts = (
         leak_counts[:-1]
         + _spread(n_roi, roi, memory.roi_width_ns, rng)[:-1]
-        + _spread(photons.leak_hits, leak_background, float(leak_background.sum()), rng)[:-1]
+        + _spread(totals.leak_hits, leak_background, float(leak_background.sum()), rng)[:-1]
         + rng.poisson(memory.effective_background * rest / memory.roi_width_ns * n_pulses)
     )
     return dataclasses.replace(h, counts=counts, n_dropped=int(leak_counts[-1]))
@@ -372,10 +353,10 @@ class RunResult:
     array codes (see the module docstring); c0 and c1 count the bit-0 and
     bit-1 detectors of bob_basis inside the ROI; leak_clicks counts arrivals
     in the leakage window (diagnostic only, never sifted). totals holds the
-    sifted sample and photon ledger, which add exactly across blocks. Pulse
-    i of the run is emitted at i * pulse_period_ns. The counting SBR is
-    totals.photons.counting_sbr(n_pulses), and the run's histogram is
-    draw_histogram(config, totals.photons).
+    sifted counts and the photon ledger, which add exactly across blocks.
+    Pulse i of the run is emitted at i * pulse_period_ns. The counting SBR
+    is totals.counting_sbr(n_pulses), and the run's histogram is
+    draw_histogram(config, totals).
     """
 
     state: np.ndarray
@@ -408,8 +389,7 @@ def simulate_block(config, block):
     c0, c1, retrieved = measure(
         state, bob_basis, mu_retrieved, memory.effective_background, rng
     )
-    n_retrieved = int(retrieved.sum())
-    del mu_retrieved, retrieved
+    del mu_retrieved
     # The lost total only enters the photon ledger; drawn after every
     # per-pulse count, it moves none of them.
     lost = int(rng.poisson(mu_lost))
@@ -432,15 +412,15 @@ def simulate_block(config, block):
         leak_clicks=leaked,
         sifted=sifted,
         error=error,
-        totals=BlockTotals(
-            sample=SiftedSample.from_flags(bob_basis, sifted, error),
-            photons=PhotonTotals(
-                retrieved=n_retrieved,
-                leaked=n_leaked,
-                lost=lost,
-                background_roi=n_roi - n_retrieved,
-                leak_hits=n_hits,
-            ),
+        totals=BlockTotals.from_flags(
+            bob_basis,
+            sifted,
+            error,
+            retrieved=retrieved,
+            leaked=n_leaked,
+            lost=lost,
+            background_roi=n_roi - retrieved,
+            leak_hits=n_hits,
         ),
     )
     return start, result

@@ -35,7 +35,7 @@ DIGEST_TESTS = (
 )
 
 #: (name, file under src/memqkd, text, replacement): nine physics mutants,
-#: then four output mutants.
+#: two tally mutants, then four output mutants.
 MUTANTS = (
     (
         "one detector's background at q/1.8",
@@ -92,16 +92,32 @@ MUTANTS = (
         "rng.poisson(memory.effective_background * rest / memory.roi_width_ns * n_pulses * 1.05)",
     ),
     (
+        "BlockTotals.__add__ skipping leak_hits",
+        "simulation.py",
+        "for f in dataclasses.fields(self))",
+        "for f in dataclasses.fields(self)[:-1])",
+    ),
+    (
+        "the retrieved count taken after the background is added",
+        "simulation.py",
+        "    retrieved = int(c0.sum()) + int(c1.sum())\n"
+        "    c0 += rng.poisson(background_mean / 2.0, len(state))\n"
+        "    c1 += rng.poisson(background_mean / 2.0, len(state))\n",
+        "    c0 += rng.poisson(background_mean / 2.0, len(state))\n"
+        "    c1 += rng.poisson(background_mean / 2.0, len(state))\n"
+        "    retrieved = int(c0.sum()) + int(c1.sum())\n",
+    ),
+    (
         "summary.txt printing errors_z from n_err_x",
         "reports.py",
-        'f"errors_z = {sample.n_err_z}"',
-        'f"errors_z = {sample.n_err_x}"',
+        'f"errors_z = {totals.n_err_z}"',
+        'f"errors_z = {totals.n_err_x}"',
     ),
     (
         "summary.txt printing photons_lost from the leaked count",
         "reports.py",
-        'f"photons_lost = {photons.lost}"',
-        'f"photons_lost = {photons.leaked}"',
+        'f"photons_lost = {totals.lost}"',
+        'f"photons_lost = {totals.leaked}"',
     ),
     (
         "pulses.csv clicks_d0 and clicks_d1 swapped",

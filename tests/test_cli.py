@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from memqkd.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, parse_config, 
 from memqkd.histogram import Histogram, sbr_from_histogram
 from memqkd.keyrate import classical_bound_check, fidelity_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
-from memqkd.simulation import BLOCK_PULSES, PhotonTotals
+from memqkd.simulation import BLOCK_PULSES, BlockTotals
 
 
 def run_cli(*argv):
@@ -517,10 +518,10 @@ def test_summary_agrees_with_pulses_and_histogram_csv(tmp_path, monkeypatch, pre
     assert summary["qber_z"] == _rate(errors_z, sifted_z)
     assert summary["qber_x"] == _rate(errors_x, sifted_x)
     assert summary["qber_mean"] == _rate(errors_z + errors_x, sifted_z + sifted_x)
-    photons = PhotonTotals(
-        *(count[key] for key in (*parts, "background_roi_counts")), leak_hits=0
+    totals = BlockTotals(
+        retrieved=count["photons_retrieved"], background_roi=count["background_roi_counts"]
     )
-    counting = photons.counting_sbr(pulses)
+    counting = totals.counting_sbr(pulses)
     assert summary["sbr_counting"] == ("n/a" if math.isnan(counting) else repr(counting))
 
     config = preset_config(preset, n_pulses=pulses, seed=2016)
@@ -988,6 +989,43 @@ def test_sweep_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
     ) == 1
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        # mu * H(0.5) * f overflows in the one cell.
+        (("--mu-range", "1.75e308", "--qber-range", "0.5", "--resolution", "1x1"),
+         "key rate is not finite at mu=1.75e+308, qber=0.5"),
+        # Only the last cell overflows.
+        (("--mu-range", "1:2", "--qber-range", "0:0.5", "--resolution", "3x3", "--f", "1e308"),
+         "key rate is not finite at mu=2.0, qber=0.5"),
+    ],
+)  # fmt: skip
+def test_sweep_overflowing_rate_is_config_error_before_any_output(tmp_path, capsys, flags, message):
+    # Every input is finite and valid; the rate they give is not.
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep-keyrate", *flags, "--outdir", str(outdir)) == 1
+    assert [str(w.message) for w in caught] == []
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_sweep_boundary_bisection_overflows_without_a_warning(tmp_path):
+    # Each grid cell is finite at QBER 0, but the bisection's first rate at
+    # mu = 3 (QBER 0.25) overflows to -inf, which is still not positive.
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(
+            "sweep-keyrate", "--mu-range", "1:3", "--qber-range", "0",
+            "--resolution", "3x1", "--f", "1e308", "--outdir", str(outdir),
+        ) == 0  # fmt: skip
+    assert [str(w.message) for w in caught] == []
+    boundary = (outdir / "keyrate_boundary.csv").read_text().splitlines()
+    assert len(boundary) == 4
 
 
 @pytest.mark.parametrize(

@@ -341,11 +341,11 @@ def test_expected_clicks_match_a_run(preset, rel_fluctuation):
     result = run_experiment(config)
     # Arrivals plus every background click (each click is leaked, retrieved
     # or background).
-    photons = result.totals.photons
-    histogram = draw_histogram(config, photons)
+    totals = result.totals
+    histogram = draw_histogram(config, totals)
     clicks = histogram.counts.sum() + histogram.n_dropped
-    background = clicks - photons.leaked - photons.retrieved
-    per_pulse = (photons.arrived + background) / 40_000
+    background = clicks - totals.leaked - totals.retrieved
+    per_pulse = (totals.arrived + background) / 40_000
     assert per_pulse == pytest.approx(config.expected_clicks_per_pulse, rel=0.02)
 
 
@@ -408,4 +408,4 @@ def test_negative_zero_is_stored_as_zero():
     )
     assert math.copysign(1.0, config.channel.rel_fluctuation) == 1.0
     assert math.copysign(1.0, config.memory.background_mean) == 1.0
-    assert run_experiment(config).totals.photons.background_roi == 0
+    assert run_experiment(config).totals.background_roi == 0

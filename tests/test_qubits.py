@@ -21,13 +21,13 @@ def test_states_and_bases_in_array_code_order():
 def test_basis_of_state():
     # H and V are measured deterministically in Z, D and A in X.
     assert _BASIS_OF_STATE.tolist() == [Z, Z, X, X]
-    assert _BASIS_OF_STATE.dtype == np.int64
+    assert _BASIS_OF_STATE.dtype == np.int8
 
 
 def test_bit_convention():
     # H and D encode bit 0, V and A bit 1.
     assert _BIT_OF_STATE.tolist() == [0, 1, 0, 1]
-    assert _BIT_OF_STATE.dtype == np.int64
+    assert _BIT_OF_STATE.dtype == np.int8
 
 
 def test_detection_probability_table():

@@ -15,7 +15,6 @@ ROOT_NAMES = [
     "MemoryConfig",
     "run_experiment",
     "RunResult",
-    "SiftedSample",
     "bin_clicks",
     "Histogram",
     "sbr_from_histogram",

@@ -31,9 +31,7 @@ from memqkd.reports import block_outputs
 from memqkd.simulation import (
     BLOCK_PULSES,
     BlockTotals,
-    PhotonTotals,
     RunResult,
-    SiftedSample,
     apply_memory,
     draw_histogram,
     expected_qber,
@@ -98,7 +96,7 @@ def test_arrival_counts_zero_at_zero_mu():
     mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, MemoryConfig(), rng)
     c0, c1, retrieved = measure(codes(H).repeat(100), np.zeros(100, int), mu_retrieved, 0.0, rng)
     assert np.all(leaked == 0) and mu_lost == 0.0
-    assert np.all(c0 == 0) and np.all(c1 == 0) and np.all(retrieved == 0)
+    assert np.all(c0 == 0) and np.all(c1 == 0) and retrieved == 0
 
 
 def test_arrival_mean_matches_memory_input_target():
@@ -110,7 +108,7 @@ def test_arrival_mean_matches_memory_input_target():
     assert np.allclose(mu_eff, 1.6, rtol=1e-12, atol=0.0)
     mu_retrieved, leaked, mu_lost = apply_memory(mu_eff, MemoryConfig(), rng)
     _, _, retrieved = measure(codes(H).repeat(n), np.zeros(n, int), mu_retrieved, 0.0, rng)
-    arrived = leaked.sum() + retrieved.sum() + rng.poisson(mu_lost)
+    arrived = leaked.sum() + retrieved + rng.poisson(mu_lost)
     three_sigma = 3 * math.sqrt(1.6 / n)
     assert arrived / n == pytest.approx(1.6, abs=three_sigma)
 
@@ -164,10 +162,10 @@ def test_all_leaking_memory_retrieves_nothing():
 def test_memory_conservation_exact():
     # Every block draws photons into each of the memory's three outputs.
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=3)
-    blocks = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals.photons))
+    blocks = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals))
     assert len(blocks) == 3
-    for photons in blocks:
-        assert min(photons.retrieved, photons.leaked, photons.lost) > 0
+    for totals in blocks:
+        assert min(totals.retrieved, totals.leaked, totals.lost) > 0
 
 
 def test_memory_split_matches_multinomial_fractions():
@@ -178,7 +176,7 @@ def test_memory_split_matches_multinomial_fractions():
     mu_retrieved, leaked, mu_lost = apply_memory(np.full(n, 5.0), memory, rng)
     _, _, retrieved = measure(codes(H).repeat(n), np.zeros(n, int), mu_retrieved, 0.0, rng)
     total = 5.0 * n
-    for count, p in ((retrieved.sum(), 0.12), (leaked.sum(), 0.35), (rng.poisson(mu_lost), 0.53)):
+    for count, p in ((retrieved, 0.12), (leaked.sum(), 0.35), (rng.poisson(mu_lost), 0.53)):
         three_sigma = 3 * math.sqrt(p / total)  # Poisson: variance p * total
         assert abs(count / total - p) < three_sigma
 
@@ -191,7 +189,9 @@ def test_memory_split_is_poisson_thinning():
     memory = MemoryConfig(retrieval_efficiency=eta, leak_fraction=leak, background_mean=0.0)
     rng = np.random.default_rng(12)
     mu_retrieved, leaked, _ = apply_memory(np.full(n, mu), memory, rng)
-    _, _, retrieved = measure(codes(D).repeat(n), np.full(n, X), mu_retrieved, 0.0, rng)
+    c0, c1, _ = measure(codes(D).repeat(n), np.full(n, X), mu_retrieved, 0.0, rng)
+    # Without background every click is a retrieved photon.
+    retrieved = c0 + c1
     arrived = rng.poisson(mu, n)
     chain_leaked = rng.binomial(arrived, leak)
     chain_retrieved = rng.binomial(arrived - chain_leaked, eta / (1.0 - leak))
@@ -215,8 +215,8 @@ def test_memory_long_run_sbr():
     c0, c1, retrieved = measure(
         codes(H).repeat(n), np.zeros(n, int), mu_retrieved, memory.effective_background, rng
     )
-    background = c0.sum() + c1.sum() - retrieved.sum()
-    assert retrieved.sum() / background == pytest.approx(26.0, rel=0.05)
+    background = c0.sum() + c1.sum() - retrieved
+    assert retrieved / background == pytest.approx(26.0, rel=0.05)
 
 
 def test_memory_validation():
@@ -238,7 +238,7 @@ def test_measure_matched_basis_clicks_correct_detector():
     n = 200
     c0, c1, retrieved = measure(codes(H).repeat(n), np.full(n, Z), np.ones(n), 0.0, rng)
     assert c0.sum() > 0
-    assert np.array_equal(c0, retrieved)  # H is the bit-0 detector of Z
+    assert c0.sum() == retrieved  # H is the bit-0 detector of Z
     assert np.all(c1 == 0)
 
 
@@ -247,7 +247,7 @@ def test_measure_conjugate_basis_splits_evenly():
     n = 20_000
     c0, c1, retrieved = measure(codes(H).repeat(n), np.full(n, X), np.ones(n), 0.0, rng)
     d_clicks, a_clicks = int(c0.sum()), int(c1.sum())
-    assert np.array_equal(c0 + c1, retrieved)
+    assert d_clicks + a_clicks == retrieved
     # Independent Poisson(n / 2) counts: their difference has variance n.
     assert abs(d_clicks - a_clicks) < 3 * math.sqrt(n)
 
@@ -256,7 +256,7 @@ def test_measure_background_splits_evenly():
     rng = np.random.default_rng(8)
     n = 5000
     first, second, retrieved = measure(codes(H).repeat(n), np.full(n, Z), np.zeros(n), 10.0, rng)
-    assert np.all(retrieved == 0)
+    assert retrieved == 0
     total = 10 * n
     assert abs(first.sum() + second.sum() - total) < 3 * math.sqrt(total)
     assert abs(first.sum() - second.sum()) < 3 * math.sqrt(total)
@@ -279,11 +279,11 @@ def test_basis_choice_is_balanced():
 
 
 def _sift(states, bases, c0, c1, rng=None):
-    """SiftedSample of pulses given as parallel lists."""
+    """BlockTotals of pulses given as parallel lists."""
     bob_basis = np.array(["ZX".index(b) for b in bases], dtype=np.int8)
     rng = np.random.default_rng(0) if rng is None else rng
     sifted, error = sift(codes(*states), bob_basis, np.array(c0), np.array(c1), rng)
-    return SiftedSample.from_flags(bob_basis, sifted, error)
+    return BlockTotals.from_flags(bob_basis, sifted, error)
 
 
 def test_sift_arithmetic():
@@ -385,11 +385,11 @@ def test_noise_free_run_has_zero_qber():
         seed=99,
     )
     result = run_experiment(config)
-    assert result.totals.sample.n_err_z == 0
-    assert result.totals.sample.n_err_x == 0
-    assert result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x > 500
-    assert result.totals.sample.qber_z == 0.0
-    assert result.totals.sample.qber_x == 0.0
+    assert result.totals.n_err_z == 0
+    assert result.totals.n_err_x == 0
+    assert result.totals.n_sifted_z + result.totals.n_sifted_x > 500
+    assert result.totals.qber_z == 0.0
+    assert result.totals.qber_x == 0.0
 
 
 def test_run_arrivals_match_the_memory_input_mean():
@@ -399,7 +399,7 @@ def test_run_arrivals_match_the_memory_input_mean():
     channel = dataclasses.replace(config.channel, rel_fluctuation=0.0)
     config = dataclasses.replace(config, channel=channel)
     mean = config.source.n_pulses * config.source.mu_alice * channel.transmission
-    assert abs(run_experiment(config).totals.photons.arrived - mean) < 4 * math.sqrt(mean)
+    assert abs(run_experiment(config).totals.arrived - mean) < 4 * math.sqrt(mean)
 
 
 #: Per-pulse arrays of a RunResult.
@@ -413,8 +413,8 @@ def test_run_determinism_same_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
     b = run_experiment(config)
-    assert a.totals.sample == b.totals.sample
-    assert draw_histogram(config, a.totals.photons) == draw_histogram(config, b.totals.photons)
+    assert a.totals == b.totals
+    assert draw_histogram(config, a.totals) == draw_histogram(config, b.totals)
     for column in COLUMNS:
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
@@ -423,7 +423,7 @@ def test_run_changes_with_seed():
     config = preset_config("experiment3", n_pulses=1500, seed=31)
     a = run_experiment(config)
     b = run_experiment(dataclasses.replace(config, seed=32))
-    assert a.totals.sample != b.totals.sample
+    assert a.totals != b.totals
 
 
 def test_run_takes_no_input_but_config_block_and_workers():
@@ -443,9 +443,9 @@ def test_worker_partition_invariance():
         config = preset_config(preset, n_pulses=7 * BLOCK_PULSES // 2, seed=17)
         solo = run_experiment(config, workers=1)
         split = run_experiment(config, workers=3)
-        assert solo.totals.sample == split.totals.sample, preset
-        assert draw_histogram(config, solo.totals.photons) == draw_histogram(
-            config, split.totals.photons
+        assert solo.totals == split.totals, preset
+        assert draw_histogram(config, solo.totals) == draw_histogram(
+            config, split.totals
         ), preset
         for column in COLUMNS:
             assert np.array_equal(getattr(solo, column), getattr(split, column)), (
@@ -458,8 +458,8 @@ def test_zero_pulse_run():
     config = preset_config("experiment3", n_pulses=0, seed=1)
     result = run_experiment(config)
     assert all(getattr(result, column).size == 0 for column in COLUMNS)
-    assert result.totals.sample.n_sifted_z == 0
-    histogram = draw_histogram(config, result.totals.photons)
+    assert result.totals.n_sifted_z == 0
+    histogram = draw_histogram(config, result.totals)
     assert histogram.counts.sum() == histogram.n_dropped == 0
 
 
@@ -477,23 +477,23 @@ def test_run_sbr_estimator_consistency():
     expected = (
         memory.retrieval_efficiency * 1.6 / memory.effective_background
     )
-    assert result.totals.photons.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
+    assert result.totals.counting_sbr(100_000) == pytest.approx(expected, rel=0.05)
 
 
 def test_counting_sbr_without_background_is_inf_and_without_counts_nan():
-    assert simulation.PhotonTotals(5, 1, 2, 0, 3).counting_sbr(10) == math.inf
-    assert math.isnan(simulation.PhotonTotals(0, 1, 2, 0, 3).counting_sbr(10))
-    assert math.isnan(simulation.PhotonTotals(0, 0, 0, 0, 0).counting_sbr(0))
+    assert BlockTotals(retrieved=5, leaked=1, lost=2, leak_hits=3).counting_sbr(10) == math.inf
+    assert math.isnan(BlockTotals(leaked=1, lost=2, leak_hits=3).counting_sbr(10))
+    assert math.isnan(BlockTotals().counting_sbr(0))
 
 
 def test_run_qber_converges_to_oracle():
     config = preset_config("experiment3", n_pulses=100_000, seed=12)
     result = run_experiment(config)
     oracle = qber_oracle_from_sbr(3.2017)
-    n_sifted = result.totals.sample.n_sifted_z + result.totals.sample.n_sifted_x
+    n_sifted = result.totals.n_sifted_z + result.totals.n_sifted_x
     se = math.sqrt(oracle * (1 - oracle) / n_sifted)
-    assert abs(result.totals.sample.qber_mean - oracle) <= 3 * se
-    assert result.totals.sample.qber_mean == pytest.approx(0.119, abs=0.005)
+    assert abs(result.totals.qber_mean - oracle) <= 3 * se
+    assert result.totals.qber_mean == pytest.approx(0.119, abs=0.005)
 
 
 def test_sifted_pulses_need_matched_basis():
@@ -653,8 +653,8 @@ def test_histogram_matches_closed_form_bin_means(geometry):
         seed=41,
     )
     result = run_experiment(config)
-    photons = result.totals.photons
-    h = draw_histogram(config, photons)
+    totals = result.totals
+    h = draw_histogram(config, totals)
     memory, pulse_width = config.memory, config.source.pulse_width_ns
     window_lo, window_hi = config.analysis.window
     starts = window_lo + config.analysis.bin_width_ns * np.arange(h.n_bins)
@@ -669,8 +669,8 @@ def test_histogram_matches_closed_form_bin_means(geometry):
     roi = overlap(*memory.roi)
     per_ns = memory.effective_background / memory.roi_width_ns
     expected = (
-        photons.leaked * overlap(0.0, pulse_width) / pulse_width
-        + (photons.retrieved + photons.background_roi) * roi / memory.roi_width_ns
+        totals.leaked * overlap(0.0, pulse_width) / pulse_width
+        + (totals.retrieved + totals.background_roi) * roi / memory.roi_width_ns
         + n * per_ns * (ends - starts - roi)
     )
     assert (h.counts[expected == 0] == 0).all()
@@ -678,14 +678,14 @@ def test_histogram_matches_closed_form_bin_means(geometry):
     statistic = float(((observed - expected) ** 2 / expected).sum())
     assert chi2.sf(statistic, len(expected)) > 1e-3, statistic / len(expected)
 
-    dropped = photons.leaked * dropped_fraction
+    dropped = totals.leaked * dropped_fraction
     spread = math.sqrt(dropped * (1.0 - dropped_fraction))
     assert abs(h.n_dropped - dropped) <= 5 * spread
 
     hits = per_ns * leak_background_ns
-    assert photons.leak_hits == result.leak_clicks.sum() - photons.leaked
+    assert totals.leak_hits == result.leak_clicks.sum() - totals.leaked
     mean = result.leak_clicks.mean()
-    assert abs(mean - photons.leaked / n - hits) <= 5 * math.sqrt(hits / n)
+    assert abs(mean - totals.leaked / n - hits) <= 5 * math.sqrt(hits / n)
 
 
 # --- block stream -------------------------------------------------------------
@@ -796,7 +796,7 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
     def reduce(b):
         start, block = simulate_block(config, b)
         seen.append(start)
-        return start, block.totals.sample, block.totals.photons
+        return start, block.totals
 
     solo = list(map_blocks(config, 1, reduce))
     split = list(map_blocks(config, 2, reduce))
@@ -893,19 +893,23 @@ _COUNTS = st.integers(0, 2**70)
 
 
 @st.composite
-def _samples(draw):
-    """Any valid SiftedSample: errors never exceed the sifted count."""
+def _totals(draw):
+    """Any valid BlockTotals: errors never exceed the sifted count."""
     n_sifted_z, n_sifted_x = draw(_COUNTS), draw(_COUNTS)
-    return SiftedSample(
-        n_sifted_z, n_sifted_x, draw(st.integers(0, n_sifted_z)), draw(st.integers(0, n_sifted_x))
+    return BlockTotals(
+        n_sifted_z,
+        n_sifted_x,
+        draw(st.integers(0, n_sifted_z)),
+        draw(st.integers(0, n_sifted_x)),
+        *(draw(_COUNTS) for _ in range(5)),
     )
 
 
-@given(st.lists(_samples(), min_size=1, max_size=6))
-def test_sifted_sample_sum_is_exact(samples):
-    total = sum(samples[1:], samples[0])
-    for field in ("n_sifted_z", "n_sifted_x", "n_err_z", "n_err_x"):
-        assert getattr(total, field) == sum(getattr(s, field) for s in samples)
+@given(st.lists(_totals(), min_size=1, max_size=6))
+def test_block_totals_sum_is_exact(totals):
+    total = sum(totals[1:], totals[0])
+    for field in dataclasses.fields(BlockTotals):
+        assert getattr(total, field.name) == sum(getattr(t, field.name) for t in totals)
 
 
 def _histogram(window, counts, n_dropped):
@@ -915,13 +919,13 @@ def _histogram(window, counts, n_dropped):
 
 
 def test_block_totals_add_part_by_part():
-    a = BlockTotals(SiftedSample(5, 6, 1, 2), PhotonTotals(7, 3, 2, 1, 4))
-    b = BlockTotals(SiftedSample(2, 1, 2, 0), PhotonTotals(1, 0, 5, 8, 6))
-    total = a + b
-    assert total.sample == SiftedSample(7, 7, 3, 2)
-    assert total.photons == PhotonTotals(8, 3, 7, 9, 10)
+    a = BlockTotals(5, 6, 1, 2, 7, 3, 2, 1, 4)
+    b = BlockTotals(2, 1, 2, 0, 1, 0, 5, 8, 6)
+    assert a + b == BlockTotals(7, 7, 3, 2, 8, 3, 7, 9, 10)
     with pytest.raises(TypeError):
         a + 0
+    with pytest.raises(ValueError, match="errors cannot exceed sifted counts"):
+        BlockTotals(n_sifted_x=1, n_err_x=2)
     # Histograms add bin by bin, and only in one layout.
     h = _histogram((0, 3), [1, 0, 2], 4) + _histogram((0, 3), [0, 9, 1], 1)
     assert np.array_equal(h.counts, [1, 9, 3]) and h.n_dropped == 5
@@ -929,8 +933,8 @@ def test_block_totals_add_part_by_part():
         _histogram((0, 3), [1, 0, 2], 4) + _histogram((1, 4), [1, 0, 2], 4)
 
 
-def test_block_samples_sum_to_the_run_sample():
+def test_block_totals_sum_to_the_run_totals():
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=29)
-    samples = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals.sample))
-    assert len(samples) == 3
-    assert sum(samples[1:], samples[0]) == run_experiment(config).totals.sample
+    totals = list(map_blocks(config, 1, lambda b: simulate_block(config, b)[1].totals))
+    assert len(totals) == 3
+    assert sum(totals[1:], totals[0]) == run_experiment(config).totals
