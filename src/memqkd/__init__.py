@@ -1,11 +1,11 @@
 """Monte Carlo simulator and analysis toolkit for memory-assisted free-space BB84.
 
-The package root exports the eleven names of ``__all__``; every other name
+The package root exports the ten names of ``__all__``; every other name
 is imported from its module (``memqkd.simulation``, ``memqkd.config``, ...).
 """
 
 from .config import MemoryConfig, RunConfig
-from .histogram import Histogram, bin_clicks, sbr_from_histogram
+from .histogram import Histogram, sbr_from_histogram
 from .keyrate import binary_entropy, positive_rate_boundary, secret_key_rate
 from .presets import preset_config
 from .simulation import RunResult, run_experiment
@@ -16,7 +16,6 @@ __all__ = [
     "MemoryConfig",
     "run_experiment",
     "RunResult",
-    "bin_clicks",
     "Histogram",
     "sbr_from_histogram",
     "secret_key_rate",

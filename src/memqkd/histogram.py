@@ -1,8 +1,11 @@
-"""Time-of-arrival histograms, ROI integration, and histogram-based SBR."""
+"""Time-of-arrival histograms, ROI integration, and histogram-based SBR.
+
+A run's Histogram is drawn from its totals by simulation.draw_histogram;
+any other is built from its counts.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -11,11 +14,12 @@ import numpy as np
 
 @dataclass(eq=False)
 class Histogram:
-    """Fixed-width binning of pulse-relative arrival times.
+    """Counts of pulse-relative arrival times in fixed-width bins.
 
-    Bins are half-open [start, start + bin_width); the last bin may extend
-    past t_end when the window is not a whole number of bins. n_dropped
-    counts timestamps that fell outside [t_start, t_end).
+    Bins are half-open [start, start + bin_width) from t_start; the last bin
+    may extend past t_end when the window is not a whole number of bins.
+    n_dropped counts leaked photons whose arrival falls outside
+    [t_start, t_end).
     """
 
     bin_width: float
@@ -35,26 +39,22 @@ class Histogram:
     @classmethod
     def empty(cls, bin_width: float, window: tuple[float, float]) -> Histogram:
         """No counts, in bins of bin_width from window[0] that cover the window."""
-        if not bin_width > 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
+        if not 0 < bin_width < math.inf:
+            raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
         t_start, t_end = float(window[0]), float(window[1])
         if not t_end > t_start:
             raise ValueError(f"window must be nonempty, got {window}")
-        n_bins = math.ceil((t_end - t_start) / bin_width)
-        return cls(bin_width, t_start, t_end, np.zeros(n_bins, np.int64))
+        # Also inf for a window with an infinite end.
+        n_bins = (t_end - t_start) / bin_width
+        if not n_bins < math.inf:
+            raise ValueError(f"window {window} holds no finite number of bins of {bin_width}")
+        return cls(bin_width, t_start, t_end, np.zeros(math.ceil(n_bins), np.int64))
 
     def overlaps(self, lo: float, hi: float) -> np.ndarray:
         """Length of [lo, hi) inside each bin, the last bin cut at t_end."""
         starts = self.bin_starts
         ends = np.minimum(starts + self.bin_width, self.t_end)
         return np.clip(np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, self.bin_width)
-
-    def bin_index(self, times: np.ndarray) -> np.ndarray:
-        """The bin of each time, or -1 for a time outside [t_start, t_end)."""
-        inside = (times >= self.t_start) & (times < self.t_end)
-        # The quotient of a time just below t_end can round up to n_bins.
-        index = np.minimum(np.floor((times - self.t_start) / self.bin_width), self.n_bins - 1)
-        return np.where(inside, index, -1).astype(np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
@@ -66,53 +66,6 @@ class Histogram:
             and self.n_dropped == other.n_dropped
             and np.array_equal(self.counts, other.counts)
         )
-
-    def __add__(self, other: "Histogram") -> "Histogram":
-        """Merge two histograms with identical layout by elementwise addition."""
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        if (
-            self.bin_width != other.bin_width
-            or self.t_start != other.t_start
-            or self.t_end != other.t_end
-        ):
-            raise ValueError("cannot merge histograms with different layouts")
-        counts, n_dropped = self.counts + other.counts, self.n_dropped + other.n_dropped
-        return dataclasses.replace(self, counts=counts, n_dropped=n_dropped)
-
-
-def bin_clicks(timestamps, bin_width: float, window: tuple[float, float]) -> Histogram:
-    """Bin pulse-relative click times into a Histogram.
-
-    Every timestamp in [t_start, t_end) increments exactly one bin;
-    out-of-window timestamps are dropped and tallied in n_dropped, so that
-    sharding a timestamp list and merging the per-shard histograms equals a
-    single pass exactly.
-    """
-    h = Histogram.empty(bin_width, window)
-    index = h.bin_index(np.asarray(timestamps, dtype=float))
-    inside = index[index >= 0]
-    counts = np.bincount(inside, minlength=h.n_bins).astype(np.int64)
-    return dataclasses.replace(h, counts=counts, n_dropped=index.size - inside.size)
-
-
-def click_times(h: Histogram, rng: np.random.Generator) -> np.ndarray:
-    """Click times that bin_clicks bins back into h's counts exactly.
-
-    Each bin's counts are drawn uniform over the bin (the last cut at t_end)
-    from rng alone; n_dropped clicks are not reconstructed. Rounding can put
-    a time on a bin edge or floor it onto a neighbouring bin; such a time
-    moves to the middle of its own bin. That is exact for every bin wider
-    than a few float spacings at its edges (a sliver of a last bin that
-    rounding adds past t_end gets no counts from a run).
-    """
-    bins = np.repeat(np.arange(h.n_bins), h.counts)
-    starts = h.bin_starts[bins]
-    ends = np.minimum(starts + h.bin_width, h.t_end)
-    times = rng.uniform(starts, ends)
-    stray = h.bin_index(times) != bins
-    times[stray] = starts[stray] + (ends[stray] - starts[stray]) / 2.0
-    return times
 
 
 def _window_counts(h: Histogram, lo: float, hi: float) -> float:

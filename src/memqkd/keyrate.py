@@ -67,6 +67,7 @@ def secret_key_rate(
     per-basis error rates, and ec_inefficiency the overhead factor of the
     classical error-correction step (1 would be Shannon-limit reconciliation).
     The arguments broadcast against each other; scalars return a float.
+    Raises ValueError, naming the first such cell, where a rate overflows.
     """
     mu, qber_x, qber_z, f = (
         np.asarray(v, dtype=float) for v in (mu, qber_x, qber_z, ec_inefficiency)
@@ -75,7 +76,17 @@ def secret_key_rate(
     for name, q in (("qber_x", qber_x), ("qber_z", qber_z)):
         _require((0.0 <= q) & (q <= 0.5), q, f"{name} must lie in [0, 0.5]")
     _require((1.0 <= f) & (f < np.inf), f, "ec_inefficiency must be >= 1 and finite")
-    rate = _rate(mu, binary_entropy(qber_x), binary_entropy(qber_z), f)
+    with np.errstate(over="ignore"):
+        rate = _rate(mu, binary_entropy(qber_x), binary_entropy(qber_z), f)
+    finite = np.isfinite(rate)
+    if not finite.all():
+        mu, qber_x, qber_z = (
+            float(np.broadcast_to(v, rate.shape)[~finite][0]) for v in (mu, qber_x, qber_z)
+        )
+        raise ValueError(
+            f"key rate is not finite at mu={mu!r}, qber_x={qber_x!r}, qber_z={qber_z!r}: "
+            f"{rate[~finite][0]}"
+        )
     return rate if rate.ndim else float(rate)
 
 
@@ -148,8 +159,7 @@ def key_rate_map(
 
     Each cell equals the pointwise secret_key_rate value, and q_star is
     positive_rate_boundary of mu_axis at boundary_tol; secret_key_rate checks
-    the axis values. Raises ValueError, naming the first such cell, where a
-    rate overflows.
+    the axis values and the rates.
     """
     mu_axis = np.asarray(mu_axis, dtype=float)
     qber_axis = np.asarray(qber_axis, dtype=float)
@@ -158,13 +168,7 @@ def key_rate_map(
             raise ValueError(f"{name} must not be empty")
         if np.any(np.diff(axis) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-    with np.errstate(over="ignore"):
-        rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
-    non_finite = ~np.isfinite(rates)
-    if non_finite.any():
-        i, j = np.argwhere(non_finite)[0]
-        mu, qber = float(mu_axis[i]), float(qber_axis[j])
-        raise ValueError(f"key rate is not finite at mu={mu!r}, qber={qber!r}: {rates[i, j]}")
+    rates = secret_key_rate(mu_axis[:, None], qber_axis, qber_axis, ec_inefficiency)
     q_star = positive_rate_boundary(mu_axis, ec_inefficiency, boundary_tol)
     return KeyRateMap(mu_axis, qber_axis, rates, q_star)
 

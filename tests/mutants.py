@@ -34,7 +34,7 @@ DIGEST_TESTS = (
     "tests/test_cli.py::test_sweep_outputs_match_golden_digests",
 )
 
-#: (name, file under src/memqkd, text, replacement): nine physics mutants,
+#: (name, file under src/memqkd, text, replacement): ten physics mutants,
 #: two tally mutants, then four output mutants.
 MUTANTS = (
     (
@@ -54,6 +54,12 @@ MUTANTS = (
         "simulation.py",
         "_spread(n_roi, roi, memory.roi_width_ns, rng)",
         "_spread(n_roi, leak, pulse_width, rng)",
+    ),
+    (
+        "leak-window hits spread over the ROI",
+        "simulation.py",
+        "_spread(totals.leak_hits, leak_background, float(leak_background.sum()), rng)",
+        "_spread(totals.leak_hits, roi, memory.roi_width_ns, rng)",
     ),
     (
         "H's bit-0 probability scaled by 0.97",

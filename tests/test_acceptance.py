@@ -19,7 +19,7 @@ from memqkd.config import (
     SourceConfig,
     SourceMode,
 )
-from memqkd.histogram import bin_clicks, click_times, sbr_from_histogram
+from memqkd.histogram import Histogram, roi_integrate, sbr_from_histogram
 from memqkd.keyrate import (
     classical_bound_check,
     fidelity_from_sbr,
@@ -255,17 +255,20 @@ def test_criterion_09_source_statistics(tmp_path):
 
 
 def test_criterion_10_histogram_conservation_and_sbr_recovery():
-    # Shard/merge equality on click times drawn from a real pipeline histogram.
+    # Exact conservation on the program's own histogram: the ROI holds the
+    # retrieved photons and ROI background, the leak window [0,
+    # pulse_width_ns) the leaked photons inside the record window and the
+    # leak-window background hits (both regions are whole bins here).
     config4 = preset_config("experiment4", n_pulses=100_000, seed=10)
     run4 = run_experiment(config4)
-    times = click_times(draw_histogram(config4, run4.totals), np.random.default_rng(1010))
-    layout = (config4.analysis.bin_width_ns, config4.analysis.window)
-    whole = bin_clicks(times, *layout)
-    shards = np.array_split(times, 9)
-    merged = bin_clicks(shards[0], *layout)
-    for shard in shards[1:]:
-        merged = merged + bin_clicks(shard, *layout)
-    sharding_ok = merged == whole
+    totals4, hist4 = run4.totals, draw_histogram(config4, run4.totals)
+    memory4 = config4.memory
+    roi4 = roi_integrate(hist4, memory4.retrieval_delay_ns, memory4.roi_width_ns)
+    leak4 = int(hist4.counts[hist4.overlaps(0.0, config4.source.pulse_width_ns) > 0].sum())
+    conservation_ok = (
+        roi4 == totals4.retrieved + totals4.background_roi
+        and leak4 == totals4.leaked - hist4.n_dropped + totals4.leak_hits
+    )
 
     # Synthetic recovery: known ratio 5 with >= 1e4 counts in each region.
     rng = np.random.default_rng(1010)
@@ -278,32 +281,32 @@ def test_criterion_10_histogram_conservation_and_sbr_recovery():
         ]
     )
     analysis = AnalysisConfig()
-    estimate = sbr_from_histogram(
-        bin_clicks(synthetic, analysis.bin_width_ns, analysis.window),
-        1000.0,
-        100.0,
-        (1200.0, 2000.0),
-    )
+    binned = Histogram.empty(analysis.bin_width_ns, analysis.window)
+    binned.counts = np.histogram(synthetic, np.append(binned.bin_starts, binned.t_end))[0]
+    estimate = sbr_from_histogram(binned, 1000.0, 100.0, (1200.0, 2000.0))
     true_ratio = 5.0
     sigma = true_ratio * math.sqrt(1.0 / 50_000 + 1.0 / 80_000)
     synthetic_ok = abs(estimate - true_ratio) <= 3 * sigma
 
-    def preset_histogram_sbr(result, config):
+    def preset_histogram_sbr(hist, config):
         return sbr_from_histogram(
-            draw_histogram(config, result.totals),
+            hist,
             config.memory.retrieval_delay_ns,
             config.memory.roi_width_ns,
             config.analysis.background_region,
         )
 
-    sbr4 = preset_histogram_sbr(run4, config4)
+    sbr4 = preset_histogram_sbr(hist4, config4)
     config5 = preset_config("experiment5", n_pulses=100_000, seed=10)
-    sbr5 = preset_histogram_sbr(run_experiment(config5), config5)
+    sbr5 = preset_histogram_sbr(draw_histogram(config5, run_experiment(config5).totals), config5)
     presets_ok = abs(sbr4 - 26.0) <= 2.6 and abs(sbr5 - 7.2) <= 0.72
 
     _verdict(
         10,
-        "histogram sharding exact, SBR recovery on synthetic and preset runs",
-        sharding_ok and synthetic_ok and presets_ok,
+        "histogram conserves the run's clicks exactly, SBR recovery on synthetic "
+        "and preset runs",
+        conservation_ok and synthetic_ok and presets_ok,
+        f"ROI {roi4} = {totals4.retrieved} + {totals4.background_roi}, leak window "
+        f"{leak4} = {totals4.leaked} - {hist4.n_dropped} + {totals4.leak_hits}, "
         f"synthetic={estimate:.3f}, preset4={sbr4:.2f}, preset5={sbr5:.2f}",
     )

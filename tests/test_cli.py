@@ -996,10 +996,10 @@ def test_sweep_rejects_non_finite_inputs(tmp_path, capsys, flags, message):
     [
         # mu * H(0.5) * f overflows in the one cell.
         (("--mu-range", "1.75e308", "--qber-range", "0.5", "--resolution", "1x1"),
-         "key rate is not finite at mu=1.75e+308, qber=0.5"),
+         "key rate is not finite at mu=1.75e+308, qber_x=0.5, qber_z=0.5"),
         # Only the last cell overflows.
         (("--mu-range", "1:2", "--qber-range", "0:0.5", "--resolution", "3x3", "--f", "1e308"),
-         "key rate is not finite at mu=2.0, qber=0.5"),
+         "key rate is not finite at mu=2.0, qber_x=0.5, qber_z=0.5"),
     ],
 )  # fmt: skip
 def test_sweep_overflowing_rate_is_config_error_before_any_output(tmp_path, capsys, flags, message):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,27 @@ def test_key_rate_input_rejects_non_finite(name, message, value):
     with pytest.raises(ValueError, match=message):
         secret_key_rate(**{**point, name: value})
 
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # mu * H(0.5) * f overflows in the one cell.
+        ((1.75e308, 0.5, 0.5), "mu=1.75e+308, qber_x=0.5, qber_z=0.5: -inf"),
+        # Of a broadcast (mu, qber_z) grid at f = 1e308, only mu 2 at qber_z
+        # 0.5 overflows; the cell is named by its broadcast values.
+        (
+            (np.array([[1.0], [2.0]]), 0.25, np.array([0.0, 0.5]), 1e308),
+            "mu=2.0, qber_x=0.25, qber_z=0.5: -inf",
+        ),
+    ],
+    ids=["scalar", "grid"],
+)
+def test_secret_key_rate_overflow_is_an_error_naming_the_cell(args, message):
+    # Every input is finite and valid; the rate they give is not. Warnings
+    # are errors in Tier-1, so none may be raised on the way.
+    with pytest.raises(ValueError, match=f"^key rate is not finite at {re.escape(message)}$"):
+        secret_key_rate(*args)
 
 def test_boundary_value_against_oracle():
     # Independent oracle: bisect H(q) = e^-mu / (f + e^-mu) directly.

@@ -15,7 +15,6 @@ ROOT_NAMES = [
     "MemoryConfig",
     "run_experiment",
     "RunResult",
-    "bin_clicks",
     "Histogram",
     "sbr_from_histogram",
     "secret_key_rate",

@@ -24,7 +24,7 @@ from memqkd.config import (
     SourceConfig,
     SourceMode,
 )
-from memqkd.histogram import Histogram
+from memqkd.histogram import roi_integrate
 from memqkd.keyrate import qber_oracle_from_sbr
 from memqkd.presets import PRESET_NAMES, preset_config
 from memqkd.reports import block_outputs
@@ -688,6 +688,24 @@ def test_histogram_matches_closed_form_bin_means(geometry):
     assert abs(mean - totals.leaked / n - hits) <= 5 * math.sqrt(hits / n)
 
 
+
+@pytest.mark.parametrize("window_start_ns", [0.0, 200.0])  # 200: part of the leak window drops
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_drawn_histogram_conserves_every_click(preset, window_start_ns):
+    config = preset_config(preset, n_pulses=40_000, seed=10)
+    analysis = dataclasses.replace(config.analysis, window_start_ns=window_start_ns)
+    config = dataclasses.replace(config, analysis=analysis)
+    totals = run_experiment(config).totals
+    h = draw_histogram(config, totals)
+    memory = config.memory
+    # Every preset's ROI and leak window [0, pulse_width_ns) are whole bins
+    # that do not meet, so each holds exactly the clicks spread over it.
+    roi = roi_integrate(h, memory.retrieval_delay_ns, memory.roi_width_ns)
+    assert roi == totals.retrieved + totals.background_roi
+    leak_window = h.overlaps(0.0, config.source.pulse_width_ns) > 0
+    assert h.counts[leak_window].sum() == totals.leaked - h.n_dropped + totals.leak_hits
+    assert (h.n_dropped > 0) == (window_start_ns > 0)
+
 # --- block stream -------------------------------------------------------------
 
 
@@ -912,12 +930,6 @@ def test_block_totals_sum_is_exact(totals):
         assert getattr(total, field.name) == sum(getattr(t, field.name) for t in totals)
 
 
-def _histogram(window, counts, n_dropped):
-    return dataclasses.replace(
-        Histogram.empty(1.0, window), counts=np.array(counts), n_dropped=n_dropped
-    )
-
-
 def test_block_totals_add_part_by_part():
     a = BlockTotals(5, 6, 1, 2, 7, 3, 2, 1, 4)
     b = BlockTotals(2, 1, 2, 0, 1, 0, 5, 8, 6)
@@ -926,11 +938,6 @@ def test_block_totals_add_part_by_part():
         a + 0
     with pytest.raises(ValueError, match="errors cannot exceed sifted counts"):
         BlockTotals(n_sifted_x=1, n_err_x=2)
-    # Histograms add bin by bin, and only in one layout.
-    h = _histogram((0, 3), [1, 0, 2], 4) + _histogram((0, 3), [0, 9, 1], 1)
-    assert np.array_equal(h.counts, [1, 9, 3]) and h.n_dropped == 5
-    with pytest.raises(ValueError, match="different layouts"):
-        _histogram((0, 3), [1, 0, 2], 4) + _histogram((1, 4), [1, 0, 2], 4)
 
 
 def test_block_totals_sum_to_the_run_totals():
