@@ -7,9 +7,10 @@ Every command (and cli.main) first has glibc's malloc keep freed memory in
 the process: each simulated block frees buffers of 128 KiB to 1 MiB that
 the next block allocates again, and by default glibc unmaps them or trims
 them off the heap, and the next block faults them in again, page by page.
-It also keeps the --workers pool threads on glibc's main arena: by default
-each thread gets an arena (a heap) of its own, and memory one thread frees
-is never reused by a block on another.
+It also keeps the --workers block threads (one per block, at most one per
+worker at once) on glibc's main arena: by default each thread gets an
+arena (a heap) of its own, and memory one thread frees is never reused by
+a block on another.
 """
 
 from __future__ import annotations
@@ -350,10 +351,10 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 def _keep_freed_memory() -> None:
     """Keep freed memory in the process: a 1 GiB trim threshold and a 32 MiB
     mmap threshold (glibc's maximum); either alone faults more than neither.
-    One arena, so pool threads reuse what every block frees (with an arena
-    per thread, a 10^5-pulse two-worker run faulted in about twice the pages
-    of a one-worker run). glibc applies this only to arenas made after the
-    call, so it comes before any pool starts.
+    One arena, so each block's thread reuses what every earlier block freed
+    (with an arena per thread, a 10^5-pulse two-worker run faulted in about
+    twice the pages of a one-worker run). glibc applies this only to arenas
+    made after the call, so it comes before any block thread starts.
     Without mallopt (not glibc), nothing is set."""
     try:
         # Windows has no dlopen(NULL): CDLL(None) raises TypeError there.

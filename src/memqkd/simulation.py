@@ -32,12 +32,12 @@ number of workers.
 
 Each block is a RunResult of its own pulses: arrays and a BlockTotals
 (simulate_block). map_blocks streams a run: it calls a caller-supplied
-function on each block index in a thread and yields the results in block
-order, with at most _IN_FLIGHT_PER_WORKER blocks per worker submitted and
-not yet consumed. With several workers that thread is one of a _Pool's,
-built on threading and a deque alone (numpy's array loops and random
-draws release the GIL), so a run imports neither concurrent.futures nor
-the logging and queue modules it would bring.
+function on each block index and yields the results in block order. With
+several workers each block runs in a short-lived thread of its own, at
+most one per worker (and per usable CPU) at once, started in block order
+by the consumer as it takes each result (numpy's array loops and random
+draws release the GIL). A run imports no thread-pool module: neither
+concurrent.futures nor the logging and queue modules it would bring.
 A function that simulates its own block owns it, and can free its arrays
 before it returns (reports.block_outputs does). run_experiment keeps
 every block, concatenates the arrays and adds up the totals.
@@ -61,17 +61,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import ChannelConfig, MemoryConfig, SourceMode
+from .config import ChannelConfig, MemoryConfig, SourceMode, _check_integer
 from .histogram import Histogram
 
 #: Pulses per random stream. A constant of the stream layout: changing it
 #: changes every seeded output.
 BLOCK_PULSES = 2**14
-
-#: Blocks each pool thread may have submitted and not yet consumed: one
-#: being simulated and one queued, so a worker never waits on the consumer
-#: while memory stays bounded whatever the run length.
-_IN_FLIGHT_PER_WORKER = 2
 
 #: The four polarization states as (letter, basis code, key bit); a state's
 #: array code is its index. D and A are the balanced superpositions of H and V.
@@ -433,114 +428,66 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Job:
-    """A call submitted to a _Pool; its lock is held until the call returns."""
+def _start_block(fn: Callable, block: int):
+    """Start fn(block) in a thread of its own. Returns the thread and the
+    list it appends (value, None) or (None, exception) to."""
+    outcome = []
 
-    def __init__(self, fn, arg):
-        self._call, self._value, self._error = partial(fn, arg), None, None
-        self._done = threading.Lock()
-        self._done.acquire()
-
-    def run(self) -> None:
+    def run() -> None:
         try:
-            self._value = self._call()
-        except BaseException as error:  # result() raises it in the consumer
-            self._error = error
-        self._done.release()
+            outcome.append((fn(block), None))
+        except BaseException as error:  # map_blocks raises it at its turn
+            outcome.append((None, error))
 
-    def result(self):
-        """Wait for the call: its value, or its exception raised. Called once;
-        the job drops its own reference to the value."""
-        self._done.acquire()
-        if self._error is not None:
-            raise self._error
-        value, self._value = self._value, None
-        return value
-
-
-class _Pool:
-    """Up to threads worker threads that take calls from one FIFO, one wake
-    per call. Leaving the with block runs every call still queued and joins
-    every thread.
-    """
-
-    def __init__(self, threads: int):
-        self._jobs = deque()
-        self._ready = threading.Semaphore(0)
-        self._size = threads
-        self._threads = []
-
-    def _work(self) -> None:
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            job.run()
-
-    def submit(self, fn: Callable, arg) -> _Job:
-        job = _Job(fn, arg)
-        self._jobs.append(job)
-        self._ready.release()
-        # Each of the first submits starts a thread, so the first blocks run
-        # while the later threads start: started all at once, before any
-        # submit, they made a fresh two-worker 10^5-pulse run about 1 ms
-        # slower (11 of 16 alternating processes).
-        if len(self._threads) < self._size:
-            thread = threading.Thread(target=self._work)
-            thread.start()
-            self._threads.append(thread)
-        return job
-
-    def __enter__(self) -> _Pool:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # One stop per thread, queued behind every job.
-        for _ in self._threads:
-            self._jobs.append(None)
-            self._ready.release()
-        for thread in self._threads:
-            thread.join()
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
 
 
 def map_blocks(config, workers: int, fn: Callable) -> Iterator:
     """Yield fn(block) for each block index of config's run, in block order.
 
     fn runs in the calling thread for one worker (or one block, or one
-    usable CPU), otherwise in one of min(workers, blocks, usable CPUs) pool
-    threads of this process (a _Pool), so it must be safe to call from
-    several threads at once. Blocks start in block order. At most
-    _IN_FLIGHT_PER_WORKER blocks per thread are submitted and not yet
-    consumed; the next block is submitted as each one is consumed, and a
-    yielded result is no longer referenced here once the next one is asked
-    for. If fn raises, the exception is raised here when its block's turn
-    comes, after every block already submitted has run and every pool
-    thread has been joined.
+    usable CPU). Otherwise each block runs in a thread of its own, at most
+    threads = min(workers, blocks, usable CPUs) at once, so fn must be safe
+    to call from several threads at once. The first threads blocks start
+    together; each time the consumer takes block b, block b + threads
+    starts. So blocks start in block order, at most threads are started
+    and not yet consumed, and a yielded result is no longer referenced
+    here once the next one is asked for. If fn raises, the exception is
+    raised here when its block's turn comes, after every block already
+    started has run and its thread has been joined.
     """
+    _check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_blocks = _n_blocks(config.source.n_pulses)
     # More threads than CPUs only wait for one another, and a large workers
     # would ask the OS for that many threads.
     threads = min(workers, n_blocks, _usable_cpus())
-    # Inline, not a one-thread pool: with one worker the pool ran experiment3
-    # up to 6.3% slower (5 of 6 benchmark pairs, 2-core host), 0.4 MiB larger.
+    # Inline, not one thread at a time: with one worker a one-thread pool
+    # ran experiment3 up to 6.3% slower (5 of 6 benchmark pairs, 2-core
+    # host), 0.4 MiB larger.
     if threads == 1:
         yield from map(fn, range(n_blocks))
         return
     blocks = iter(range(n_blocks))
-    with _Pool(threads) as pool:
-        in_flight = deque(
-            pool.submit(fn, b) for b in islice(blocks, _IN_FLIGHT_PER_WORKER * threads)
-        )
-        while in_flight:
-            done = in_flight.popleft().result()
-            in_flight.extend(pool.submit(fn, b) for b in islice(blocks, 1))
+    window = deque(_start_block(fn, b) for b in islice(blocks, threads))
+    try:
+        while window:
+            thread, outcome = window.popleft()
+            thread.join()
+            done, error = outcome.pop()
+            if error is not None:
+                raise error
+            window.extend(_start_block(fn, b) for b in islice(blocks, 1))
             yield done
             # The consumer may have dropped it: not held while the next
             # block is awaited.
             del done
+    finally:
+        for thread, _ in window:
+            thread.join()
 
 
 def run_experiment(config, workers: int = 1) -> RunResult:

@@ -35,7 +35,7 @@ DIGEST_TESTS = (
 )
 
 #: (name, file under src/memqkd, text, replacement): ten physics mutants,
-#: two tally mutants, then four output mutants.
+#: two tally mutants, four output mutants, then two block-stream mutants.
 MUTANTS = (
     (
         "one detector's background at q/1.8",
@@ -136,6 +136,18 @@ MUTANTS = (
         "reports.py",
         "starts = hist.bin_starts\n",
         "starts = hist.bin_starts + hist.bin_width\n",
+    ),
+    (
+        "the first window of block threads one block wider",
+        "simulation.py",
+        "for b in islice(blocks, threads))",
+        "for b in islice(blocks, threads + 1))",
+    ),
+    (
+        "the block threads still running on an error left unjoined",
+        "simulation.py",
+        "        for thread, _ in window:\n            thread.join()\n",
+        "        for thread, _ in window:\n            pass\n",
     ),
 )
 

@@ -99,7 +99,7 @@ def test_run_with_workers_leaves_no_thread_behind(tmp_path):
 def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # Workers are threads: neither multiprocessing nor the process pool is
     # imported, in a fresh interpreter that imports only the cli. A one-worker
-    # run, a two-worker run through the pool threads and a sweep through main
+    # run, a two-worker run through block threads and a sweep through main
     # import neither argparse nor locale (building argparse's parsers cost a
     # cold call 2-3 ms, most of it importing locale), nor concurrent.futures
     # and the logging and queue modules it brings (about 4-5 ms and 0.65 MiB).
@@ -179,7 +179,7 @@ def test_run_without_mallopt_writes_the_same_outputs(tmp_path, monkeypatch, libc
 
 def test_main_sets_the_malloc_policy_before_any_pool_thread_starts(tmp_path, monkeypatch):
     # glibc applies M_ARENA_MAX only to arenas made after the call, so it
-    # must come before the pool's threads allocate.
+    # must come before any block thread allocates.
     calls = []
 
     def mallopt(param, value):
@@ -560,7 +560,7 @@ def test_output_path_that_is_a_directory_fails_before_any_output(tmp_path, capsy
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("existing", [False, True])
 def test_failure_in_a_late_block_leaves_no_output(tmp_path, monkeypatch, existing, workers):
-    # With two workers the pool's threads are all joined before main returns.
+    # With two workers every block thread is joined before main returns.
     threads = threading.active_count()
     calls = []
     real_simulate_block = reports.simulate_block

@@ -374,21 +374,11 @@ def test_a_block_peaks_below_its_bound_whatever_the_bin_count():
     assert peak <= BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
-class _OnDemandPool:
-    """Stand-in for simulation._Pool that runs each block in the calling
-    thread when its result is asked for: the pool path, one block at a time."""
-
-    def __init__(self, threads):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, block):
-        return SimpleNamespace(result=partial(fn, block))
+def _start_on_join(fn, block):
+    """Stand-in for simulation._start_block that runs the block in the
+    calling thread when it is joined: the threaded path, one block at a time."""
+    outcome = []
+    return SimpleNamespace(join=lambda: outcome.append((fn(block), None))), outcome
 
 
 #: What a whole memqkd run adds to its blocks' peak: the argument parsing,
@@ -398,12 +388,12 @@ RUN_MARGIN_KIB = 128
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_streamed_run_peaks_as_one_block(workers, tmp_path, monkeypatch):
-    # Four blocks through memqkd run's write loop. With two workers the pool
-    # path runs each block only when the stream asks for it, so any block's
-    # fields held past their write, by the stream or by the loop, would add
-    # about 640 KiB to one block's peak.
+    # Four blocks through memqkd run's write loop. With two workers the
+    # threaded path runs each block only when the stream asks for it, so any
+    # block's fields held past their write, by the stream or by the loop,
+    # would add about 640 KiB to one block's peak.
     if workers > 1:
-        monkeypatch.setattr(simulation, "_Pool", _OnDemandPool)
+        monkeypatch.setattr(simulation, "_start_block", _start_on_join)
         monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
     argv = [
         "run", "--preset", "experiment3", "--pulses", str(4 * BLOCK_PULSES), "--seed", "19",

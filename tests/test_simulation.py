@@ -723,43 +723,34 @@ def test_run_experiment_joins_the_identity_reduced_blocks():
             assert np.array_equal(getattr(result, field.name), joined), field.name
 
 
-class _InlinePool:
-    """Stand-in for simulation._Pool that runs each block when submitted
-    and records how many blocks are submitted and not yet consumed."""
+def _start_inline(started):
+    """Stand-in for simulation._start_block that runs each block when it is
+    started, in the calling thread, and records the blocks started."""
 
-    def __init__(self, threads, log):
-        self.log = log
-        log["processes"] = threads
+    def start(fn, block):
+        started.append(block)
+        return SimpleNamespace(join=lambda: None), [(fn(block), None)]
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, block):
-        value = fn(block)
-        self.log["submitted"] = self.log.get("submitted", 0) + 1
-        return SimpleNamespace(result=lambda: value)
+    return start
 
 
 @pytest.mark.parametrize(
     "workers,n_blocks,cpus", [(2, 11, 8), (3, 4, 8), (8, 3, 8), (10**5, 11, 3)]
 )
 def test_stream_bounds_blocks_in_flight(monkeypatch, workers, n_blocks, cpus):
-    # _InlinePool starts no thread, whatever thread count it is given.
-    log = {}
-    monkeypatch.setattr(simulation, "_Pool", lambda threads: _InlinePool(threads, log))
+    # The stand-in starts no thread, whatever the thread count.
+    started = []
+    monkeypatch.setattr(simulation, "_start_block", _start_inline(started))
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES - 7, seed=2)
+    threads = min(workers, n_blocks, cpus)
     starts = []
     for start in map_blocks(config, workers, lambda b: simulate_block(config, b)[0]):
         starts.append(start)
-        # Two blocks per process are in flight: one is submitted as each is
+        # One block per thread is in flight: one is started as each is
         # consumed, until none are left.
-        in_flight = log["submitted"] - len(starts)
-        assert in_flight == min(2 * log["processes"], n_blocks - len(starts))
-    assert log["processes"] == min(workers, n_blocks, cpus)
+        in_flight = len(started) - len(starts)
+        assert in_flight == min(threads, n_blocks - len(starts))
     assert starts == [b * BLOCK_PULSES for b in range(n_blocks)]
 
 
@@ -767,15 +758,15 @@ class _StopRun(Exception):
     pass
 
 
-def _record_pool_size(sizes):
-    """A simulation._Pool stand-in that records its thread count and stops
-    the run before any thread starts."""
+def _record_starts(started):
+    """A simulation._start_block stand-in that records each block it is
+    given, runs none, and stops the run at the first block consumed."""
 
-    def pool(threads):
-        sizes.append(threads)
-        raise _StopRun
+    def start(fn, block):
+        started.append(block)
+        return SimpleNamespace(join=lambda: None), [(None, _StopRun())]
 
-    return pool
+    return start
 
 
 @pytest.mark.parametrize("affinity", [True, False])
@@ -788,26 +779,27 @@ def test_stream_starts_at_most_one_thread_per_usable_cpu(monkeypatch, affinity):
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    sizes = []
-    monkeypatch.setattr(simulation, "_Pool", _record_pool_size(sizes))
+    started = []
+    monkeypatch.setattr(simulation, "_start_block", _record_starts(started))
     config = preset_config("experiment3", n_pulses=8 * BLOCK_PULSES, seed=2)
     with pytest.raises(_StopRun):
         next(map_blocks(config, 10**5, lambda b: simulate_block(config, b)[0]))
-    assert sizes == [3]
+    # Three threads start before the first block is consumed.
+    assert started == [0, 1, 2]
 
 
 def test_stream_on_one_usable_cpu_runs_inline(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(simulation, "_Pool", _record_pool_size(sizes))
+    started = []
+    monkeypatch.setattr(simulation, "_start_block", _record_starts(started))
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     config = preset_config("experiment3", n_pulses=2 * BLOCK_PULSES + 5, seed=2)
     starts = list(map_blocks(config, 4, lambda b: simulate_block(config, b)[0]))
     assert starts == [0, BLOCK_PULSES, 2 * BLOCK_PULSES]
-    assert sizes == []
+    assert started == []
 
 
 def test_stream_takes_a_reducer_that_cannot_pickle():
-    # A nested function cannot pickle; pool threads call it in this process.
+    # A nested function cannot pickle; block threads call it in this process.
     config = preset_config("experiment3", n_pulses=5 * BLOCK_PULSES // 2, seed=31)
     seen = []
 
@@ -823,11 +815,11 @@ def test_stream_takes_a_reducer_that_cannot_pickle():
 
 
 def test_stream_starts_blocks_in_order_on_pool_threads(monkeypatch):
-    # Two real pool threads take blocks from one FIFO: a pool that handed
-    # out blocks in any other order would start some block early. Each
-    # block sleeps, so both threads take blocks. A long switch interval
-    # keeps a thread from losing the GIL between taking its block and
-    # recording it, which only a forced switch could do.
+    # Two blocks run at once, each in a thread of its own, started by the
+    # consumer in block order: a stream that started them in any other order
+    # would start some block early. Each block sleeps, so two run at once. A
+    # long switch interval keeps a thread from losing the GIL between
+    # starting and recording its block, which only a forced switch could do.
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     config = preset_config("experiment3", n_pulses=9 * BLOCK_PULSES, seed=2)
     started = []
@@ -848,9 +840,9 @@ def test_stream_starts_blocks_in_order_on_pool_threads(monkeypatch):
 
 
 def test_stream_runs_each_block_once_under_forced_switches(monkeypatch):
-    # More pool threads than cores share one job queue while the
-    # interpreter switches threads every few microseconds: a job taken
-    # twice, or lost, changes what the stream yields or hangs it.
+    # More block threads than cores run at once while the interpreter
+    # switches threads every few microseconds: a block started twice, or
+    # lost, changes what the stream yields or hangs it.
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
     n_blocks = 400
     config = preset_config("experiment3", n_pulses=n_blocks * BLOCK_PULSES, seed=2)
@@ -877,7 +869,7 @@ class _Token:
 
 
 def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
-    # Block 1's reducer, in a pool thread, waits for block 0's result to be
+    # Block 1's reducer, in its own thread, waits for block 0's result to be
     # collected. The consumer drops its own reference and asks for block 1,
     # so only the stream could still hold block 0's result.
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
@@ -901,10 +893,39 @@ def test_stream_holds_no_yielded_block_while_awaiting_the_next(monkeypatch):
     assert next(blocks) == "collected"
 
 
-def test_stream_rejects_zero_workers():
-    config = preset_config("experiment3", n_pulses=10, seed=2)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        next(map_blocks(config, 0, partial(simulate_block, config)))
+def test_stream_raises_a_block_failure_at_its_turn_and_joins_every_thread(monkeypatch):
+    # Block 2 fails at once while block 3, started when block 1 was taken,
+    # is still running: the stream yields blocks 0 and 1, raises block 2's
+    # exception, and leaves no thread behind.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    config = preset_config("experiment3", n_pulses=6 * BLOCK_PULSES, seed=2)
+    threads = threading.active_count()
+
+    def reduce(b):
+        if b == 2:
+            raise _StopRun(b)
+        time.sleep(0.05)
+        return b
+
+    blocks = map_blocks(config, 2, reduce)
+    assert [next(blocks), next(blocks)] == [0, 1]
+    with pytest.raises(_StopRun) as failure:
+        next(blocks)
+    assert failure.value.args == (2,)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [0, 2.5, 2.0, 1.5, math.nan])
+def test_stream_rejects_zero_workers(workers):
+    # A multi-block run, on which a non-integral count once reached
+    # itertools.islice; no block runs.
+    config = preset_config("experiment3", n_pulses=3 * BLOCK_PULSES, seed=2)
+    calls = []
+    with pytest.raises(ValueError, match="workers must be"):
+        next(map_blocks(config, workers, calls.append))
+    with pytest.raises(ValueError, match="workers must be"):
+        run_experiment(config, workers=workers)
+    assert calls == []
 
 
 _COUNTS = st.integers(0, 2**70)
